@@ -14,6 +14,13 @@ The maximal monotone graph beta can be replaced by a single-valued Lipschitz
 regularization: either the Moreau-Yosida approximation beta_eps (any variant)
 or the piecewise C^1 continuation of the logarithmic beta that keeps the exact
 graph on [-(1-eps), 1-eps] and continues affinely with the matched slope.
+
+Every formula is written once, in numpy, and evaluated over whole arrays.
+The array kernels (``_exact``, ``_yosida``, ``_piecewise_log`` and the
+dispatcher ``_reg``) take ``k``, the order of the derivative of betahat they
+return: 0 for betahat, 1 for beta, 2 for beta', 3 for beta''.  The solvers
+call the ``*_vec`` functions; the scalar functions are ``float`` views of the
+same kernels.
 """
 
 from __future__ import annotations
@@ -38,6 +45,11 @@ __all__ = [
     "betahat",
     "beta_reg",
     "beta_reg_d1",
+    "beta_reg_vec",
+    "beta_reg_d1_vec",
+    "f_value_vec",
+    "f_d1_vec",
+    "f_d2_vec",
     "check_exp_derivative_bound",
     "young_exp_constants",
     "pi_value",
@@ -131,89 +143,101 @@ def _pihat(spec: PotentialSpec, r: float) -> float:
 # ---------------------------------------------------------------------------
 # exact convex part
 
-def beta_exact(spec: PotentialSpec, r: float) -> float:
-    """Minimal section beta°(r) of the unregularized graph."""
+def _exact(spec: PotentialSpec, t, k: int) -> np.ndarray:
+    """k-th derivative of the unregularized betahat; k = 1 is the minimal section beta°.
+
+    betahat (k = 0) is continuous on the closed domain [-1, 1] of the
+    singular variants; the logarithmic beta and its derivatives need (-1, 1).
+    """
+    t = np.asarray(t, dtype=float)
     if spec.variant == REGULAR:
-        return r**3
-    if spec.variant == LOGARITHMIC:
-        if abs(r) >= 1.0:
-            raise DomainViolation(f"r = {r:g} outside D(beta) = (-1, 1)")
-        return math.log((1.0 + r) / (1.0 - r))
-    if abs(r) > 1.0:
-        raise DomainViolation(f"r = {r:g} outside D(beta) = [-1, 1]")
-    return 0.0
-
-
-def _beta_exact_d1(spec: PotentialSpec, r: float) -> float:
-    if spec.variant == REGULAR:
-        return 3.0 * r * r
-    if spec.variant == LOGARITHMIC:
-        if abs(r) >= 1.0:
-            raise DomainViolation(f"r = {r:g} outside D(beta) = (-1, 1)")
-        return 2.0 / (1.0 - r * r)
-    return 0.0
-
-
-def _beta_exact_d2(spec: PotentialSpec, r: float) -> float:
-    if spec.variant == REGULAR:
-        return 6.0 * r
-    if spec.variant == LOGARITHMIC:
-        if abs(r) >= 1.0:
-            raise DomainViolation(f"r = {r:g} outside D(beta) = (-1, 1)")
-        return 4.0 * r / (1.0 - r * r) ** 2
-    return 0.0
-
-
-def _betahat_exact(spec: PotentialSpec, r: float) -> float:
-    if spec.variant == REGULAR:
-        return r**4 / 4.0
-    if spec.variant == LOGARITHMIC:
-        if abs(r) > 1.0:
-            raise DomainViolation(f"r = {r:g} outside [-1, 1]")
-        # (1+r)ln(1+r) + (1-r)ln(1-r), continuous up to the endpoints
-        a = (1.0 + r) * math.log1p(r) if r > -1.0 else 0.0
-        b = (1.0 - r) * math.log1p(-r) if r < 1.0 else 0.0
-        return a + b
-    if abs(r) > 1.0:
-        raise DomainViolation(f"r = {r:g} outside [-1, 1]")
-    return 0.0
+        if k == 0:
+            return t**4 / 4.0
+        if k == 1:
+            return t**3
+        if k == 2:
+            return 3.0 * t * t
+        return 6.0 * t
+    a = np.abs(t)
+    if spec.variant == DOUBLE_OBSTACLE or k == 0:
+        if np.any(a > 1.0):
+            raise DomainViolation(f"r = {np.max(a):g} outside [-1, 1]")
+    elif np.any(a >= 1.0):
+        raise DomainViolation(f"r = {np.max(a):g} outside D(beta) = (-1, 1)")
+    if spec.variant == DOUBLE_OBSTACLE:
+        return np.zeros_like(t)
+    if k == 0:
+        # (1+t)ln(1+t) + (1-t)ln(1-t), which tends to 2 ln 2 at the endpoints
+        edge = a == 1.0
+        s = np.where(edge, 0.0, t)
+        inner = (1.0 + s) * np.log1p(s) + (1.0 - s) * np.log1p(-s)
+        return np.where(edge, 2.0 * math.log(2.0), inner)
+    if k == 1:
+        return np.log1p(t) - np.log1p(-t)
+    if k == 2:
+        return 2.0 / (1.0 - t * t)
+    return 4.0 * t / (1.0 - t * t) ** 2
 
 
 # ---------------------------------------------------------------------------
 # Moreau-Yosida regularization
 
-def _resolvent(spec: PotentialSpec, r: float, eps: float) -> float:
-    """Solve t + eps*beta(t) = r for t (the resolvent point J_eps r).
+def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
+    """Solve t + eps*beta°(t) = r elementwise for t (the resolvent point J_eps r).
 
-    Safeguarded Newton with a bisection fallback; monotone scalar equation.
+    Safeguarded Newton with a bisection fallback, one bracket per point; the
+    equation is monotone in t.  Converged points are frozen while the rest
+    iterate.
     """
     if spec.variant == DOUBLE_OBSTACLE:
-        return min(1.0, max(-1.0, r))
+        return np.clip(r, -1.0, 1.0)
+    eps = spec.eps
+    shape = r.shape
+    r = r.reshape(-1)
     if spec.variant == REGULAR:
-        lo, hi = -abs(r) - 1.0, abs(r) + 1.0
+        hi = np.abs(r) + 1.0
     else:  # logarithmic: t confined to (-1, 1)
-        lo, hi = -1.0, 1.0
-    t = min(hi - 1e-9, max(lo + 1e-9, r))
-
-    def g(t: float) -> float:
-        return t + eps * beta_exact(spec, t) - r
-
+        hi = np.ones_like(r)
+    lo = -hi
+    t = np.minimum(hi - 1e-9, np.maximum(lo + 1e-9, r))
+    tol = _ROOT_TOL * np.maximum(1.0, np.abs(r))
     for _ in range(_ROOT_MAXIT):
-        gt = g(t)
-        if abs(gt) <= _ROOT_TOL * max(1.0, abs(r)):
-            return t
-        if gt > 0:
-            hi = t
-        else:
-            lo = t
-        gp = 1.0 + eps * _beta_exact_d1(spec, t)
-        t_new = t - gt / gp
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        t = t_new
+        g = t + eps * _exact(spec, t, 1) - r
+        live = ~(np.abs(g) <= tol)
+        if not live.any():
+            return t.reshape(shape)
+        hi = np.where(live & (g > 0), t, hi)
+        lo = np.where(live & ~(g > 0), t, lo)
+        t_new = t - g / (1.0 + eps * _exact(spec, t, 2))
+        t_new = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
+        t = np.where(live, t_new, t)
+    i = int(np.argmax(live))
     raise ConvergenceFailure(
-        f"resolvent solve failed for r = {r:g}, eps = {eps:g} (residual {g(t):.3e})"
+        f"resolvent solve failed at {int(live.sum())} point(s), e.g. r = {r[i]:g}, "
+        f"eps = {eps:g} (residual {g[i]:.3e})"
     )
+
+
+def _yosida(spec: PotentialSpec, r, k: int) -> np.ndarray:
+    """k-th derivative of the Moreau envelope betahat_eps, from one resolvent solve.
+
+    beta_eps = (r - J_eps r)/eps; its derivatives follow by implicit
+    differentiation of t + eps*beta°(t) = r, and betahat_eps(r) =
+    eps/2 * beta_eps(r)^2 + betahat(J_eps r).
+    """
+    r = np.asarray(r, dtype=float)
+    eps = spec.eps
+    t = _resolvent(spec, r)
+    if k <= 1:
+        s = (r - t) / eps
+        return s if k == 1 else 0.5 * eps * s * s + _exact(spec, t, 0)
+    if k == 2 and spec.variant == DOUBLE_OBSTACLE:
+        # J_eps = clip has slope 0 outside [-1, 1], which beta° = 0 does not see
+        return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
+    bp = _exact(spec, t, 2)
+    if k == 2:
+        return bp / (1.0 + eps * bp)
+    return _exact(spec, t, 3) / (1.0 + eps * bp) ** 3
 
 
 def beta_yosida(spec: PotentialSpec, r: float) -> float:
@@ -221,35 +245,7 @@ def beta_yosida(spec: PotentialSpec, r: float) -> float:
 
     Monotone, 1/eps-Lipschitz, beta_eps(0) = 0, |beta_eps| <= |beta°| on D(beta).
     """
-    eps = spec.eps
-    t = _resolvent(spec, r, eps)
-    return (r - t) / eps
-
-
-def _beta_yosida_d1(spec: PotentialSpec, r: float) -> float:
-    # implicit differentiation of t + eps*beta(t) = r
-    if spec.variant == DOUBLE_OBSTACLE:
-        return 0.0 if abs(r) <= 1.0 else 1.0 / spec.eps
-    t = _resolvent(spec, r, spec.eps)
-    bp = _beta_exact_d1(spec, t)
-    return bp / (1.0 + spec.eps * bp)
-
-
-def _beta_yosida_d2(spec: PotentialSpec, r: float) -> float:
-    if spec.variant == DOUBLE_OBSTACLE:
-        return 0.0
-    t = _resolvent(spec, r, spec.eps)
-    bp = _beta_exact_d1(spec, t)
-    bpp = _beta_exact_d2(spec, t)
-    return bpp / (1.0 + spec.eps * bp) ** 3
-
-
-def _betahat_yosida(spec: PotentialSpec, r: float) -> float:
-    # Moreau envelope: betahat_eps(r) = eps/2 * beta_eps(r)^2 + betahat(J_eps r)
-    eps = spec.eps
-    t = _resolvent(spec, r, eps)
-    s = (r - t) / eps
-    return 0.5 * eps * s * s + _betahat_exact(spec, t)
+    return float(_yosida(spec, r, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -260,85 +256,105 @@ def _require_log(spec: PotentialSpec):
         raise WrongVariant("piecewise log regularization needs the logarithmic variant")
 
 
+def _piecewise_log(spec: PotentialSpec, r, k: int) -> np.ndarray:
+    """k-th derivative of the piecewise C^1 logarithmic betahat.
+
+    The exact graph on |r| <= knee = 1-eps; beyond it, betahat continues with
+    its second-order Taylor polynomial at the knee, so beta is affine with the
+    matched slope 2/(eps(2-eps)) and beta'' vanishes.
+    """
+    _require_log(spec)
+    r = np.asarray(r, dtype=float)
+    eps = spec.eps
+    a = np.abs(r)
+    knee = 1.0 - eps
+    slope = 2.0 / (eps * (2.0 - eps))
+    bk = math.log((2.0 - eps) / eps)  # beta°(knee)
+    inside = a <= knee
+    if k == 0:
+        d = np.where(inside, 0.0, a - knee)
+        return _exact(spec, np.where(inside, a, knee), 0) + bk * d + 0.5 * slope * d * d
+    safe = np.where(inside, a, 0.0)
+    if k == 1:
+        return np.sign(r) * np.where(inside, _exact(spec, safe, 1), bk + slope * (a - knee))
+    if k == 2:
+        return np.where(inside, _exact(spec, safe, 2), slope)
+    return np.where(inside, _exact(spec, np.where(inside, r, 0.0), 3), 0.0)
+
+
 def beta_piecewise_log(spec: PotentialSpec, r: float) -> float:
     """C^1, odd, globally Lipschitz continuation of the logarithmic beta.
 
     Equals ln((1+r)/(1-r)) on [-(1-eps), 1-eps]; affine beyond, with the
     matched slope 2/(eps(2-eps)).
     """
-    _require_log(spec)
-    eps = spec.eps
-    a = abs(r)
-    if a <= 1.0 - eps:
-        v = math.log((1.0 + a) / (1.0 - a))
-    else:
-        knee = 1.0 - eps
-        slope = 2.0 / (eps * (2.0 - eps))
-        v = math.log((2.0 - eps) / eps) + slope * (a - knee)
-    return math.copysign(v, r) if r != 0.0 else 0.0
+    return float(_piecewise_log(spec, r, 1))
 
 
 def beta_piecewise_log_d1(spec: PotentialSpec, r: float) -> float:
     """Derivative of :func:`beta_piecewise_log`; globally bounded by 2/(eps(2-eps))."""
-    _require_log(spec)
-    eps = spec.eps
-    a = abs(r)
-    if a <= 1.0 - eps:
-        return 2.0 / (1.0 - a * a)
-    return 2.0 / (eps * (2.0 - eps))
-
-
-def _beta_piecewise_log_d2(spec: PotentialSpec, r: float) -> float:
-    a = abs(r)
-    if a <= 1.0 - spec.eps:
-        return 4.0 * r / (1.0 - r * r) ** 2
-    return 0.0
-
-
-def _betahat_piecewise_log(spec: PotentialSpec, r: float) -> float:
-    eps = spec.eps
-    a = abs(r)
-    knee = 1.0 - eps
-    if a <= knee:
-        return _betahat_exact(spec, a)
-    slope = 2.0 / (eps * (2.0 - eps))
-    bk = math.log((2.0 - eps) / eps)
-    d = a - knee
-    return _betahat_exact(spec, knee) + bk * d + 0.5 * slope * d * d
+    return float(_piecewise_log(spec, r, 2))
 
 
 # ---------------------------------------------------------------------------
 # dispatch on the selected regularization
 
-def beta_reg(spec: PotentialSpec, r: float) -> float:
-    """The single-valued beta selected by ``spec.reg_kind`` (exact graph if None)."""
+def _reg(spec: PotentialSpec, r, k: int) -> np.ndarray:
+    """k-th derivative of the betahat selected by ``spec.reg_kind`` (exact if None)."""
     if spec.reg_kind == "yosida":
-        return beta_yosida(spec, r)
+        return _yosida(spec, r, k)
     if spec.reg_kind == "piecewise_log":
-        return beta_piecewise_log(spec, r)
+        return _piecewise_log(spec, r, k)
     if spec.variant == DOUBLE_OBSTACLE:
         raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
-    return beta_exact(spec, r)
+    return _exact(spec, r, k)
+
+
+def beta_reg_vec(spec: PotentialSpec, values) -> np.ndarray:
+    """The single-valued beta selected by ``spec.reg_kind`` over an array."""
+    return _reg(spec, values, 1)
+
+
+def beta_reg_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
+    return _reg(spec, values, 2)
+
+
+def f_value_vec(spec: PotentialSpec, values) -> np.ndarray:
+    """f = betahat_reg + pihat over an array."""
+    v = np.asarray(values, dtype=float)
+    if spec.reg_kind is None and spec.variant == REGULAR:
+        return 0.25 * (v * v - 1.0) ** 2
+    return _reg(spec, v, 0) + _pihat(spec, v)
+
+
+def f_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    return beta_reg_vec(spec, v) + pi_d1(spec) * v
+
+
+def f_d2_vec(spec: PotentialSpec, values) -> np.ndarray:
+    v = np.asarray(values, dtype=float)
+    return beta_reg_d1_vec(spec, v) + pi_d1(spec)
+
+
+# scalar views of the array kernels -----------------------------------------
+
+def beta_exact(spec: PotentialSpec, r: float) -> float:
+    """Minimal section beta°(r) of the unregularized graph."""
+    return float(_exact(spec, r, 1))
+
+
+def _betahat_exact(spec: PotentialSpec, r: float) -> float:
+    return float(_exact(spec, r, 0))
+
+
+def beta_reg(spec: PotentialSpec, r: float) -> float:
+    """The single-valued beta selected by ``spec.reg_kind`` (exact graph if None)."""
+    return float(beta_reg_vec(spec, r))
 
 
 def beta_reg_d1(spec: PotentialSpec, r: float) -> float:
-    if spec.reg_kind == "yosida":
-        return _beta_yosida_d1(spec, r)
-    if spec.reg_kind == "piecewise_log":
-        return beta_piecewise_log_d1(spec, r)
-    if spec.variant == DOUBLE_OBSTACLE:
-        raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
-    return _beta_exact_d1(spec, r)
-
-
-def _beta_reg_d2(spec: PotentialSpec, r: float) -> float:
-    if spec.reg_kind == "yosida":
-        return _beta_yosida_d2(spec, r)
-    if spec.reg_kind == "piecewise_log":
-        return _beta_piecewise_log_d2(spec, r)
-    if spec.variant == DOUBLE_OBSTACLE:
-        raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
-    return _beta_exact_d2(spec, r)
+    return float(beta_reg_d1_vec(spec, r))
 
 
 def betahat(spec: PotentialSpec, r: float) -> float:
@@ -347,34 +363,25 @@ def betahat(spec: PotentialSpec, r: float) -> float:
     Closed forms are available for every branch (the Yosida case via the
     Moreau envelope identity).
     """
-    if spec.reg_kind == "yosida":
-        return _betahat_yosida(spec, r)
-    if spec.reg_kind == "piecewise_log":
-        return _betahat_piecewise_log(spec, r)
-    if spec.variant == DOUBLE_OBSTACLE:
-        raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
-    return _betahat_exact(spec, r)
+    return float(_reg(spec, r, 0))
 
-
-# ---------------------------------------------------------------------------
-# full potential
 
 def f_value(spec: PotentialSpec, r: float) -> float:
     """f(r) = betahat_reg(r) + pihat(r)."""
-    return betahat(spec, r) + _pihat(spec, r)
+    return float(f_value_vec(spec, r))
 
 
 def f_d1(spec: PotentialSpec, r: float) -> float:
     """f'(r) = beta_reg(r) + pi(r)."""
-    return beta_reg(spec, r) + pi_value(spec, r)
+    return float(f_d1_vec(spec, r))
 
 
 def f_d2(spec: PotentialSpec, r: float) -> float:
-    return beta_reg_d1(spec, r) + pi_d1(spec)
+    return float(f_d2_vec(spec, r))
 
 
 def f_d3(spec: PotentialSpec, r: float) -> float:
-    return _beta_reg_d2(spec, r)
+    return float(_reg(spec, r, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +407,12 @@ def check_exp_derivative_bound(spec: PotentialSpec, samples) -> BoundReport:
     if spec.reg_kind != "piecewise_log":
         raise WrongVariant("the exponential derivative bound targets piecewise_log")
     samples = np.asarray(samples, dtype=float).reshape(-1)
-    worst = -math.inf
-    worst_r = math.nan
-    for r in samples:
-        lhs = beta_piecewise_log_d1(spec, r)
-        # exponent capped to stay finite; the bound holds trivially beyond
-        rhs = 2.0 * math.exp(min(abs(beta_piecewise_log(spec, r)), 700.0))
-        v = lhs - rhs
-        if v > worst:
-            worst, worst_r = v, r
-    return BoundReport(worst, worst_r, samples.size)
+    lhs = _piecewise_log(spec, samples, 2)
+    # exponent capped to stay finite; the bound holds trivially beyond
+    rhs = 2.0 * np.exp(np.minimum(np.abs(_piecewise_log(spec, samples, 1)), 700.0))
+    violation = lhs - rhs
+    i = int(np.argmax(violation))
+    return BoundReport(float(violation[i]), float(samples[i]), samples.size)
 
 
 def young_exp_constants(p: float) -> tuple[float, float]:
@@ -424,86 +427,3 @@ def young_exp_constants(p: float) -> tuple[float, float]:
     kappa = 1.0 / delta
     kappa_prime = (p + delta) ** 2 / (4.0 * delta)
     return kappa, kappa_prime
-
-
-# vectorized wrappers used by the solvers -----------------------------------
-# Fast numpy paths for the branches that show up in time-stepping loops;
-# the Yosida branch falls back to the per-point scalar solve.
-
-def _scalar_map(fn, spec: PotentialSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    return np.array([fn(spec, float(x)) for x in v.ravel()]).reshape(v.shape)
-
-
-def _pwlog_beta_np(spec: PotentialSpec, v: np.ndarray) -> np.ndarray:
-    eps = spec.eps
-    a = np.abs(v)
-    knee = 1.0 - eps
-    slope = 2.0 / (eps * (2.0 - eps))
-    inside = a <= knee
-    safe = np.where(inside, a, 0.0)
-    out = np.where(
-        inside,
-        np.log1p(safe) - np.log1p(-safe),
-        math.log((2.0 - eps) / eps) + slope * (a - knee),
-    )
-    return np.sign(v) * out
-
-
-def beta_reg_vec(spec: PotentialSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if spec.reg_kind is None and spec.variant == REGULAR:
-        return v**3
-    if spec.reg_kind == "piecewise_log":
-        return _pwlog_beta_np(spec, v)
-    if spec.reg_kind == "yosida" and spec.variant == DOUBLE_OBSTACLE:
-        return (v - np.clip(v, -1.0, 1.0)) / spec.eps
-    return _scalar_map(beta_reg, spec, v)
-
-
-def beta_reg_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if spec.reg_kind is None and spec.variant == REGULAR:
-        return 3.0 * v * v
-    if spec.reg_kind == "piecewise_log":
-        eps = spec.eps
-        a = np.abs(v)
-        inside = a <= 1.0 - eps
-        safe = np.where(inside, a, 0.0)
-        return np.where(inside, 2.0 / (1.0 - safe * safe), 2.0 / (eps * (2.0 - eps)))
-    if spec.reg_kind == "yosida" and spec.variant == DOUBLE_OBSTACLE:
-        return np.where(np.abs(v) <= 1.0, 0.0, 1.0 / spec.eps)
-    return _scalar_map(beta_reg_d1, spec, v)
-
-
-def f_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    return beta_reg_vec(spec, v) + pi_d1(spec) * v
-
-
-def f_d2_vec(spec: PotentialSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    return beta_reg_d1_vec(spec, v) + pi_d1(spec)
-
-
-def f_value_vec(spec: PotentialSpec, values) -> np.ndarray:
-    v = np.asarray(values, dtype=float)
-    if spec.reg_kind is None and spec.variant == REGULAR:
-        return 0.25 * (v * v - 1.0) ** 2
-    if spec.variant == LOGARITHMIC and spec.reg_kind in (None, "piecewise_log"):
-        pihat = -spec.c1 * v * v
-        if spec.reg_kind is None:
-            if np.any(np.abs(v) >= 1.0):
-                raise DomainViolation("values outside D(beta) = (-1, 1)")
-            return (1.0 + v) * np.log1p(v) + (1.0 - v) * np.log1p(-v) + pihat
-        eps = spec.eps
-        a = np.abs(v)
-        knee = 1.0 - eps
-        inside = a <= knee
-        safe = np.where(inside, a, knee)
-        base = (1.0 + safe) * np.log1p(safe) + (1.0 - safe) * np.log1p(-safe)
-        slope = 2.0 / (eps * (2.0 - eps))
-        bk = math.log((2.0 - eps) / eps)
-        d = np.where(inside, 0.0, a - knee)
-        return base + bk * d + 0.5 * slope * d * d + pihat
-    return _scalar_map(f_value, spec, v)
