@@ -63,7 +63,6 @@ DOUBLE_OBSTACLE = "double_obstacle"
 _VARIANTS = (REGULAR, LOGARITHMIC, DOUBLE_OBSTACLE)
 _REG_KINDS = (None, "yosida", "piecewise_log")
 
-_ROOT_TOL = 1e-12
 _ROOT_MAXIT = 200
 
 
@@ -186,8 +185,11 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     """Solve t + eps*beta°(t) = r elementwise for t (the resolvent point J_eps r).
 
     Safeguarded Newton with a bisection fallback, one bracket per point; the
-    equation is monotone in t.  Converged points are frozen while the rest
-    iterate.
+    equation is monotone in t.  A point stops, and is frozen while the rest
+    iterate, once its Newton step or its bracket reaches the float spacing of
+    t.  A residual tolerance would not do: near the singular endpoints one ulp
+    of t moves the residual by more than any fixed tolerance, and short of
+    them a tolerance tau leaves beta_eps off by up to tau/eps.
     """
     if spec.variant == DOUBLE_OBSTACLE:
         return np.clip(r, -1.0, 1.0)
@@ -200,17 +202,19 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
         hi = np.ones_like(r)
     lo = -hi
     t = np.minimum(hi - 1e-9, np.maximum(lo + 1e-9, r))
-    tol = _ROOT_TOL * np.maximum(1.0, np.abs(r))
+    done = np.zeros(r.shape, dtype=bool)
     for _ in range(_ROOT_MAXIT):
         g = t + eps * _exact(spec, t, 1) - r
-        live = ~(np.abs(g) <= tol)
-        if not live.any():
+        hi = np.where(g > 0, t, hi)
+        lo = np.where(g > 0, lo, t)
+        newton = t - g / (1.0 + eps * _exact(spec, t, 2))
+        t_new = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
+        ulp = np.spacing(np.abs(t))
+        done |= (np.abs(newton - t) <= ulp) | (np.abs(t_new - t) <= ulp)
+        if done.all():
             return t.reshape(shape)
-        hi = np.where(live & (g > 0), t, hi)
-        lo = np.where(live & ~(g > 0), t, lo)
-        t_new = t - g / (1.0 + eps * _exact(spec, t, 2))
-        t_new = np.where((lo < t_new) & (t_new < hi), t_new, 0.5 * (lo + hi))
-        t = np.where(live, t_new, t)
+        t = np.where(done, t, t_new)
+    live = ~done
     i = int(np.argmax(live))
     raise ConvergenceFailure(
         f"resolvent solve failed at {int(live.sum())} point(s), e.g. r = {r[i]:g}, "

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
-from chopt.errors import DomainViolation, WrongVariant
+from chopt.errors import ConvergenceFailure, DomainViolation, WrongVariant
 from chopt.potentials import (
     PotentialSpec,
     beta_exact,
@@ -138,6 +138,20 @@ def test_yosida_monotone_and_lipschitz():
             assert np.all(
                 np.abs(np.diff(vals)) <= np.diff(rs) / spec.eps + 1e-10
             )
+
+
+@pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3])
+def test_yosida_logarithmic_defined_on_the_whole_line(eps):
+    # beyond |r| ~ 1 + eps*ln(2/ulp) one ulp of the resolvent point moves the
+    # residual by more than any fixed tolerance; the solve must still finish
+    spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="yosida")
+    rs = np.linspace(-5.0, 5.0, 2001)
+    vals = beta_reg_vec(spec, rs)
+    assert np.all(np.isfinite(vals))
+    assert np.all(np.diff(vals) >= 0.0)
+    assert np.all(np.diff(vals) * eps <= np.diff(rs) + 1e-14)
+    with pytest.raises(ConvergenceFailure):
+        beta_yosida(spec, math.nan)
 
 
 def test_yosida_sandwich():
