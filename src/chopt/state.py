@@ -248,14 +248,19 @@ class _Stepper:
         )
 
     def advance(self, phi: np.ndarray, u: np.ndarray):
-        """One step; returns (phi_next, mu_next) nodal arrays."""
-        g = self.nonlinear(phi)
-        phat = self.dct(phi)
-        uhat = self.dct(u)
-        ghat = self.dct(g)
-        phat_next = (phat + self.tau * uhat - self.tau * self.lam * ghat) / self.denom
-        phi_next = self.idct(phat_next)
-        mu_next = self.idct((self.lam + self.S) * phat_next) + g
+        """One step; returns (phi_next, mu_next) nodal arrays.
+
+        Overflow propagates as inf/nan without a warning: the callers check
+        the result and report a blow-up as NonFinite.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = self.nonlinear(phi)
+            phat = self.dct(phi)
+            uhat = self.dct(u)
+            ghat = self.dct(g)
+            phat_next = (phat + self.tau * uhat - self.tau * self.lam * ghat) / self.denom
+            phi_next = self.idct(phat_next)
+            mu_next = self.idct((self.lam + self.S) * phat_next) + g
         return phi_next, mu_next
 
     def mu_of(self, phi: np.ndarray) -> np.ndarray:

@@ -156,7 +156,9 @@ def test_step_single_mode_recurrence():
     assert got_mu == pytest.approx(expected_mu_coeff, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_blowup_raises():
+    # the blow-up must end in a clean NonFinite, not in an overflow warning
     g = Grid(8, 8, 1.0)
     spec = regular_spec()
     phi = Field(g, 1e200 * basis_mode(g, 2, 2).values)
