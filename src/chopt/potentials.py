@@ -115,11 +115,7 @@ class PotentialSpec:
 # smooth perturbation pi
 
 def pi_value(spec: PotentialSpec, r: float) -> float:
-    if spec.variant == REGULAR:
-        return -r
-    if spec.variant == LOGARITHMIC:
-        return -2.0 * spec.c1 * r
-    return -2.0 * spec.c2 * r
+    return pi_d1(spec) * r
 
 
 def pi_d1(spec: PotentialSpec) -> float:
@@ -137,6 +133,16 @@ def _pihat(spec: PotentialSpec, r: float) -> float:
     if spec.variant == LOGARITHMIC:
         return -spec.c1 * r * r
     return -spec.c2 * r * r
+
+
+def _at(kernel, spec: PotentialSpec, r: float, *k: int) -> float:
+    """Evaluate an array kernel at one point.
+
+    The point travels as a one-element array: numpy evaluates 0-d operands
+    with its scalar arithmetic, whose pow differs from the array loops in
+    the last bit, and a scalar must equal the array it is a view of.
+    """
+    return float(kernel(spec, np.array([r], dtype=float), *k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +255,7 @@ def beta_yosida(spec: PotentialSpec, r: float) -> float:
 
     Monotone, 1/eps-Lipschitz, beta_eps(0) = 0, |beta_eps| <= |beta°| on D(beta).
     """
-    return float(_yosida(spec, r, 1))
+    return _at(_yosida, spec, r, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +298,12 @@ def beta_piecewise_log(spec: PotentialSpec, r: float) -> float:
     Equals ln((1+r)/(1-r)) on [-(1-eps), 1-eps]; affine beyond, with the
     matched slope 2/(eps(2-eps)).
     """
-    return float(_piecewise_log(spec, r, 1))
+    return _at(_piecewise_log, spec, r, 1)
 
 
 def beta_piecewise_log_d1(spec: PotentialSpec, r: float) -> float:
     """Derivative of :func:`beta_piecewise_log`; globally bounded by 2/(eps(2-eps))."""
-    return float(_piecewise_log(spec, r, 2))
+    return _at(_piecewise_log, spec, r, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +351,20 @@ def f_d2_vec(spec: PotentialSpec, values) -> np.ndarray:
 
 def beta_exact(spec: PotentialSpec, r: float) -> float:
     """Minimal section beta°(r) of the unregularized graph."""
-    return float(_exact(spec, r, 1))
+    return _at(_exact, spec, r, 1)
 
 
 def _betahat_exact(spec: PotentialSpec, r: float) -> float:
-    return float(_exact(spec, r, 0))
+    return _at(_exact, spec, r, 0)
 
 
 def beta_reg(spec: PotentialSpec, r: float) -> float:
     """The single-valued beta selected by ``spec.reg_kind`` (exact graph if None)."""
-    return float(beta_reg_vec(spec, r))
+    return _at(beta_reg_vec, spec, r)
 
 
 def beta_reg_d1(spec: PotentialSpec, r: float) -> float:
-    return float(beta_reg_d1_vec(spec, r))
+    return _at(beta_reg_d1_vec, spec, r)
 
 
 def betahat(spec: PotentialSpec, r: float) -> float:
@@ -367,25 +373,25 @@ def betahat(spec: PotentialSpec, r: float) -> float:
     Closed forms are available for every branch (the Yosida case via the
     Moreau envelope identity).
     """
-    return float(_reg(spec, r, 0))
+    return _at(_reg, spec, r, 0)
 
 
 def f_value(spec: PotentialSpec, r: float) -> float:
     """f(r) = betahat_reg(r) + pihat(r)."""
-    return float(f_value_vec(spec, r))
+    return _at(f_value_vec, spec, r)
 
 
 def f_d1(spec: PotentialSpec, r: float) -> float:
     """f'(r) = beta_reg(r) + pi(r)."""
-    return float(f_d1_vec(spec, r))
+    return _at(f_d1_vec, spec, r)
 
 
 def f_d2(spec: PotentialSpec, r: float) -> float:
-    return float(f_d2_vec(spec, r))
+    return _at(f_d2_vec, spec, r)
 
 
 def f_d3(spec: PotentialSpec, r: float) -> float:
-    return float(_reg(spec, r, 3))
+    return _at(_reg, spec, r, 3)
 
 
 # ---------------------------------------------------------------------------

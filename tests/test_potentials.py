@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
 from chopt.errors import ConvergenceFailure, DomainViolation, WrongVariant
 from chopt.potentials import (
     PotentialSpec,
+    _betahat_exact,
+    _exact,
+    _reg,
     beta_exact,
     beta_piecewise_log,
     beta_piecewise_log_d1,
@@ -186,8 +191,6 @@ def test_betahat_matches_quadrature(r):
 
 def test_betahat_bounded_by_exact():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="yosida")
-    from chopt.potentials import _betahat_exact
-
     for r in (0.8, -0.8):
         bh = betahat(spec, r)
         assert 0.0 <= bh <= _betahat_exact(spec, r) + 1e-12
@@ -334,3 +337,72 @@ def test_vectorized_wrappers(spec):
     assert np.allclose(f_d2_vec(spec, rs), [f_d2(spec, float(r)) for r in rs], atol=1e-9)
     assert np.allclose(f_value_vec(spec, rs), [f_value(spec, float(r)) for r in rs],
                        atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# properties of every regularization, over drawn points
+
+PROPERTY_SPECS = [
+    PotentialSpec(variant, c1=2.0, c2=1.0, eps=eps, reg_kind=kind)
+    for eps in (0.1, 1e-2, 1e-3)
+    for variant, kind in (("regular", "yosida"), ("logarithmic", "yosida"),
+                          ("logarithmic", "piecewise_log"), ("double_obstacle", "yosida"))
+]
+property_specs = pytest.mark.parametrize(
+    "spec", PROPERTY_SPECS, ids=lambda s: f"{s.variant}-{s.reg_kind}-{s.eps:g}")
+drawn = settings(database=None, derandomize=True, max_examples=25, deadline=None)
+
+
+def points(lo=-5.0, hi=5.0, max_size=64):
+    return st.lists(st.floats(lo, hi, exclude_min=lo == -1.0, exclude_max=hi == 1.0),
+                    min_size=2, max_size=max_size).map(np.array)
+
+
+def lipschitz_constant(spec):
+    if spec.reg_kind == "piecewise_log":
+        return 2.0 / (spec.eps * (2.0 - spec.eps))  # the slope at the knee
+    return 1.0 / spec.eps
+
+
+@property_specs
+@drawn
+@given(rs=points())
+def test_property_monotone_lipschitz_and_zero_at_zero(spec, rs):
+    rs = np.sort(rs)
+    dv = np.diff(beta_reg_vec(spec, rs)) * spec.eps  # beta_eps is O(1/eps)
+    assert np.all(dv >= -1e-14)
+    assert np.all(dv <= lipschitz_constant(spec) * spec.eps * np.diff(rs) + 1e-14)
+    assert beta_reg(spec, 0.0) == 0.0
+
+
+@property_specs
+@drawn
+@given(line=points(), inside=points(-1.0, 1.0))
+def test_property_bounded_by_the_exact_graph(spec, line, inside):
+    rs = inside if spec.singular else line
+    exact = np.abs(_exact(spec, rs, 1))
+    assert np.all(np.abs(beta_reg_vec(spec, rs)) <= exact + 1e-12 * np.maximum(1.0, exact))
+    bh, bh_exact = _reg(spec, rs, 0), _exact(spec, rs, 0)
+    assert np.all(bh >= -1e-15)
+    assert np.all(bh <= bh_exact + 1e-12 * np.maximum(1.0, bh_exact))
+
+
+@property_specs
+@settings(drawn, max_examples=10)
+@given(rs=points(max_size=6))
+def test_property_scalar_views_equal_the_arrays(spec, rs):
+    reg_scalar = beta_yosida if spec.reg_kind == "yosida" else beta_piecewise_log
+    pairs = [
+        (f_value, f_value_vec(spec, rs)),
+        (f_d1, f_d1_vec(spec, rs)),
+        (f_d2, f_d2_vec(spec, rs)),
+        (f_d3, _reg(spec, rs, 3)),
+        (betahat, _reg(spec, rs, 0)),
+        (beta_reg, beta_reg_vec(spec, rs)),
+        (reg_scalar, beta_reg_vec(spec, rs)),
+        (beta_reg_d1, beta_reg_d1_vec(spec, rs)),
+    ]
+    if spec.reg_kind == "piecewise_log":
+        pairs.append((beta_piecewise_log_d1, beta_reg_d1_vec(spec, rs)))
+    for scalar, array in pairs:
+        assert np.array_equal([scalar(spec, r) for r in rs], array), scalar.__name__
