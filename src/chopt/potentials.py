@@ -151,10 +151,23 @@ def _at(kernel, spec: PotentialSpec, r: float, *k: int) -> float:
 def _exact(spec: PotentialSpec, t, k: int) -> np.ndarray:
     """k-th derivative of the unregularized betahat; k = 1 is the minimal section beta°.
 
-    betahat (k = 0) is continuous on the closed domain [-1, 1] of the
-    singular variants; the logarithmic beta and its derivatives need (-1, 1).
+    Raises DomainViolation outside D(beta): (-1, 1) for the logarithmic
+    variant, [-1, 1] for the obstacle.
     """
     t = np.asarray(t, dtype=float)
+    if spec.variant == LOGARITHMIC and np.any(np.abs(t) >= 1.0):
+        raise DomainViolation(f"r = {np.max(np.abs(t)):g} outside D(beta) = (-1, 1)")
+    if spec.variant == DOUBLE_OBSTACLE and np.any(np.abs(t) > 1.0):
+        raise DomainViolation(f"r = {np.max(np.abs(t)):g} outside D(beta) = [-1, 1]")
+    return _formula(spec, t, k)
+
+
+def _formula(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
+    """The formulas behind :func:`_exact`, for t already inside D(beta).
+
+    The regularizations call them directly: their arguments lie inside the
+    domain by construction.
+    """
     if spec.variant == REGULAR:
         if k == 0:
             return t**4 / 4.0
@@ -163,20 +176,10 @@ def _exact(spec: PotentialSpec, t, k: int) -> np.ndarray:
         if k == 2:
             return 3.0 * t * t
         return 6.0 * t
-    a = np.abs(t)
-    if spec.variant == DOUBLE_OBSTACLE or k == 0:
-        if np.any(a > 1.0):
-            raise DomainViolation(f"r = {np.max(a):g} outside [-1, 1]")
-    elif np.any(a >= 1.0):
-        raise DomainViolation(f"r = {np.max(a):g} outside D(beta) = (-1, 1)")
     if spec.variant == DOUBLE_OBSTACLE:
         return np.zeros_like(t)
     if k == 0:
-        # (1+t)ln(1+t) + (1-t)ln(1-t), which tends to 2 ln 2 at the endpoints
-        edge = a == 1.0
-        s = np.where(edge, 0.0, t)
-        inner = (1.0 + s) * np.log1p(s) + (1.0 - s) * np.log1p(-s)
-        return np.where(edge, 2.0 * math.log(2.0), inner)
+        return (1.0 + t) * np.log1p(t) + (1.0 - t) * np.log1p(-t)
     if k == 1:
         return np.log1p(t) - np.log1p(-t)
     if k == 2:
@@ -210,10 +213,10 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     t = np.minimum(hi - 1e-9, np.maximum(lo + 1e-9, r))
     done = np.zeros(r.shape, dtype=bool)
     for _ in range(_ROOT_MAXIT):
-        g = t + eps * _exact(spec, t, 1) - r
+        g = t + eps * _formula(spec, t, 1) - r
         hi = np.where(g > 0, t, hi)
         lo = np.where(g > 0, lo, t)
-        newton = t - g / (1.0 + eps * _exact(spec, t, 2))
+        newton = t - g / (1.0 + eps * _formula(spec, t, 2))
         t_new = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
         ulp = np.spacing(np.abs(t))
         done |= (np.abs(newton - t) <= ulp) | (np.abs(t_new - t) <= ulp)
@@ -240,14 +243,14 @@ def _yosida(spec: PotentialSpec, r, k: int) -> np.ndarray:
     t = _resolvent(spec, r)
     if k <= 1:
         s = (r - t) / eps
-        return s if k == 1 else 0.5 * eps * s * s + _exact(spec, t, 0)
+        return s if k == 1 else 0.5 * eps * s * s + _formula(spec, t, 0)
     if k == 2 and spec.variant == DOUBLE_OBSTACLE:
         # J_eps = clip has slope 0 outside [-1, 1], which beta° = 0 does not see
         return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
-    bp = _exact(spec, t, 2)
+    bp = _formula(spec, t, 2)
     if k == 2:
         return bp / (1.0 + eps * bp)
-    return _exact(spec, t, 3) / (1.0 + eps * bp) ** 3
+    return _formula(spec, t, 3) / (1.0 + eps * bp) ** 3
 
 
 def beta_yosida(spec: PotentialSpec, r: float) -> float:
@@ -283,13 +286,13 @@ def _piecewise_log(spec: PotentialSpec, r, k: int) -> np.ndarray:
     inside = a <= knee
     if k == 0:
         d = np.where(inside, 0.0, a - knee)
-        return _exact(spec, np.where(inside, a, knee), 0) + bk * d + 0.5 * slope * d * d
+        return _formula(spec, np.where(inside, a, knee), 0) + bk * d + 0.5 * slope * d * d
     safe = np.where(inside, a, 0.0)
     if k == 1:
-        return np.sign(r) * np.where(inside, _exact(spec, safe, 1), bk + slope * (a - knee))
+        return np.sign(r) * np.where(inside, _formula(spec, safe, 1), bk + slope * (a - knee))
     if k == 2:
-        return np.where(inside, _exact(spec, safe, 2), slope)
-    return np.where(inside, _exact(spec, np.where(inside, r, 0.0), 3), 0.0)
+        return np.where(inside, _formula(spec, safe, 2), slope)
+    return np.where(inside, _formula(spec, np.where(inside, r, 0.0), 3), 0.0)
 
 
 def beta_piecewise_log(spec: PotentialSpec, r: float) -> float:
