@@ -148,13 +148,12 @@ def _at(kernel, spec: PotentialSpec, r: float, *k: int) -> float:
 # ---------------------------------------------------------------------------
 # exact convex part
 
-def _exact(spec: PotentialSpec, t, k: int) -> np.ndarray:
+def _exact(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
     """k-th derivative of the unregularized betahat; k = 1 is the minimal section beta°.
 
     Raises DomainViolation outside D(beta): (-1, 1) for the logarithmic
     variant, [-1, 1] for the obstacle.
     """
-    t = np.asarray(t, dtype=float)
     if spec.variant == LOGARITHMIC and np.any(np.abs(t) >= 1.0):
         raise DomainViolation(f"r = {np.max(np.abs(t)):g} outside D(beta) = (-1, 1)")
     if spec.variant == DOUBLE_OBSTACLE and np.any(np.abs(t) > 1.0):
@@ -231,14 +230,13 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     )
 
 
-def _yosida(spec: PotentialSpec, r, k: int) -> np.ndarray:
+def _yosida(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     """k-th derivative of the Moreau envelope betahat_eps, from one resolvent solve.
 
     beta_eps = (r - J_eps r)/eps; its derivatives follow by implicit
     differentiation of t + eps*beta°(t) = r, and betahat_eps(r) =
     eps/2 * beta_eps(r)^2 + betahat(J_eps r).
     """
-    r = np.asarray(r, dtype=float)
     eps = spec.eps
     t = _resolvent(spec, r)
     if k <= 1:
@@ -269,7 +267,7 @@ def _require_log(spec: PotentialSpec):
         raise WrongVariant("piecewise log regularization needs the logarithmic variant")
 
 
-def _piecewise_log(spec: PotentialSpec, r, k: int) -> np.ndarray:
+def _piecewise_log(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     """k-th derivative of the piecewise C^1 logarithmic betahat.
 
     The exact graph on |r| <= knee = 1-eps; beyond it, betahat continues with
@@ -277,7 +275,6 @@ def _piecewise_log(spec: PotentialSpec, r, k: int) -> np.ndarray:
     matched slope 2/(eps(2-eps)) and beta'' vanishes.
     """
     _require_log(spec)
-    r = np.asarray(r, dtype=float)
     eps = spec.eps
     a = np.abs(r)
     knee = 1.0 - eps
@@ -314,6 +311,7 @@ def beta_piecewise_log_d1(spec: PotentialSpec, r: float) -> float:
 
 def _reg(spec: PotentialSpec, r, k: int) -> np.ndarray:
     """k-th derivative of the betahat selected by ``spec.reg_kind`` (exact if None)."""
+    r = np.asarray(r, dtype=float)
     if spec.reg_kind == "yosida":
         return _yosida(spec, r, k)
     if spec.reg_kind == "piecewise_log":
