@@ -16,11 +16,11 @@ or the piecewise C^1 continuation of the logarithmic beta that keeps the exact
 graph on [-(1-eps), 1-eps] and continues affinely with the matched slope.
 
 Every formula is written once, in numpy, and evaluated over whole arrays.
-The array kernels (``_exact``, ``_yosida``, ``_piecewise_log`` and the
-dispatcher ``_reg``) take ``k``, the order of the derivative of betahat they
-return: 0 for betahat, 1 for beta, 2 for beta', 3 for beta''.  The solvers
-call the ``*_vec`` functions; the scalar functions are ``float`` views of the
-same kernels.
+The array kernels (``_formula`` and its domain-checked front ``_exact``,
+``_yosida``, ``_piecewise_log`` and the dispatcher ``_reg``) take ``k``, the
+order of the derivative of betahat they return: 0 for betahat, 1 for beta,
+2 for beta', 3 for beta''.  The solvers call the ``*_vec`` functions; the
+scalar functions are ``float`` views of the same kernels.
 """
 
 from __future__ import annotations
