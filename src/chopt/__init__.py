@@ -38,7 +38,6 @@ from .state import (
     energy_balance_residual,
     mean_closed_form,
     simulate,
-    step,
     validate_compatibility,
 )
 

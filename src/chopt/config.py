@@ -32,7 +32,7 @@ from .control import OptimizerConfig
 from .errors import ParseError, ValidationError
 from .potentials import PotentialSpec
 from .runio import read_snapshots
-from .spectral import Field, Grid, SpectralField, from_spectral
+from .spectral import Field, Grid, SpectralField, from_spectral, lowest_modes
 from .state import ControlFunction, TimeGrid, default_stabilization, validate_compatibility
 
 __all__ = ["RunConfig", "parse_config", "build_field", "build_control"]
@@ -97,13 +97,9 @@ class RunConfig:
 
 def _band_limited_values(grid: Grid, nmodes: int, rng: np.random.Generator) -> np.ndarray:
     """Random field supported on the nmodes lowest-eigenvalue cosine modes."""
-    lam = grid.eigenvalues()
-    order = sorted(
-        ((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))
-    )[: max(nmodes, 1)]
+    j, k = lowest_modes(grid, max(nmodes, 1))
     coeffs = np.zeros((grid.nx, grid.ny))
-    for l, j, k in order:
-        coeffs[j, k] = rng.standard_normal()
+    coeffs[j, k] = rng.standard_normal(len(j))
     return from_spectral(SpectralField(grid, coeffs)).values
 
 

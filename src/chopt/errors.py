@@ -41,15 +41,6 @@ class ShapeMismatch(ChoptError):
     """Raised when fields or trajectories live on incompatible grids."""
 
 
-class LineSearchStall(ChoptError):
-    """Raised when Armijo backtracking exhausts its budget."""
-
-    def __init__(self, message: str, best=None, history=None):
-        super().__init__(message)
-        self.best = best
-        self.history = history
-
-
 class ConfigurationError(ChoptError):
     """Raised for invalid option combinations (e.g. mu-tracking with an obstacle potential)."""
 

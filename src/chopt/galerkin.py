@@ -21,7 +21,7 @@ import numpy as np
 from . import potentials
 from .errors import BadModeCount, NewtonFailure, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Field, Grid, to_spectral
+from .spectral import Field, Grid, basis_modes, lowest_modes, to_spectral
 from .state import ControlFunction, StateTrajectory, TimeGrid
 
 __all__ = [
@@ -59,28 +59,21 @@ class GalerkinSystem:
         return coeffs @ self.basis
 
 
-def build_system(grid: Grid, n: int) -> GalerkinSystem:
+def _modes(grid: Grid, n: int):
     if not (1 <= n <= grid.size):
         raise BadModeCount(f"mode count {n} outside 1..{grid.size}")
-    lam2d = grid.eigenvalues()
-    order = sorted(
-        ((lam2d[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))
-    )[:n]
-    modes = tuple((j, k) for _, j, k in order)
-    lam = np.array([l for l, _, _ in order])
-    basis = np.empty((n, grid.size))
-    from .spectral import basis_mode
+    return lowest_modes(grid, n)
 
-    for i, (j, k) in enumerate(modes):
-        basis[i] = basis_mode(grid, j, k).values
-    return GalerkinSystem(grid, n, modes, lam, basis)
+
+def build_system(grid: Grid, n: int) -> GalerkinSystem:
+    j, k = _modes(grid, n)
+    modes = tuple(zip(j.tolist(), k.tolist()))
+    return GalerkinSystem(grid, n, modes, grid.eigenvalues()[j, k], basis_modes(grid, j, k))
 
 
 def project_initial(phi0: Field, n: int) -> np.ndarray:
     """First n spectral coefficients of phi0 in eigenvalue order."""
-    system = build_system(phi0.grid, n)
-    s = to_spectral(phi0)
-    return np.array([s.coeffs[j, k] for j, k in system.modes])
+    return to_spectral(phi0).coeffs[_modes(phi0.grid, n)]
 
 
 @dataclass(frozen=True)

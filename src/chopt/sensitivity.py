@@ -20,13 +20,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from . import potentials
 from .cost import CostSpec
 from .errors import NonFinite, ShapeMismatch
 from .potentials import PotentialSpec
-from .state import ControlFunction, StateTrajectory, _trapezoid_weights
+from .spectral import _dct, _idct
+from .state import (
+    ControlFunction,
+    StateTrajectory,
+    _Stepper,
+    _trapezoid_weights,
+    control_inner,
+)
 
 __all__ = [
     "TangentTrajectory",
@@ -77,41 +83,15 @@ class AdjointTrajectory:
                 raise NonFinite("adjoint sweep produced non-finite values")
 
 
-class _SpectralOps:
-    """Transforms and the implicit-step denominator of the forward scheme."""
-
-    def __init__(self, base: StateTrajectory, spec: PotentialSpec):
-        self.grid = base.grid
-        self.timegrid = base.timegrid
-        self.spec = spec
-        tau = base.timegrid.tau
-        self.tau = tau
-        self.lam = self.grid.eigenvalues()
-        self.S = spec.stabilization
-        self.denom = 1.0 + tau + tau * self.lam**2 + tau * self.lam * self.S
-
-    def dct(self, values: np.ndarray) -> np.ndarray:
-        return dctn(values.reshape(self.grid.nx, self.grid.ny), type=2, norm="ortho")
-
-    def idct(self, coeffs: np.ndarray) -> np.ndarray:
-        return idctn(coeffs, type=2, norm="ortho").reshape(-1)
-
-
-class _LinearizedOps(_SpectralOps):
-    """Adds f''(phi^n) - S along the base trajectory."""
-
-    def __init__(self, base: StateTrajectory, spec: PotentialSpec,
-                 working_interval: tuple[float, float] | None = None):
-        super().__init__(base, spec)
-        # Optional clamp guards roundoff excursions of singular variants
-        # outside the working interval.
-        phi = base.phi
-        if working_interval is not None:
-            a, b = working_interval
-            phi = np.clip(phi, a, b)
-        self.W = np.empty_like(phi)
-        for n in range(phi.shape[0]):
-            self.W[n] = potentials.f_d2_vec(spec, phi[n]) - self.S
+def _curvature(base: StateTrajectory, stepper: _Stepper, working_interval) -> np.ndarray:
+    """W^n = f''(phi^n) - S along the base trajectory: the tangent's g = W xi."""
+    # Optional clamp guards roundoff excursions of singular variants
+    # outside the working interval.
+    phi = base.phi if working_interval is None else np.clip(base.phi, *working_interval)
+    W = np.empty_like(phi)
+    for n in range(phi.shape[0]):
+        W[n] = potentials.f_d2_vec(stepper.spec, phi[n]) - stepper.S
+    return W
 
 
 def solve_linearized(
@@ -123,20 +103,13 @@ def solve_linearized(
     """Exact linearization of the forward scheme along direction h."""
     if h.grid != base.grid or h.timegrid != base.timegrid:
         raise ShapeMismatch("direction does not match the base trajectory")
-    ops = _LinearizedOps(base, spec, working_interval)
+    stepper = _Stepper(base.grid, spec, base.timegrid.tau)
+    W = _curvature(base, stepper, working_interval)
     nt = base.timegrid.nt
-    size = base.grid.size
-    tau = ops.tau
-    xi = np.zeros((nt + 1, size))
-    eta = np.zeros((nt + 1, size))
+    xi = np.zeros((nt + 1, base.grid.size))
+    eta = np.zeros_like(xi)
     for n in range(nt):
-        wxi = ops.W[n] * xi[n]
-        xhat = ops.dct(xi[n])
-        hhat = ops.dct(h.slices[n])
-        ghat = ops.dct(wxi)
-        xhat_next = (xhat + tau * hhat - tau * ops.lam * ghat) / ops.denom
-        xi[n + 1] = ops.idct(xhat_next)
-        eta[n + 1] = ops.idct((ops.lam + ops.S) * xhat_next) + wxi
+        xi[n + 1], eta[n + 1] = stepper.linear(xi[n], h.slices[n], W[n] * xi[n])
     if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
         raise NonFinite("tangent solve produced non-finite values")
     return TangentTrajectory(base.grid, base.timegrid, xi, eta)
@@ -176,40 +149,48 @@ def solve_adjoint(
     """
     if cost.grid != base.grid or cost.timegrid != base.timegrid:
         raise ShapeMismatch("cost does not match the base trajectory")
-    ops = _LinearizedOps(base, spec, working_interval)
+    grid = base.grid
+    stepper = _Stepper(grid, spec, base.timegrid.tau)
+    lam, S, denom = stepper.lam, stepper.S, stepper.denom
+    W = _curvature(base, stepper, working_interval)
     nt = base.timegrid.nt
-    tau = ops.tau
+    tau = stepper.tau
     s_phi, s_mu = _cost_sources(base, cost)
     a2 = cost.alpha[1]
     a3 = cost.alpha[2]
 
     def r_hat(n: int) -> np.ndarray:
-        r = ops.dct(s_phi[n])
+        r = _dct(grid, s_phi[n])
         if n >= 1:
-            r = r + (ops.lam + ops.S) * ops.dct(s_mu[n])
+            r = r + (lam + S) * _dct(grid, s_mu[n])
         if n <= nt - 1:
-            r = r + ops.dct(ops.W[n] * s_mu[n + 1])
+            r = r + _dct(grid, W[n] * s_mu[n + 1])
         return r
 
-    nx, ny = base.grid.nx, base.grid.ny
-    costate = np.empty((nt + 1, nx, ny))
+    costate = np.empty((nt + 1, grid.nx, grid.ny))
     costate[nt] = r_hat(nt)
     for n in range(nt - 1, -1, -1):
-        a = costate[n + 1] / ops.denom
-        propagated = a - tau * ops.dct(ops.W[n] * ops.idct(ops.lam * a))
+        a = costate[n + 1] / denom
+        propagated = a - tau * _dct(grid, W[n] * _idct(lam * a))
         costate[n] = r_hat(n) + propagated
 
     # continuous-scale diagnostic snapshots
     w = _trapezoid_weights(nt)
-    p = np.empty((nt + 1, base.grid.size))
+    p = np.empty((nt + 1, grid.size))
     q = np.empty_like(p)
     for n in range(nt + 1):
         if n == nt:
             p[n] = a2 * (base.phi[nt] - cost.phi_omega_or_zero())
         else:
-            p[n] = ops.idct(costate[n]) / (tau * w[n])
-        q[n] = ops.idct(ops.lam * ops.dct(p[n])) - a3 * (base.mu[n] - cost.mu_q_at(n))
+            p[n] = _idct(costate[n]) / (tau * w[n])
+        q[n] = _idct(lam * _dct(grid, p[n])) - a3 * (base.mu[n] - cost.mu_q_at(n))
     return AdjointTrajectory(base.grid, base.timegrid, p, q, costate)
+
+
+def _source_cotangent(base: StateTrajectory, adj: AdjointTrajectory) -> np.ndarray:
+    """idct(P^{n+1} / denom), n < nt: the cotangent of a unit source at u^n."""
+    denom = _Stepper(base.grid, base.spec, base.timegrid.tau).denom
+    return np.array([_idct(c / denom) for c in adj.costate[1:]])
 
 
 def reduced_gradient(
@@ -226,21 +207,10 @@ def reduced_gradient(
     """
     if adj.grid != base.grid or u.grid != base.grid:
         raise ShapeMismatch("mismatched grids in gradient assembly")
-    ops = _SpectralOps(base, base.spec)
-    nt = base.timegrid.nt
-    w = _trapezoid_weights(nt)
-    a4 = cost.alpha[3]
-    g = np.empty((nt + 1, base.grid.size))
-    for n in range(nt):
-        g[n] = ops.idct(adj.costate[n + 1] / ops.denom) / w[n] + a4 * u.slices[n]
-    g[nt] = a4 * u.slices[nt]
+    w = _trapezoid_weights(base.timegrid.nt)
+    g = cost.alpha[3] * u.slices
+    g[:-1] += _source_cotangent(base, adj) / w[:-1, None]
     return g
-
-
-def control_inner(timegrid, grid, a: np.ndarray, b: np.ndarray) -> float:
-    """Trapezoid-in-time L^2(Q) inner product of two control-shaped series."""
-    w = _trapezoid_weights(timegrid.nt)
-    return float(timegrid.tau * np.dot(w, grid.cell * np.sum(a * b, axis=1)))
 
 
 def adjoint_identity_residual(
@@ -256,7 +226,6 @@ def adjoint_identity_residual(
     cost, so the residual is pure roundoff when tangent and adjoint come from
     the same base trajectory and cost.
     """
-    ops = _SpectralOps(base, base.spec)
     nt = base.timegrid.nt
     tau = base.timegrid.tau
     cell = base.grid.cell
@@ -266,8 +235,6 @@ def adjoint_identity_residual(
         lhs += cell * float(np.dot(s_phi[n], tangent.xi[n]))
         lhs += cell * float(np.dot(s_mu[n], tangent.eta[n]))
     rhs = 0.0
-    for n in range(nt):
-        rhs += tau * cell * float(
-            np.dot(ops.idct(adj.costate[n + 1] / ops.denom), h.slices[n])
-        )
+    for n, c in enumerate(_source_cotangent(base, adj)):
+        rhs += tau * cell * float(np.dot(c, h.slices[n]))
     return abs(lhs - rhs)

@@ -39,7 +39,10 @@ __all__ = [
     "norm_Vstar",
     "inner",
     "grad_norm",
+    "grad_sq",
     "basis_mode",
+    "basis_modes",
+    "lowest_modes",
 ]
 
 
@@ -112,9 +115,6 @@ class Field:
     def __post_init__(self):
         object.__setattr__(self, "values", _as_values(self.grid, self.values))
 
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.nx, self.grid.ny)
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -132,18 +132,30 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
 
+def _dct(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Unitary DCT-II of nodal values, shape (nx, ny).
+
+    Multiplied by sqrt(cell) it gives the orthonormal-basis coefficients;
+    linear updates that transform back skip the scaling, which cancels.
+    """
+    return dctn(values.reshape(grid.nx, grid.ny), type=2, norm="ortho")
+
+
+def _idct(coeffs: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_dct`, flattened to nodal order."""
+    return idctn(coeffs, type=2, norm="ortho").reshape(-1)
+
+
 def to_spectral(f: Field) -> SpectralField:
     """Expand a field in the orthonormal Neumann cosine basis."""
     g = f.grid
-    c = dctn(f.reshaped(), type=2, norm="ortho") * np.sqrt(g.cell)
-    return SpectralField(g, c)
+    return SpectralField(g, _dct(g, f.values) * np.sqrt(g.cell))
 
 
 def from_spectral(s: SpectralField) -> Field:
     """Inverse of :func:`to_spectral`."""
     g = s.grid
-    v = idctn(s.coeffs / np.sqrt(g.cell), type=2, norm="ortho")
-    return Field(g, v.reshape(-1))
+    return Field(g, _idct(s.coeffs / np.sqrt(g.cell)))
 
 
 def laplacian(s: SpectralField) -> SpectralField:
@@ -168,10 +180,20 @@ def norm_H(f: Field) -> float:
     return float(np.sqrt(f.grid.cell) * np.linalg.norm(f.values))
 
 
+def grad_sq(grid: Grid, snapshots) -> np.ndarray:
+    """||grad f||^2 = sum lambda * coeff^2 (Parseval) for each row of nodal values.
+
+    ``snapshots`` is one field's values or a stack of them, shape (m, size).
+    """
+    lam = grid.eigenvalues()
+    scale = np.sqrt(grid.cell)
+    rows = np.reshape(snapshots, (-1, grid.size))
+    return np.array([np.sum(lam * (_dct(grid, v) * scale) ** 2) for v in rows])
+
+
 def grad_norm(f: Field) -> float:
-    """L^2 norm of the gradient, via Parseval: ||grad f||^2 = sum lambda * coeff^2."""
-    s = to_spectral(f)
-    return float(np.sqrt(np.sum(f.grid.eigenvalues() * s.coeffs**2)))
+    """L^2 norm of the gradient."""
+    return float(np.sqrt(grad_sq(f.grid, f.values)[0]))
 
 
 def norm_V(f: Field) -> float:
@@ -215,6 +237,24 @@ def basis_mode(grid: Grid, j: int, k: int = 0) -> Field:
     """The orthonormal eigenfunction e_{jk} sampled on the grid."""
     if not (0 <= j < grid.nx and 0 <= k < grid.ny):
         raise ValueError(f"mode ({j},{k}) outside grid {grid.nx}x{grid.ny}")
-    c = np.zeros((grid.nx, grid.ny))
-    c[j, k] = 1.0
-    return from_spectral(SpectralField(grid, c))
+    return Field(grid, basis_modes(grid, [j], [k])[0])
+
+
+def basis_modes(grid: Grid, j, k) -> np.ndarray:
+    """The eigenfunctions e_{j[i] k[i]} sampled on the grid, one row each.
+
+    One batched inverse transform of the unit coefficient arrays.
+    """
+    n = len(j)
+    unit = np.zeros((n, grid.nx, grid.ny))
+    unit[np.arange(n), j, k] = 1.0
+    return idctn(unit / np.sqrt(grid.cell), type=2, norm="ortho", axes=(1, 2)).reshape(n, -1)
+
+
+def lowest_modes(grid: Grid, n: int):
+    """Index arrays (j, k) of the n lowest-eigenvalue modes.
+
+    Modes come in nondecreasing eigenvalue order, ties broken by (j, k).
+    """
+    order = np.argsort(grid.eigenvalues().reshape(-1), kind="stable")[:n]
+    return np.unravel_index(order, (grid.nx, grid.ny))

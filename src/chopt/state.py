@@ -23,12 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from . import potentials
 from .errors import NonFinite, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Field, Grid
+from .spectral import Field, Grid, _dct, _idct, grad_sq
 
 __all__ = [
     "TimeGrid",
@@ -37,7 +36,7 @@ __all__ = [
     "CompatibilityReport",
     "validate_compatibility",
     "default_stabilization",
-    "step",
+    "control_inner",
     "simulate",
     "mean_closed_form",
     "energy",
@@ -111,9 +110,7 @@ class ControlFunction:
 
     def l2q(self) -> float:
         """Trapezoid-in-time L^2(Q) norm."""
-        w = _trapezoid_weights(self.timegrid.nt)
-        sq = self.grid.cell * np.sum(self.slices**2, axis=1)
-        return float(np.sqrt(self.timegrid.tau * np.dot(w, sq)))
+        return float(np.sqrt(control_inner(self.timegrid, self.grid, self.slices, self.slices)))
 
     def means(self) -> np.ndarray:
         return self.slices.mean(axis=1)
@@ -128,6 +125,12 @@ def _trapezoid_weights(nt: int) -> np.ndarray:
     w = np.ones(nt + 1)
     w[0] = w[-1] = 0.5
     return w
+
+
+def control_inner(timegrid: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
+    """Trapezoid-in-time L^2(Q) inner product of two control-shaped series."""
+    w = _trapezoid_weights(timegrid.nt)
+    return float(timegrid.tau * np.dot(w, grid.cell * np.sum(a * b, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,7 @@ def default_stabilization(spec: PotentialSpec, interval: tuple[float, float] | N
 # time stepping
 
 class _Stepper:
-    """Caches the spectral multipliers of the semi-implicit update."""
+    """The semi-implicit update: eigenvalues, splitting constant S, denominator."""
 
     def __init__(self, grid: Grid, spec: PotentialSpec, tau: float):
         if not tau > 0:
@@ -232,13 +235,6 @@ class _Stepper:
         S = spec.stabilization
         self.S = S
         self.denom = 1.0 + tau + tau * self.lam**2 + tau * self.lam * S
-        self.sqrt_cell = np.sqrt(grid.cell)
-
-    def dct(self, values: np.ndarray) -> np.ndarray:
-        return dctn(values.reshape(self.grid.nx, self.grid.ny), type=2, norm="ortho")
-
-    def idct(self, coeffs: np.ndarray) -> np.ndarray:
-        return idctn(coeffs, type=2, norm="ortho").reshape(-1)
 
     def nonlinear(self, phi: np.ndarray) -> np.ndarray:
         return (
@@ -247,6 +243,18 @@ class _Stepper:
             - self.S * phi
         )
 
+    def linear(self, x: np.ndarray, s: np.ndarray, g: np.ndarray):
+        """The implicit update with explicit term g and source s.
+
+        x_hat' = (x_hat + tau s_hat - tau lam g_hat) / denom and
+        y' = idct((lam + S) x_hat') + g; returns (x', y') nodal arrays.  The
+        forward step takes g = f'(phi) - S phi, the tangent g = W xi.
+        """
+        grid = self.grid
+        xhat = (_dct(grid, x) + self.tau * _dct(grid, s)
+                - self.tau * self.lam * _dct(grid, g)) / self.denom
+        return _idct(xhat), _idct((self.lam + self.S) * xhat) + g
+
     def advance(self, phi: np.ndarray, u: np.ndarray):
         """One step; returns (phi_next, mu_next) nodal arrays.
 
@@ -254,33 +262,20 @@ class _Stepper:
         the result and report a blow-up as NonFinite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            g = self.nonlinear(phi)
-            phat = self.dct(phi)
-            uhat = self.dct(u)
-            ghat = self.dct(g)
-            phat_next = (phat + self.tau * uhat - self.tau * self.lam * ghat) / self.denom
-            phi_next = self.idct(phat_next)
-            mu_next = self.idct((self.lam + self.S) * phat_next) + g
-        return phi_next, mu_next
+            return self.linear(phi, u, self.nonlinear(phi))
 
     def mu_of(self, phi: np.ndarray) -> np.ndarray:
         """Chemical potential -Delta phi + f'(phi) for a snapshot (used at t=0)."""
-        phat = self.dct(phi)
-        return self.idct(self.lam * phat) + potentials.f_d1_vec(self.spec, phi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _idct(self.lam * _dct(self.grid, phi)) + potentials.f_d1_vec(self.spec, phi)
 
 
-def step(phi_n: Field, u_n: Field, spec: PotentialSpec, tau: float):
-    """Advance one step; returns (phi_next, mu_next) as Fields.
-
-    Raises NonFinite if the update blows up (caller should reduce tau).
-    """
-    if phi_n.grid != u_n.grid:
-        raise ShapeMismatch("phi and u live on different grids")
-    stepper = _Stepper(phi_n.grid, spec, tau)
-    phi_next, mu_next = stepper.advance(phi_n.values, u_n.values)
-    if not (np.all(np.isfinite(phi_next)) and np.all(np.isfinite(mu_next))):
-        raise NonFinite("time step produced non-finite values")
-    return Field(phi_n.grid, phi_next), Field(phi_n.grid, mu_next)
+def _energies(grid: Grid, spec: PotentialSpec, phi: np.ndarray) -> np.ndarray:
+    """E = 0.5 ||grad phi||^2 + int f(phi) for each snapshot row of phi."""
+    return np.array([
+        0.5 * g2 + grid.cell * np.sum(potentials.f_value_vec(spec, p))
+        for g2, p in zip(grad_sq(grid, phi), phi)
+    ])
 
 
 def simulate(
@@ -295,7 +290,8 @@ def simulate(
     """Run the forward solver; deterministic for fixed inputs.
 
     Compatibility of (phi0, u) is validated first unless explicitly
-    overridden (experiments on purpose-built infeasible data).
+    overridden (experiments on purpose-built infeasible data).  Raises
+    NonFinite, with the step index, if phi or mu stops being finite.
     """
     grid = phi0.grid
     if u.grid != grid or u.timegrid != timegrid:
@@ -314,31 +310,21 @@ def simulate(
     mu = np.empty((nt + 1, grid.size))
     phi[0] = phi0.values
     mu[0] = stepper.mu_of(phi[0])
+    if not np.all(np.isfinite(mu[0])):
+        raise NonFinite("initial chemical potential is not finite", step=0)
     for n in range(nt):
         phi[n + 1], mu[n + 1] = stepper.advance(phi[n], u.slices[n])
         if not (np.all(np.isfinite(phi[n + 1])) and np.all(np.isfinite(mu[n + 1]))):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
     diagnostics = {}
     if with_diagnostics:
-        lam = grid.eigenvalues()
-        cell = grid.cell
-        ts = timegrid.times()
-        grad_mu = np.empty(nt + 1)
-        en = np.empty(nt + 1)
-        for n in range(nt + 1):
-            mhat = stepper.dct(mu[n]) * stepper.sqrt_cell
-            grad_mu[n] = np.sqrt(np.sum(lam * mhat**2))
-            phat = stepper.dct(phi[n]) * stepper.sqrt_cell
-            en[n] = 0.5 * np.sum(lam * phat**2) + cell * np.sum(
-                potentials.f_value_vec(spec, phi[n])
-            )
         diagnostics = {
-            "t": ts,
+            "t": timegrid.times(),
             "mean": phi.mean(axis=1),
-            "energy": en,
+            "energy": _energies(grid, spec, phi),
             "min_phi": phi.min(axis=1),
             "max_phi": phi.max(axis=1),
-            "grad_mu_norm": grad_mu,
+            "grad_mu_norm": np.sqrt(grad_sq(grid, mu)),
         }
     return StateTrajectory(grid, timegrid, spec, phi, mu, diagnostics)
 
@@ -371,12 +357,7 @@ def mean_closed_form(phi0bar: float, ubar_series: np.ndarray, tau: float, t: flo
 
 def energy(phi: Field, spec: PotentialSpec) -> float:
     """Free energy E(phi) = int 0.5 |grad phi|^2 + f(phi)."""
-    from .spectral import to_spectral
-
-    s = to_spectral(phi)
-    lam = phi.grid.eigenvalues()
-    bulk = phi.grid.cell * float(np.sum(potentials.f_value_vec(spec, phi.values)))
-    return float(0.5 * np.sum(lam * s.coeffs**2) + bulk)
+    return float(_energies(phi.grid, spec, phi.values[None])[0])
 
 
 def energy_balance_residual(
@@ -389,20 +370,10 @@ def energy_balance_residual(
     """
     grid = traj.grid
     tau = traj.timegrid.tau
-    lam = grid.eigenvalues()
-    cell = grid.cell
-    stepper = _Stepper(grid, spec, tau)
-    nt = traj.timegrid.nt
-    en = np.empty(nt + 1)
-    for n in range(nt + 1):
-        phat = stepper.dct(traj.phi[n]) * stepper.sqrt_cell
-        en[n] = 0.5 * np.sum(lam * phat**2) + cell * np.sum(
-            potentials.f_value_vec(spec, traj.phi[n])
-        )
-    res = np.empty(nt)
-    for n in range(nt):
-        mhat = stepper.dct(traj.mu[n + 1]) * stepper.sqrt_cell
-        gm2 = float(np.sum(lam * mhat**2))
-        source = cell * float(np.dot(traj.mu[n + 1], u.slices[n] - traj.phi[n + 1]))
-        res[n] = (en[n + 1] - en[n]) / tau + gm2 - source
+    en = _energies(grid, spec, traj.phi)
+    gm2 = grad_sq(grid, traj.mu[1:])
+    res = np.empty(traj.timegrid.nt)
+    for n in range(len(res)):
+        source = grid.cell * float(np.dot(traj.mu[n + 1], u.slices[n] - traj.phi[n + 1]))
+        res[n] = (en[n + 1] - en[n]) / tau + gm2[n] - source
     return res

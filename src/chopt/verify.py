@@ -37,7 +37,6 @@ from .spectral import Field, Grid, from_spectral, to_spectral
 from .state import (
     ControlFunction,
     TimeGrid,
-    _trapezoid_weights,
     default_stabilization,
     mean_closed_form,
     simulate,
@@ -86,13 +85,9 @@ def _random_field(grid, rng, amp=1.0):
 
 
 def _smooth_field(grid, rng, nmodes=6, amp=0.5):
-    lam = grid.eigenvalues()
-    order = sorted(
-        ((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))
-    )[:nmodes]
+    j, k = spectral.lowest_modes(grid, nmodes)
     c = np.zeros((grid.nx, grid.ny))
-    for _, j, k in order:
-        c[j, k] = rng.standard_normal()
+    c[j, k] = rng.standard_normal(len(j))
     v = from_spectral(spectral.SpectralField(grid, c)).values
     peak = np.max(np.abs(v))
     if peak > 0:
@@ -113,10 +108,8 @@ def _c0_h(series, grid) -> float:
     return float(max(np.sqrt(grid.cell) * np.linalg.norm(s) for s in series))
 
 
-def _l2_h(series, grid, tau) -> float:
-    w = _trapezoid_weights(len(series) - 1)
-    sq = np.array([grid.cell * float(np.dot(s, s)) for s in series])
-    return float(np.sqrt(tau * np.dot(w, sq)))
+def _l2_h(series, grid, tg) -> float:
+    return math.sqrt(control_inner(tg, grid, series, series))
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +359,8 @@ def _continuous_dependence(seed):
         t1 = simulate(phi0, u1, spec, tg, with_diagnostics=False)
         t2 = simulate(phi0, u2, spec, tg, with_diagnostics=False)
         dphi = _c0_h(t1.phi - t2.phi, grid)
-        dmu = _l2_h(t1.mu - t2.mu, grid, tg.tau)
-        du = _l2_h(u1.slices - u2.slices, grid, tg.tau)
+        dmu = _l2_h(t1.mu - t2.mu, grid, tg)
+        du = _l2_h(u1.slices - u2.slices, grid, tg)
         worst = max(worst, (dphi + dmu) / max(du, 1e-300))
     return math.isfinite(worst), worst, "max perturbation ratio over 10 control pairs"
 
@@ -507,8 +500,8 @@ def _tangent_continuity(seed):
     for _ in range(5):
         h = _direction(grid, tg, rng)
         tangent = solve_linearized(traj, h, spec)
-        num = _c0_h(tangent.xi, grid) + _l2_h(tangent.eta, grid, tg.tau)
-        den = _l2_h(h.slices, grid, tg.tau)
+        num = _c0_h(tangent.xi, grid) + _l2_h(tangent.eta, grid, tg)
+        den = _l2_h(h.slices, grid, tg)
         worst = max(worst, num / max(den, 1e-300))
     return math.isfinite(worst), worst, "max of (||xi||_C0H + ||eta||_L2H)/||h||_L2H"
 

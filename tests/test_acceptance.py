@@ -33,6 +33,7 @@ from chopt.spectral import (
     SpectralField,
     from_spectral,
     laplacian,
+    lowest_modes,
     to_spectral,
 )
 from chopt.state import (
@@ -58,13 +59,9 @@ def regular_spec():
 
 
 def smooth_field(grid, rng, nmodes=6, amp=0.5):
-    lam = grid.eigenvalues()
-    order = sorted(
-        ((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))
-    )[:nmodes]
+    j, k = lowest_modes(grid, nmodes)
     c = np.zeros((grid.nx, grid.ny))
-    for _, j, k in order:
-        c[j, k] = rng.standard_normal()
+    c[j, k] = rng.standard_normal(len(j))
     v = from_spectral(SpectralField(grid, c)).values
     peak = np.max(np.abs(v))
     if peak > 0:
@@ -96,11 +93,7 @@ def c0_h(series, grid):
 
 
 def l2_q(series, grid, tg):
-    from chopt.state import _trapezoid_weights
-
-    w = _trapezoid_weights(tg.nt)
-    sq = np.array([grid.cell * float(np.dot(s, s)) for s in series])
-    return float(np.sqrt(tg.tau * np.dot(w, sq)))
+    return math.sqrt(control_inner(tg, grid, series, series))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,15 @@ from chopt.galerkin import (
     project_initial,
 )
 from chopt.potentials import PotentialSpec
-from chopt.spectral import Field, Grid, basis_mode, norm_H
+from chopt.spectral import (
+    Field,
+    Grid,
+    SpectralField,
+    basis_mode,
+    from_spectral,
+    norm_H,
+    to_spectral,
+)
 from chopt.state import ControlFunction, TimeGrid, default_stabilization, mean_closed_form, simulate
 
 RNG = np.random.default_rng(321)
@@ -47,6 +55,33 @@ def test_build_system_mode_count():
         build_system(g, 0)
     with pytest.raises(BadModeCount):
         build_system(g, 17)
+    with pytest.raises(BadModeCount):
+        project_initial(Field(g, np.zeros(g.size)), 17)
+
+
+@pytest.mark.parametrize("grid, n", [
+    (Grid(16, 16, 1.0), 256),
+    (Grid(8, 8, 1.0), 10),
+    (Grid(16, 1, 2.0), 8),
+    (Grid(6, 10, 1.5, 0.7), 30),
+])
+def test_build_system_equals_per_mode_reference(grid, n):
+    # reference: sort (lambda, j, k) tuples, inverse-transform one unit
+    # coefficient array per mode; the batched build must agree bit for bit
+    lam = grid.eigenvalues()
+    order = sorted((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))[:n]
+    basis = []
+    for _, j, k in order:
+        unit = np.zeros((grid.nx, grid.ny))
+        unit[j, k] = 1.0
+        basis.append(from_spectral(SpectralField(grid, unit)).values)
+    system = build_system(grid, n)
+    assert system.modes == tuple((j, k) for _, j, k in order)
+    assert np.array_equal(system.lam, [l for l, _, _ in order])
+    assert np.array_equal(system.basis, basis)
+    phi0 = Field(grid, np.random.default_rng(7).standard_normal(grid.size))
+    coeffs = to_spectral(phi0).coeffs
+    assert np.array_equal(project_initial(phi0, n), [coeffs[j, k] for _, j, k in order])
 
 
 def test_basis_rows_are_orthonormal():

@@ -9,7 +9,7 @@ from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ValidationError
 from chopt.runio import format_value, read_snapshots, write_csv, write_snapshots
 from chopt.spectral import Grid
-from chopt.verify import REGISTRY, run_checks
+from chopt.verify import REGISTRY, registered_checks, run_checks
 
 RNG = np.random.default_rng(2024)
 
@@ -197,9 +197,10 @@ def test_run_checks_unknown_name():
         run_checks(["spectral.no-such-check"], seed=0)
 
 
-def test_run_checks_fast_subset_passes():
-    results = run_checks(["spectral.parseval", "potentials.beta-monotone"], seed=3)
-    assert all(r.passed for r in results)
+@pytest.mark.parametrize("name", registered_checks())
+def test_registered_check_passes(name):
+    (result,) = run_checks([name], seed=3)
+    assert result.passed, f"{name}: {result.measured} ({result.details})"
 
 
 # ---------------------------------------------------------------------------

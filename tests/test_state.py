@@ -5,7 +5,7 @@ import pytest
 
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
-from chopt.spectral import Field, Grid, SpectralField, basis_mode, from_spectral
+from chopt.spectral import Field, Grid, SpectralField, basis_mode, from_spectral, lowest_modes
 from chopt.state import (
     ControlFunction,
     TimeGrid,
@@ -14,7 +14,6 @@ from chopt.state import (
     energy_balance_residual,
     mean_closed_form,
     simulate,
-    step,
     validate_compatibility,
 )
 
@@ -31,11 +30,9 @@ def constant_control(grid, tg, value, **kw):
 
 
 def smooth_field(grid, amp=0.5, nmodes=6, rng=RNG):
-    lam = grid.eigenvalues()
-    order = sorted(((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny)))
+    j, k = lowest_modes(grid, nmodes)
     c = np.zeros((grid.nx, grid.ny))
-    for _, j, k in order[:nmodes]:
-        c[j, k] = rng.standard_normal()
+    c[j, k] = rng.standard_normal(len(j))
     v = from_spectral(SpectralField(grid, c)).values
     peak = np.max(np.abs(v))
     return Field(grid, v * (amp / peak) if peak > 0 else v)
@@ -113,24 +110,25 @@ def test_default_stabilization_regular():
 # ---------------------------------------------------------------------------
 # single step
 
+def one_step(phi, u_value, spec, tau):
+    """phi^1 and mu^1 of a one-step simulate with a constant control."""
+    tg = TimeGrid(tau, 1)
+    traj = simulate(phi, constant_control(phi.grid, tg, u_value), spec, tg)
+    return traj.phi[1], traj.mu[1]
+
+
 def test_step_stationary_equilibrium():
     g = Grid(8, 8, 1.0)
-    spec = regular_spec()
-    phi = Field(g, np.ones(g.size))
-    u = Field(g, np.ones(g.size))
-    phi1, mu1 = step(phi, u, spec, tau=0.01)
-    assert np.allclose(phi1.values, 1.0, atol=1e-13)
-    assert np.allclose(mu1.values, 0.0, atol=1e-12)
+    phi1, mu1 = one_step(Field(g, np.ones(g.size)), 1.0, regular_spec(), tau=0.01)
+    assert np.allclose(phi1, 1.0, atol=1e-13)
+    assert np.allclose(mu1, 0.0, atol=1e-12)
 
 
 def test_step_constant_mode_implicit_euler():
     g = Grid(8, 8, 1.0)
-    spec = regular_spec()
     tau = 0.05
-    phi = Field(g, np.full(g.size, 0.3))
-    u = Field(g, np.full(g.size, 0.8))
-    phi1, _ = step(phi, u, spec, tau)
-    assert np.mean(phi1.values) == pytest.approx((0.3 + tau * 0.8) / (1 + tau), rel=1e-13)
+    phi1, _ = one_step(Field(g, np.full(g.size, 0.3)), 0.8, regular_spec(), tau)
+    assert np.mean(phi1) == pytest.approx((0.3 + tau * 0.8) / (1 + tau), rel=1e-13)
 
 
 def test_step_single_mode_recurrence():
@@ -143,28 +141,37 @@ def test_step_single_mode_recurrence():
     tau = 1e-3
     lam = g.eigenvalues()[1, 0]
     amp = 0.01
-    phi = Field(g, amp * basis_mode(g, 1, 0).values)
-    u = Field(g, np.zeros(g.size))
-    phi1, mu1 = step(phi, u, spec, tau)
+    e10 = basis_mode(g, 1, 0).values
+    phi1, mu1 = one_step(Field(g, amp * e10), 0.0, spec, tau)
     # g_n = pi(phi) = -2 c2 phi, so phihat' = (1 + 2 c2 tau lam) phihat / denom
     expected = amp * (1.0 + 2.0 * c2 * tau * lam) / (1.0 + tau + tau * lam**2)
-    got = float(np.dot(phi1.values, basis_mode(g, 1, 0).values) * g.cell)
+    got = float(np.dot(phi1, e10) * g.cell)
     assert got == pytest.approx(expected, rel=1e-12)
     # mu = -Delta phi' + pi(phi) per the scheme
     expected_mu_coeff = lam * expected - 2.0 * c2 * amp
-    got_mu = float(np.dot(mu1.values, basis_mode(g, 1, 0).values) * g.cell)
+    got_mu = float(np.dot(mu1, e10) * g.cell)
     assert got_mu == pytest.approx(expected_mu_coeff, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_step_blowup_raises():
-    # the blow-up must end in a clean NonFinite, not in an overflow warning
+    # f'(phi0) is finite (|phi0|^3 <= 8e306), so mu^0 is too; the update
+    # overflows and must end in a clean NonFinite, not an overflow warning
     g = Grid(8, 8, 1.0)
-    spec = regular_spec()
+    phi = Field(g, 1e102 * basis_mode(g, 2, 2).values)
+    with pytest.raises(NonFinite) as err:
+        one_step(phi, 0.0, regular_spec(), tau=0.1)
+    assert err.value.step == 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_nonfinite_initial_chemical_potential():
+    # f'(phi0) overflows: simulate reports step 0 instead of warning
+    g = Grid(8, 8, 1.0)
     phi = Field(g, 1e200 * basis_mode(g, 2, 2).values)
-    u = Field(g, np.zeros(g.size))
-    with pytest.raises(NonFinite):
-        step(phi, u, spec, tau=0.1)
+    with pytest.raises(NonFinite) as err:
+        one_step(phi, 0.0, regular_spec(), tau=0.1)
+    assert err.value.step == 0
 
 
 # ---------------------------------------------------------------------------
