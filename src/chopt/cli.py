@@ -74,7 +74,7 @@ def run_simulate(cfg: RunConfig, out: Path, override_compatibility: bool = False
     return 0
 
 
-def run_optimize(cfg: RunConfig, out: Path, override_compatibility: bool = False) -> int:
+def run_optimize(cfg: RunConfig, out: Path) -> int:
     cost = _build_cost(cfg)
     problem = ControlProblem(cfg.phi0, cfg.spec, cfg.timegrid, cfg.M, cfg.Mprime)
     result = optimize(cfg.u0, problem, cost, cfg.optimizer)
@@ -141,7 +141,8 @@ def main(argv=None) -> int:
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed", type=int, default=None, help="seed override")
         sp.add_argument("--override-compatibility", action="store_true",
-                        help="run even if (phi0, M) leave the potential domain")
+                        help="parse and simulate (phi0, M) that leave the potential domain; "
+                             "optimize still refuses them (exit 2, ConfigurationError)")
     args = parser.parse_args(argv)
 
     out_for_failure = Path(args.out) if args.out else Path(".")
@@ -155,7 +156,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return run_simulate(cfg, out, args.override_compatibility)
         if args.command == "optimize":
-            return run_optimize(cfg, out, args.override_compatibility)
+            return run_optimize(cfg, out)
         if args.command == "verify":
             return run_verify(cfg, out)
         return run_oracle_compare(cfg, out)

@@ -10,7 +10,7 @@ sections.  Recognized sections and keys (all optional unless noted):
 [control]   M, Mprime, initial  -- descriptor, see below
 [initial]   phi0                -- descriptor, see below
 [cost]      alpha1..alpha4, target (zero|inverse_crime), u_true (descriptor)
-[optimizer] max_iters, tol, initial_step, armijo_c, backtrack, dykstra_iters
+[optimizer] max_iters, tol, initial_step, armijo_c, backtrack
 [verify]    checks (all | comma-separated invariant names)
 [oracle]    modes, substeps
 [run]       seed, out
@@ -23,7 +23,7 @@ Control descriptors additionally accept random:AMP (smooth random slices).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,9 +33,9 @@ from .errors import ParseError, ValidationError
 from .potentials import PotentialSpec
 from .runio import read_snapshots
 from .spectral import Field, Grid, SpectralField, from_spectral, lowest_modes
-from .state import ControlFunction, TimeGrid, default_stabilization, validate_compatibility
+from .state import ControlFunction, TimeGrid, _dt_norm, default_stabilization, validate_compatibility
 
-__all__ = ["RunConfig", "parse_config", "build_field", "build_control"]
+__all__ = ["RunConfig", "parse_config", "build_field", "band_limited_field", "build_control"]
 
 _DEFAULTS = {
     "grid": {"nx": "16", "ny": "16", "lx": "1.0", "ly": "1.0"},
@@ -64,7 +64,6 @@ _DEFAULTS = {
         "initial_step": "1.0",
         "armijo_c": "1e-4",
         "backtrack": "0.5",
-        "dykstra_iters": "50",
     },
     "verify": {"checks": "all"},
     "oracle": {"modes": "8", "substeps": "10"},
@@ -92,7 +91,6 @@ class RunConfig:
     oracle_substeps: int
     seed: int
     out_dir: str
-    raw: dict = dc_field(repr=False, default_factory=dict)
 
 
 def _band_limited_values(grid: Grid, nmodes: int, rng: np.random.Generator) -> np.ndarray:
@@ -101,6 +99,15 @@ def _band_limited_values(grid: Grid, nmodes: int, rng: np.random.Generator) -> n
     coeffs = np.zeros((grid.nx, grid.ny))
     coeffs[j, k] = rng.standard_normal(len(j))
     return from_spectral(SpectralField(grid, coeffs)).values
+
+
+def band_limited_field(grid: Grid, amp: float, nmodes: int, rng: np.random.Generator) -> Field:
+    """The ``band_limited:AMP:NMODES`` field: random lowest modes, peak |amp|."""
+    v = _band_limited_values(grid, nmodes, rng)
+    peak = np.max(np.abs(v))
+    if peak > 0:
+        v = v * (amp / peak)
+    return Field(grid, v)
 
 
 def build_field(grid: Grid, descriptor: str, rng: np.random.Generator) -> Field:
@@ -113,13 +120,7 @@ def build_field(grid: Grid, descriptor: str, rng: np.random.Generator) -> Field:
         return Field(grid, np.full(grid.size, float(rest)))
     if kind == "band_limited":
         amp_s, _, n_s = rest.partition(":")
-        amp = float(amp_s)
-        n = int(n_s) if n_s else 8
-        v = _band_limited_values(grid, n, rng)
-        peak = np.max(np.abs(v))
-        if peak > 0:
-            v = v * (amp / peak)
-        return Field(grid, v)
+        return band_limited_field(grid, float(amp_s), int(n_s) if n_s else 8, rng)
     if kind == "smooth":
         lo_s, _, hi_s = rest.partition(":")
         lo, hi = float(lo_s), float(hi_s)
@@ -178,8 +179,7 @@ def build_control(
     # the raw descriptor may overshoot the bounds; feasibility is the
     # caller's concern (the optimizer projects, simulate only needs M)
     box = max(M, float(np.max(np.abs(slices))) if slices.size else 0.0)
-    d = np.diff(slices, axis=0)
-    dn = float(np.sqrt(grid.cell * np.sum(d * d) / timegrid.tau))
+    dn = _dt_norm(grid, timegrid, np.diff(slices, axis=0))
     return ControlFunction(grid, timegrid, slices, box, max(Mprime, dn))
 
 
@@ -307,7 +307,6 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
             backtrack=float(_get(cp, "optimizer", "backtrack")),
             initial_step=float(_get(cp, "optimizer", "initial_step")),
             tol=float(_get(cp, "optimizer", "tol")),
-            dykstra_iters=int(_get(cp, "optimizer", "dykstra_iters")),
         )
     except ValueError as exc:
         raise ValidationError([f"optimizer: {exc}"])
@@ -316,7 +315,6 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     checks = ("all",) if checks_s == "all" else tuple(
         c.strip() for c in checks_s.split(",") if c.strip()
     )
-    raw = {s: dict(cp.items(s)) for s in cp.sections()}
     return RunConfig(
         grid=grid,
         timegrid=timegrid,
@@ -334,5 +332,4 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
         oracle_substeps=int(_get(cp, "oracle", "substeps")),
         seed=seed_val,
         out_dir=_get(cp, "run", "out"),
-        raw=raw,
     )

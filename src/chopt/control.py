@@ -22,6 +22,7 @@ from .spectral import Field, Grid
 from .state import (
     ControlFunction,
     TimeGrid,
+    _dt_norm,
     simulate,
     validate_compatibility,
 )
@@ -37,6 +38,10 @@ __all__ = [
     "cost_J",
 ]
 
+# Dykstra's iteration budget and its stopping increment (max-norm).
+DYKSTRA_ITERS = 50
+DYKSTRA_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
@@ -46,16 +51,14 @@ class OptimizerConfig:
     initial_step: float = 1.0
     step_growth: float = 2.0
     tol: float = 1e-6
-    dykstra_iters: int = 50
     max_backtracks: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.armijo_c < 1.0):
             raise ValueError("armijo_c must lie in (0, 1)")
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtrack factor must lie in (0, 1)")
-        for name in ("max_iters", "initial_step", "tol", "dykstra_iters", "max_backtracks"):
+        for name in ("max_iters", "initial_step", "tol", "max_backtracks"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -69,8 +72,6 @@ class ControlProblem:
     timegrid: TimeGrid
     M: float
     Mprime: float
-    working_interval: tuple[float, float] | None = None
-    delta_margin: float = 1e-3
 
     @property
     def grid(self) -> Grid:
@@ -93,13 +94,9 @@ def _diff_reintegrate(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     return prefix + (m - prefix.mean(axis=0))
 
 
-def _diff_norm(grid: Grid, timegrid: TimeGrid, d: np.ndarray) -> float:
-    return float(np.sqrt(grid.cell * np.sum(d * d) / timegrid.tau))
-
-
 def _project_ball(grid: Grid, timegrid: TimeGrid, slices: np.ndarray, Mprime: float):
     m, d = _diff_decompose(slices)
-    norm = _diff_norm(grid, timegrid, d)
+    norm = _dt_norm(grid, timegrid, d)
     if norm <= Mprime:
         return slices.copy()
     scale = Mprime / norm if norm > 0 else 0.0
@@ -112,8 +109,6 @@ def project_Uad(
     slices: np.ndarray,
     M: float,
     Mprime: float,
-    dykstra_iters: int = 50,
-    tol: float = 1e-10,
 ) -> ControlFunction:
     """Project a raw control onto the admissible set.
 
@@ -127,12 +122,12 @@ def project_Uad(
         raise ShapeMismatch("control slices have the wrong shape")
     p_inc = np.zeros_like(x)
     q_inc = np.zeros_like(x)
-    for _ in range(dykstra_iters):
+    for _ in range(DYKSTRA_ITERS):
         y = np.clip(x + p_inc, -M, M)
         p_inc = x + p_inc - y
         x_new = _project_ball(grid, timegrid, y + q_inc, Mprime)
         q_inc = y + q_inc - x_new
-        if np.max(np.abs(x_new - x)) <= tol:
+        if np.max(np.abs(x_new - x)) <= DYKSTRA_TOL:
             x = x_new
             break
         x = x_new
@@ -141,7 +136,7 @@ def project_Uad(
         x = _project_ball(grid, timegrid, x, Mprime)
         x = np.clip(x, -M, M)
         m, d = _diff_decompose(x)
-        if _diff_norm(grid, timegrid, d) <= Mprime * (1.0 + 1e-12) + 1e-15:
+        if _dt_norm(grid, timegrid, d) <= Mprime * (1.0 + 1e-12) + 1e-15:
             break
     return ControlFunction(grid, timegrid, x, M, Mprime)
 
@@ -188,13 +183,13 @@ def optimize(
             "mu-tracking (alpha3 > 0) requires a single-valued potential; "
             "regularize the obstacle variant"
         )
-    report = validate_compatibility(problem.phi0, u0, problem.spec, problem.delta_margin)
+    report = validate_compatibility(problem.phi0, u0, problem.spec)
     if not report.passed:
         raise ConfigurationError(
             f"(phi0, u) incompatible with the potential domain (margin {report.margin:g})"
         )
     grid, tg = problem.grid, problem.timegrid
-    proj = lambda s: project_Uad(grid, tg, s, problem.M, problem.Mprime, config.dykstra_iters)
+    proj = lambda s: project_Uad(grid, tg, s, problem.M, problem.Mprime)
     u = proj(u0.slices)
     traj, J = _evaluate(problem, u, cost)
     step = config.initial_step
@@ -203,7 +198,7 @@ def optimize(
     stalled = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        adj = solve_adjoint(traj, cost, problem.spec, problem.working_interval)
+        adj = solve_adjoint(traj, cost, problem.spec)
         g = reduced_gradient(traj, adj, u, cost)
         gnorm = np.sqrt(control_inner(tg, grid, g, g))
         u_pg = proj(u.slices - g)
@@ -247,11 +242,10 @@ def optimality_residual(
     Mprime: float,
     samples: int = 100,
     rng: np.random.Generator | None = None,
-    dykstra_iters: int = 50,
 ) -> float:
     """Most negative value of <g, u - u*>_{L2(Q)} over random feasible probes.
 
-    ``gradient`` is the reduced gradient density at u* (the adjoint p-part
+    ``gradient`` is the reduced gradient density at u* (the costate part
     plus the control-weight term).  At optimality the form is nonnegative for
     every admissible u; the probe set is ``samples`` random feasible controls
     plus the projected-gradient point P(u* - g).
@@ -261,9 +255,9 @@ def optimality_residual(
     worst = 0.0
     for _ in range(samples):
         raw = rng.uniform(-M, M, size=u_star.slices.shape)
-        probe = project_Uad(grid, tg, raw, M, Mprime, dykstra_iters)
+        probe = project_Uad(grid, tg, raw, M, Mprime)
         val = control_inner(tg, grid, gradient, probe.slices - u_star.slices)
         worst = min(worst, val)
-    u_pg = project_Uad(grid, tg, u_star.slices - gradient, M, Mprime, dykstra_iters)
+    u_pg = project_Uad(grid, tg, u_star.slices - gradient, M, Mprime)
     worst = min(worst, control_inner(tg, grid, gradient, u_pg.slices - u_star.slices))
     return worst

@@ -7,11 +7,12 @@ a control direction h (with zero initial data), so that
 
 holds for the discrete trajectories.  The adjoint sweep is the exact
 transpose of that linear map, assembled source-by-source from the discrete
-cost quadrature (discretize-then-optimize).  As a consequence the reduced
-gradient matches directional derivatives of the discrete cost to roundoff,
-and the adjoint/tangent duality identity holds to near machine precision.
-In the limit of vanishing step sizes the sweep is a consistent
-discretization of the continuous backward system for (p, q), and the
+cost quadrature (discretize-then-optimize).  It returns the discrete
+costate: the spectral cotangent of the cost at each snapshot.  As a
+consequence the reduced gradient matches directional derivatives of the
+discrete cost to roundoff, and the adjoint/tangent duality identity holds to
+near machine precision.  In the limit of vanishing step sizes the costate,
+scaled by 1/(tau w_n), approximates the continuous adjoint p, and the
 gradient density approaches p + alpha4 * u.
 """
 
@@ -63,34 +64,27 @@ class TangentTrajectory:
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward snapshots (p, q) plus the raw discrete costate.
+    """The discrete costate of one backward sweep.
 
-    ``p`` and ``q`` are continuous-scale diagnostic snapshots; the terminal
-    slice satisfies p(T) = alpha2 (phi*(T) - phi_Omega) exactly.  ``costate``
-    holds the spectral cotangent vectors that drive the machine-precision
+    ``costate[n]`` is the spectral cotangent of the cost with respect to an
+    injection at xi^n, shape (nt+1, nx, ny); it drives the machine-precision
     gradient assembly.
     """
 
     grid: object
     timegrid: object
-    p: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
     costate: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for a in (self.p, self.q, self.costate):
-            if not np.all(np.isfinite(a)):
-                raise NonFinite("adjoint sweep produced non-finite values")
+        if not np.all(np.isfinite(self.costate)):
+            raise NonFinite("adjoint sweep produced non-finite values")
 
 
-def _curvature(base: StateTrajectory, stepper: _Stepper, working_interval) -> np.ndarray:
-    """W^n = f''(phi^n) - S along the base trajectory: the tangent's g = W xi."""
-    # Optional clamp guards roundoff excursions of singular variants
-    # outside the working interval.
-    phi = base.phi if working_interval is None else np.clip(base.phi, *working_interval)
-    W = np.empty_like(phi)
-    for n in range(phi.shape[0]):
-        W[n] = potentials.f_d2_vec(stepper.spec, phi[n]) - stepper.S
+def _curvature(base: StateTrajectory, stepper: _Stepper) -> np.ndarray:
+    """W^n = f''(phi^n) - S for n < nt: the tangent's g = W xi."""
+    W = np.empty((base.timegrid.nt, base.grid.size))
+    for n in range(base.timegrid.nt):
+        W[n] = potentials.f_d2_vec(stepper.spec, base.phi[n]) - stepper.S
     return W
 
 
@@ -98,13 +92,12 @@ def solve_linearized(
     base: StateTrajectory,
     h: ControlFunction,
     spec: PotentialSpec,
-    working_interval: tuple[float, float] | None = None,
 ) -> TangentTrajectory:
     """Exact linearization of the forward scheme along direction h."""
     if h.grid != base.grid or h.timegrid != base.timegrid:
         raise ShapeMismatch("direction does not match the base trajectory")
     stepper = _Stepper(base.grid, spec, base.timegrid.tau)
-    W = _curvature(base, stepper, working_interval)
+    W = _curvature(base, stepper)
     nt = base.timegrid.nt
     xi = np.zeros((nt + 1, base.grid.size))
     eta = np.zeros_like(xi)
@@ -138,7 +131,6 @@ def solve_adjoint(
     base: StateTrajectory,
     cost: CostSpec,
     spec: PotentialSpec,
-    working_interval: tuple[float, float] | None = None,
 ) -> AdjointTrajectory:
     """Backward sweep: exact transpose of the linearized one-step map.
 
@@ -152,12 +144,10 @@ def solve_adjoint(
     grid = base.grid
     stepper = _Stepper(grid, spec, base.timegrid.tau)
     lam, S, denom = stepper.lam, stepper.S, stepper.denom
-    W = _curvature(base, stepper, working_interval)
+    W = _curvature(base, stepper)
     nt = base.timegrid.nt
     tau = stepper.tau
     s_phi, s_mu = _cost_sources(base, cost)
-    a2 = cost.alpha[1]
-    a3 = cost.alpha[2]
 
     def r_hat(n: int) -> np.ndarray:
         r = _dct(grid, s_phi[n])
@@ -173,18 +163,7 @@ def solve_adjoint(
         a = costate[n + 1] / denom
         propagated = a - tau * _dct(grid, W[n] * _idct(lam * a))
         costate[n] = r_hat(n) + propagated
-
-    # continuous-scale diagnostic snapshots
-    w = _trapezoid_weights(nt)
-    p = np.empty((nt + 1, grid.size))
-    q = np.empty_like(p)
-    for n in range(nt + 1):
-        if n == nt:
-            p[n] = a2 * (base.phi[nt] - cost.phi_omega_or_zero())
-        else:
-            p[n] = _idct(costate[n]) / (tau * w[n])
-        q[n] = _idct(lam * _dct(grid, p[n])) - a3 * (base.mu[n] - cost.mu_q_at(n))
-    return AdjointTrajectory(base.grid, base.timegrid, p, q, costate)
+    return AdjointTrajectory(base.grid, base.timegrid, costate)
 
 
 def _source_cotangent(base: StateTrajectory, adj: AdjointTrajectory) -> np.ndarray:

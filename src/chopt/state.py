@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
+COMPATIBILITY_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,7 @@ class ControlFunction:
         return float(np.max(np.abs(self.slices))) if self.slices.size else 0.0
 
     def dt_l2(self) -> float:
-        d = np.diff(self.slices, axis=0)
-        return float(np.sqrt(self.grid.cell * np.sum(d * d) / self.timegrid.tau))
+        return _dt_norm(self.grid, self.timegrid, np.diff(self.slices, axis=0))
 
     def l2q(self) -> float:
         """Trapezoid-in-time L^2(Q) norm."""
@@ -119,6 +119,11 @@ class ControlFunction:
     def constant(grid: Grid, timegrid: TimeGrid, value: float, M=np.inf, Mprime=np.inf):
         s = np.full((timegrid.nt + 1, grid.size), float(value))
         return ControlFunction(grid, timegrid, s, M, Mprime)
+
+
+def _dt_norm(grid: Grid, timegrid: TimeGrid, d: np.ndarray) -> float:
+    """||d_t u|| = sqrt(cell * sum |u^{n+1} - u^n|^2 / tau) from the differences d."""
+    return float(np.sqrt(grid.cell * np.sum(d * d) / timegrid.tau))
 
 
 def _trapezoid_weights(nt: int) -> np.ndarray:
@@ -151,12 +156,6 @@ class StateTrajectory:
         if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.mu))):
             raise ValueError("trajectory contains non-finite values")
 
-    def phi_field(self, n: int) -> Field:
-        return Field(self.grid, self.phi[n])
-
-    def mu_field(self, n: int) -> Field:
-        return Field(self.grid, self.mu[n])
-
     def means(self) -> np.ndarray:
         return self.phi.mean(axis=1)
 
@@ -168,38 +167,29 @@ class StateTrajectory:
 class CompatibilityReport:
     passed: bool
     margin: float
-    details: dict
 
     def __bool__(self) -> bool:
         return self.passed
 
 
 def validate_compatibility(
-    phi0: Field, u: ControlFunction, spec: PotentialSpec, delta_margin: float = 1e-3
+    phi0: Field, u: ControlFunction, spec: PotentialSpec
 ) -> CompatibilityReport:
     """Check that phi0 and the shifted means phibar0 +/- M stay inside D(beta).
 
     For singular variants the extrema of phi0 and phibar0 +/- M must sit in
-    (-1, 1) with margin at least ``delta_margin``.  The regular variant always
-    passes (D(beta) is the whole line).
+    (-1, 1) with margin at least ``COMPATIBILITY_MARGIN``.  The regular
+    variant always passes (D(beta) is the whole line).
     """
     pmin = float(np.min(phi0.values))
     pmax = float(np.max(phi0.values))
     pbar = float(np.mean(phi0.values))
     M = u.M if np.isfinite(u.M) else u.linf()
-    details = {
-        "phi0_min": pmin,
-        "phi0_max": pmax,
-        "phi0_mean": pbar,
-        "mean_low": pbar - M,
-        "mean_high": pbar + M,
-    }
     if not spec.singular:
-        return CompatibilityReport(True, np.inf, details)
+        return CompatibilityReport(True, np.inf)
     lo, hi = -1.0, 1.0
     margin = min(pmin - lo, hi - pmax, (pbar - M) - lo, hi - (pbar + M))
-    details["margin"] = margin
-    return CompatibilityReport(margin >= delta_margin, margin, details)
+    return CompatibilityReport(margin >= COMPATIBILITY_MARGIN, margin)
 
 
 def default_stabilization(spec: PotentialSpec, interval: tuple[float, float] | None = None) -> float:
@@ -284,24 +274,24 @@ def simulate(
     spec: PotentialSpec,
     timegrid: TimeGrid,
     check_compatibility: bool = True,
-    delta_margin: float = 1e-3,
     with_diagnostics: bool = True,
 ) -> StateTrajectory:
     """Run the forward solver; deterministic for fixed inputs.
 
     Compatibility of (phi0, u) is validated first unless explicitly
     overridden (experiments on purpose-built infeasible data).  Raises
-    NonFinite, with the step index, if phi or mu stops being finite.
+    NonFinite, with the step index, if phi, mu or a diagnostic stops being
+    finite.
     """
     grid = phi0.grid
     if u.grid != grid or u.timegrid != timegrid:
         raise ShapeMismatch("control does not match the state grids")
     if check_compatibility:
-        report = validate_compatibility(phi0, u, spec, delta_margin)
+        report = validate_compatibility(phi0, u, spec)
         if not report.passed:
             raise ValueError(
                 f"initial data incompatible with the potential domain "
-                f"(margin {report.margin:g} < {delta_margin:g}); "
+                f"(margin {report.margin:g} < {COMPATIBILITY_MARGIN:g}); "
                 "pass check_compatibility=False to override"
             )
     nt = timegrid.nt
@@ -318,14 +308,20 @@ def simulate(
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
     diagnostics = {}
     if with_diagnostics:
-        diagnostics = {
-            "t": timegrid.times(),
-            "mean": phi.mean(axis=1),
-            "energy": _energies(grid, spec, phi),
-            "min_phi": phi.min(axis=1),
-            "max_phi": phi.max(axis=1),
-            "grad_mu_norm": np.sqrt(grad_sq(grid, mu)),
-        }
+        # a finite trajectory can still overflow its energy or ||grad mu||
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagnostics = {
+                "t": timegrid.times(),
+                "mean": phi.mean(axis=1),
+                "energy": _energies(grid, spec, phi),
+                "min_phi": phi.min(axis=1),
+                "max_phi": phi.max(axis=1),
+                "grad_mu_norm": np.sqrt(grad_sq(grid, mu)),
+            }
+        finite = np.all([np.isfinite(v) for v in diagnostics.values()], axis=0)
+        if not np.all(finite):
+            n = int(np.argmin(finite))
+            raise NonFinite(f"diagnostics not finite at step {n}", step=n)
     return StateTrajectory(grid, timegrid, spec, phi, mu, diagnostics)
 
 

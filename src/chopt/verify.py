@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import potentials, spectral
+from .config import band_limited_field
 from .control import (
     CostSpec,
     ControlProblem,
@@ -82,17 +83,6 @@ def _grid8():
 
 def _random_field(grid, rng, amp=1.0):
     return Field(grid, amp * rng.standard_normal(grid.size))
-
-
-def _smooth_field(grid, rng, nmodes=6, amp=0.5):
-    j, k = spectral.lowest_modes(grid, nmodes)
-    c = np.zeros((grid.nx, grid.ny))
-    c[j, k] = rng.standard_normal(len(j))
-    v = from_spectral(spectral.SpectralField(grid, c)).values
-    peak = np.max(np.abs(v))
-    if peak > 0:
-        v = v * (amp / peak)
-    return Field(grid, v)
 
 
 def _regular_spec():
@@ -266,8 +256,8 @@ def _small_forward(seed, index):
     tg = TimeGrid(0.5, 40)
     spec = _regular_spec()
     rng = _rng(seed, index)
-    phi0 = _smooth_field(grid, rng, amp=0.5)
-    base = _smooth_field(grid, rng, amp=0.5).values
+    phi0 = band_limited_field(grid, 0.5, 6, rng)
+    base = band_limited_field(grid, 0.5, 6, rng).values
     slices = np.repeat(base[None, :], tg.nt + 1, axis=0)
     u = ControlFunction(grid, tg, slices)
     return grid, tg, spec, phi0, u
@@ -319,7 +309,7 @@ def _separation_run(seed):
     spec = PotentialSpec("logarithmic", c1=2.0, eps=1e-4, reg_kind="piecewise_log",
                          stabilization=S)
     rng = _rng(seed, 130)
-    phi0 = _smooth_field(grid, rng, amp=0.6)
+    phi0 = band_limited_field(grid, 0.6, 6, rng)
     u = ControlFunction.constant(grid, tg, 0.1, M=0.2)
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     return spec, traj
@@ -349,11 +339,11 @@ def _continuous_dependence(seed):
     tg = TimeGrid(0.5, 40)
     spec = _regular_spec()
     rng = _rng(seed, 140)
-    phi0 = _smooth_field(grid, rng, amp=0.5)
+    phi0 = band_limited_field(grid, 0.5, 6, rng)
     worst = 0.0
     for _ in range(10):
-        s1 = _smooth_field(grid, rng, amp=0.5).values
-        s2 = _smooth_field(grid, rng, amp=0.5).values
+        s1 = band_limited_field(grid, 0.5, 6, rng).values
+        s2 = band_limited_field(grid, 0.5, 6, rng).values
         u1 = ControlFunction(grid, tg, np.repeat(s1[None, :], tg.nt + 1, axis=0))
         u2 = ControlFunction(grid, tg, np.repeat(s2[None, :], tg.nt + 1, axis=0))
         t1 = simulate(phi0, u1, spec, tg, with_diagnostics=False)
@@ -397,7 +387,7 @@ def _galerkin_refinement(seed):
     grid = Grid(16, 16, 1.0, 1.0)
     spec = _regular_spec()
     rng = _rng(seed, 160)
-    phi0 = _smooth_field(grid, rng, nmodes=4, amp=0.4)
+    phi0 = band_limited_field(grid, 0.4, 4, rng)
 
     def error(nt, n_modes):
         tg = TimeGrid(0.25, nt)
@@ -423,10 +413,9 @@ def _sensitivity_setup(seed, index):
     tg = TimeGrid(0.4, 30)
     spec = _regular_spec()
     rng = _rng(seed, index)
-    phi0 = _smooth_field(grid, rng, amp=0.5)
-    u = ControlFunction(
-        grid, tg, np.repeat(_smooth_field(grid, rng, amp=0.3).values[None, :], tg.nt + 1, axis=0)
-    )
+    phi0 = band_limited_field(grid, 0.5, 6, rng)
+    u_values = band_limited_field(grid, 0.3, 6, rng).values
+    u = ControlFunction(grid, tg, np.repeat(u_values[None, :], tg.nt + 1, axis=0))
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     cost = CostSpec(
         grid,
@@ -441,8 +430,8 @@ def _sensitivity_setup(seed, index):
 
 def _direction(grid, tg, rng, amp=0.5):
     h = np.empty((tg.nt + 1, grid.size))
-    base = _smooth_field(grid, rng, amp=amp).values
-    drift = _smooth_field(grid, rng, amp=amp).values
+    base = band_limited_field(grid, amp, 6, rng).values
+    drift = band_limited_field(grid, amp, 6, rng).values
     ts = tg.times() / tg.T
     for n in range(tg.nt + 1):
         h[n] = base + ts[n] * drift
@@ -535,13 +524,13 @@ def _opt_setup(seed, index):
     tg = TimeGrid(0.3, 20)
     spec = _regular_spec()
     rng = _rng(seed, index)
-    phi0 = _smooth_field(grid, rng, amp=0.4)
+    phi0 = band_limited_field(grid, 0.4, 6, rng)
     problem = ControlProblem(phi0, spec, tg, M=1.0, Mprime=10.0)
     cost = CostSpec(grid, tg, (0.5, 0.0, 0.0, 1.0))
     u0 = ControlFunction(
         grid,
         tg,
-        np.clip(np.repeat(_smooth_field(grid, rng, amp=0.8).values[None, :], tg.nt + 1, axis=0),
+        np.clip(np.repeat(band_limited_field(grid, 0.8, 6, rng).values[None, :], tg.nt + 1, axis=0),
                 -1.0, 1.0),
         M=1.0,
         Mprime=10.0,

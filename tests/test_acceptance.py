@@ -10,6 +10,7 @@ import numpy as np
 
 from chopt import potentials
 from chopt.cli import main
+from chopt.config import band_limited_field
 from chopt.control import (
     ControlProblem,
     OptimizerConfig,
@@ -33,7 +34,6 @@ from chopt.spectral import (
     SpectralField,
     from_spectral,
     laplacian,
-    lowest_modes,
     to_spectral,
 )
 from chopt.state import (
@@ -56,17 +56,6 @@ def regular_spec():
     return PotentialSpec(
         "regular", stabilization=default_stabilization(PotentialSpec("regular"))
     )
-
-
-def smooth_field(grid, rng, nmodes=6, amp=0.5):
-    j, k = lowest_modes(grid, nmodes)
-    c = np.zeros((grid.nx, grid.ny))
-    c[j, k] = rng.standard_normal(len(j))
-    v = from_spectral(SpectralField(grid, c)).values
-    peak = np.max(np.abs(v))
-    if peak > 0:
-        v = v * (amp / peak)
-    return Field(grid, v)
 
 
 def tracking_setup(nx=16, nt=50, T=0.25, seed=SEED):
@@ -219,7 +208,7 @@ def test_criterion_6_separation_and_xi_bound():
         "logarithmic", c1=2.0, eps=1e-4, reg_kind="piecewise_log", stabilization=S
     )
     rng = np.random.default_rng(SEED)
-    phi0 = smooth_field(grid, rng, amp=0.6)
+    phi0 = band_limited_field(grid, 0.6, 6, rng)
     u = ControlFunction.constant(grid, tg, 0.1, M=0.2)
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     peak = float(np.max(np.abs(traj.phi)))
@@ -246,7 +235,7 @@ def test_criterion_7_continuous_dependence():
     grid = Grid(8, 8, 1.0)
     spec = regular_spec()
     rng = np.random.default_rng(SEED)
-    phi0 = smooth_field(grid, rng, amp=0.5)
+    phi0 = band_limited_field(grid, 0.5, 6, rng)
     pair_seeds = [rng.standard_normal((2, grid.size)) for _ in range(10)]
 
     def max_ratio(nt):

@@ -1,5 +1,6 @@
 import json
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -86,6 +87,13 @@ def test_seed_argument_overrides_config(tmp_path):
     c = parse_config(p, seed=2)
     assert np.array_equal(a.phi0.values, b.phi0.values)
     assert not np.array_equal(a.phi0.values, c.phi0.values)
+
+
+@pytest.mark.parametrize("name", ["stationary", "remark22", "separation2d", "gradient-check",
+                                  "inverse-crime", "continuous-dependence"])
+def test_packaged_preset_parses(name):
+    path = resources.files("chopt").joinpath("presets").joinpath(name + ".cfg")
+    parse_config(path, override_compatibility=name == "remark22")
 
 
 def test_build_field_descriptors():
@@ -224,6 +232,17 @@ def test_cli_refuses_incompatible_preset(tmp_path):
     failure = json.loads((out / "failure.json").read_text())
     assert failure["error"] == "ValidationError"
     assert "compatib" in failure["message"].lower()
+
+
+def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
+    # the override reaches the parser; optimize keeps its own check on (phi0, u0)
+    out = tmp_path / "out"
+    code = main(["optimize", "--config", "remark22", "--out", str(out),
+                 "--override-compatibility"])
+    assert code == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "ConfigurationError"
+    assert "incompatible" in failure["message"]
 
 
 def test_cli_verify_gradient_preset(tmp_path):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from chopt.config import band_limited_field
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
-from chopt.spectral import Field, Grid, SpectralField, basis_mode, from_spectral, lowest_modes
+from chopt.spectral import Field, Grid, basis_mode
 from chopt.state import (
     ControlFunction,
     TimeGrid,
@@ -27,15 +28,6 @@ def regular_spec():
 
 def constant_control(grid, tg, value, **kw):
     return ControlFunction.constant(grid, tg, value, **kw)
-
-
-def smooth_field(grid, amp=0.5, nmodes=6, rng=RNG):
-    j, k = lowest_modes(grid, nmodes)
-    c = np.zeros((grid.nx, grid.ny))
-    c[j, k] = rng.standard_normal(len(j))
-    v = from_spectral(SpectralField(grid, c)).values
-    peak = np.max(np.abs(v))
-    return Field(grid, v * (amp / peak) if peak > 0 else v)
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +166,20 @@ def test_simulate_nonfinite_initial_chemical_potential():
     assert err.value.step == 0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_simulate_nonfinite_diagnostics():
+    # phi and mu stay finite, but the energy and ||grad mu|| overflow from
+    # step 0 on: the diagnostics report that as NonFinite instead of storing inf
+    g = Grid(8, 8, 1.0)
+    phi = Field(g, 5e101 * basis_mode(g, 2, 2).values)
+    tg = TimeGrid(0.1, 1)
+    u = constant_control(g, tg, 0.0)
+    simulate(phi, u, regular_spec(), tg, with_diagnostics=False)
+    with pytest.raises(NonFinite) as err:
+        simulate(phi, u, regular_spec(), tg)
+    assert err.value.step == 0
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -207,7 +213,7 @@ def test_simulate_mean_exactly_implicit_euler():
     g = Grid(8, 8, 1.0)
     tg = TimeGrid(0.5, 50)
     spec = regular_spec()
-    phi0 = smooth_field(g, amp=0.4)
+    phi0 = band_limited_field(g, 0.4, 6, RNG)
     u = ControlFunction(g, tg, RNG.uniform(-0.5, 0.5, (tg.nt + 1, g.size)))
     traj = simulate(phi0, u, spec, tg)
     means = traj.means()
@@ -310,7 +316,7 @@ def test_energy_balance_first_order_in_tau():
     spec = PotentialSpec("double_obstacle", c2=0.5, eps=0.5, reg_kind="yosida",
                          stabilization=0.0)
     # few, slow modes keep tau * lambda^2 small so the O(tau) regime is visible
-    phi0 = smooth_field(g, amp=0.05, nmodes=3)
+    phi0 = band_limited_field(g, 0.05, 3, RNG)
 
     def max_res(nt):
         tg = TimeGrid(0.1, nt)
