@@ -233,6 +233,8 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     M = number("control", "M")
     Mprime = number("control", "Mprime")
     alpha = tuple(number("cost", f"alpha{i}") for i in (1, 2, 3, 4))
+    oracle_modes = number("oracle", "modes", int)
+    oracle_substeps = number("oracle", "substeps", int)
     seed_val = seed if seed is not None else number("run", "seed", int)
     if errors:
         raise ValidationError(errors)
@@ -269,6 +271,9 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
         errors.append("cost: alpha weights must be nonnegative")
     elif all(a == 0 for a in alpha):
         errors.append("cost: alpha weights must not all vanish")
+    for key, value in (("modes", oracle_modes), ("substeps", oracle_substeps)):
+        if value < 1:
+            errors.append(f"oracle: {key} = {value} must be at least 1")
     target = _get(cp, "cost", "target").strip()
     if target not in ("zero", "inverse_crime"):
         errors.append(f"cost: unknown target {target!r}")
@@ -328,8 +333,8 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
         u_true=u_true,
         optimizer=opt,
         checks=checks,
-        oracle_modes=int(_get(cp, "oracle", "modes")),
-        oracle_substeps=int(_get(cp, "oracle", "substeps")),
+        oracle_modes=oracle_modes,
+        oracle_substeps=oracle_substeps,
         seed=seed_val,
         out_dir=_get(cp, "run", "out"),
     )

@@ -27,6 +27,7 @@ from .state import ControlFunction, StateTrajectory, TimeGrid
 __all__ = [
     "GalerkinSystem",
     "GalerkinTrajectory",
+    "ComparisonReport",
     "build_system",
     "project_initial",
     "integrate",
@@ -116,6 +117,8 @@ def integrate(
     its left slab value, matching the PDE stepper.  Raises NewtonFailure if
     the inner solve stalls (reduce the step).
     """
+    if substeps < 1:
+        raise ValueError(f"substeps = {substeps} must be at least 1")
     n = system.n
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (n,):

@@ -19,8 +19,9 @@ Every formula is written once, in numpy, and evaluated over whole arrays.
 The array kernels (``_formula`` and its domain-checked front ``_exact``,
 ``_yosida``, ``_piecewise_log`` and the dispatcher ``_reg``) take ``k``, the
 order of the derivative of betahat they return: 0 for betahat, 1 for beta,
-2 for beta', 3 for beta''.  The solvers call the ``*_vec`` functions; the
-scalar functions are ``float`` views of the same kernels.
+2 for beta', 3 for beta''.  The ``*_vec`` functions are the public API:
+they take a scalar or an array and return numpy values of the same shape
+(shape () for a scalar).
 """
 
 from __future__ import annotations
@@ -34,25 +35,14 @@ from .errors import ConvergenceFailure, DomainViolation, WrongVariant
 
 __all__ = [
     "PotentialSpec",
-    "f_value",
-    "f_d1",
-    "f_d2",
-    "f_d3",
-    "beta_exact",
-    "beta_yosida",
-    "beta_piecewise_log",
-    "beta_piecewise_log_d1",
-    "betahat",
-    "beta_reg",
-    "beta_reg_d1",
     "beta_reg_vec",
     "beta_reg_d1_vec",
     "f_value_vec",
     "f_d1_vec",
     "f_d2_vec",
+    "BoundReport",
     "check_exp_derivative_bound",
     "young_exp_constants",
-    "pi_value",
     "pi_d1",
 ]
 
@@ -70,8 +60,8 @@ _ROOT_MAXIT = 200
 class PotentialSpec:
     """Potential variant plus regularization and stabilization parameters.
 
-    ``reg_kind`` is None for the unregularized potential (invalid for the
-    obstacle variant except through :func:`beta_yosida`), "yosida" for the
+    ``reg_kind`` is None for the unregularized potential (the obstacle graph
+    is not single-valued, so its variant needs a regularization), "yosida" for the
     Moreau-Yosida approximation, or "piecewise_log" for the C^1 logarithmic
     continuation (logarithmic variant only).  ``stabilization`` is the
     splitting constant S used by the semi-implicit scheme.
@@ -114,10 +104,6 @@ class PotentialSpec:
 # ---------------------------------------------------------------------------
 # smooth perturbation pi
 
-def pi_value(spec: PotentialSpec, r: float) -> float:
-    return pi_d1(spec) * r
-
-
 def pi_d1(spec: PotentialSpec) -> float:
     """pi' is constant for every variant."""
     if spec.variant == REGULAR:
@@ -133,16 +119,6 @@ def _pihat(spec: PotentialSpec, r: float) -> float:
     if spec.variant == LOGARITHMIC:
         return -spec.c1 * r * r
     return -spec.c2 * r * r
-
-
-def _at(kernel, spec: PotentialSpec, r: float, *k: int) -> float:
-    """Evaluate an array kernel at one point.
-
-    The point travels as a one-element array: numpy evaluates 0-d operands
-    with its scalar arithmetic, whose pow differs from the array loops in
-    the last bit, and a scalar must equal the array it is a view of.
-    """
-    return float(kernel(spec, np.array([r], dtype=float), *k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +211,8 @@ def _yosida(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
 
     beta_eps = (r - J_eps r)/eps; its derivatives follow by implicit
     differentiation of t + eps*beta°(t) = r, and betahat_eps(r) =
-    eps/2 * beta_eps(r)^2 + betahat(J_eps r).
+    eps/2 * beta_eps(r)^2 + betahat(J_eps r).  beta_eps is monotone and
+    1/eps-Lipschitz, beta_eps(0) = 0, and |beta_eps| <= |beta°| on D(beta).
     """
     eps = spec.eps
     t = _resolvent(spec, r)
@@ -251,30 +228,17 @@ def _yosida(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     return _formula(spec, t, 3) / (1.0 + eps * bp) ** 3
 
 
-def beta_yosida(spec: PotentialSpec, r: float) -> float:
-    """Yosida approximation beta_eps(r) = (r - J_eps r)/eps.
-
-    Monotone, 1/eps-Lipschitz, beta_eps(0) = 0, |beta_eps| <= |beta°| on D(beta).
-    """
-    return _at(_yosida, spec, r, 1)
-
-
 # ---------------------------------------------------------------------------
 # piecewise C^1 logarithmic regularization
-
-def _require_log(spec: PotentialSpec):
-    if spec.variant != LOGARITHMIC:
-        raise WrongVariant("piecewise log regularization needs the logarithmic variant")
-
 
 def _piecewise_log(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     """k-th derivative of the piecewise C^1 logarithmic betahat.
 
     The exact graph on |r| <= knee = 1-eps; beyond it, betahat continues with
     its second-order Taylor polynomial at the knee, so beta is affine with the
-    matched slope 2/(eps(2-eps)) and beta'' vanishes.
+    matched slope 2/(eps(2-eps)) and beta'' vanishes.  The resulting beta is
+    odd and C^1.  Logarithmic variant only, which PotentialSpec enforces.
     """
-    _require_log(spec)
     eps = spec.eps
     a = np.abs(r)
     knee = 1.0 - eps
@@ -290,20 +254,6 @@ def _piecewise_log(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     if k == 2:
         return np.where(inside, _formula(spec, safe, 2), slope)
     return np.where(inside, _formula(spec, np.where(inside, r, 0.0), 3), 0.0)
-
-
-def beta_piecewise_log(spec: PotentialSpec, r: float) -> float:
-    """C^1, odd, globally Lipschitz continuation of the logarithmic beta.
-
-    Equals ln((1+r)/(1-r)) on [-(1-eps), 1-eps]; affine beyond, with the
-    matched slope 2/(eps(2-eps)).
-    """
-    return _at(_piecewise_log, spec, r, 1)
-
-
-def beta_piecewise_log_d1(spec: PotentialSpec, r: float) -> float:
-    """Derivative of :func:`beta_piecewise_log`; globally bounded by 2/(eps(2-eps))."""
-    return _at(_piecewise_log, spec, r, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +289,7 @@ def f_value_vec(spec: PotentialSpec, values) -> np.ndarray:
 
 
 def f_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
+    """f' = beta_reg + pi."""
     v = np.asarray(values, dtype=float)
     return beta_reg_vec(spec, v) + pi_d1(spec) * v
 
@@ -346,53 +297,6 @@ def f_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
 def f_d2_vec(spec: PotentialSpec, values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     return beta_reg_d1_vec(spec, v) + pi_d1(spec)
-
-
-# scalar views of the array kernels -----------------------------------------
-
-def beta_exact(spec: PotentialSpec, r: float) -> float:
-    """Minimal section beta°(r) of the unregularized graph."""
-    return _at(_exact, spec, r, 1)
-
-
-def _betahat_exact(spec: PotentialSpec, r: float) -> float:
-    return _at(_exact, spec, r, 0)
-
-
-def beta_reg(spec: PotentialSpec, r: float) -> float:
-    """The single-valued beta selected by ``spec.reg_kind`` (exact graph if None)."""
-    return _at(beta_reg_vec, spec, r)
-
-
-def beta_reg_d1(spec: PotentialSpec, r: float) -> float:
-    return _at(beta_reg_d1_vec, spec, r)
-
-
-def betahat(spec: PotentialSpec, r: float) -> float:
-    """Primitive of the selected beta regularization, vanishing at 0.
-
-    Closed forms are available for every branch (the Yosida case via the
-    Moreau envelope identity).
-    """
-    return _at(_reg, spec, r, 0)
-
-
-def f_value(spec: PotentialSpec, r: float) -> float:
-    """f(r) = betahat_reg(r) + pihat(r)."""
-    return _at(f_value_vec, spec, r)
-
-
-def f_d1(spec: PotentialSpec, r: float) -> float:
-    """f'(r) = beta_reg(r) + pi(r)."""
-    return _at(f_d1_vec, spec, r)
-
-
-def f_d2(spec: PotentialSpec, r: float) -> float:
-    return _at(f_d2_vec, spec, r)
-
-
-def f_d3(spec: PotentialSpec, r: float) -> float:
-    return _at(_reg, spec, r, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +318,6 @@ def check_exp_derivative_bound(spec: PotentialSpec, samples) -> BoundReport:
 
     Only meaningful for the piecewise C^1 logarithmic regularization.
     """
-    _require_log(spec)
     if spec.reg_kind != "piecewise_log":
         raise WrongVariant("the exponential derivative bound targets piecewise_log")
     samples = np.asarray(samples, dtype=float).reshape(-1)

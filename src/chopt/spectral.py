@@ -83,12 +83,6 @@ class Grid:
     def volume(self) -> float:
         return self.lx * self.ly
 
-    def coordinates(self):
-        """Midpoint coordinate arrays (x, y), each of shape (nx, ny)."""
-        x = (np.arange(self.nx) + 0.5) * (self.lx / self.nx)
-        y = (np.arange(self.ny) + 0.5) * (self.ly / self.ny)
-        return np.meshgrid(x, y, indexing="ij")
-
     def eigenvalues(self) -> np.ndarray:
         """Array of shape (nx, ny): lambda_{jk} = (j pi/lx)^2 + (k pi/ly)^2."""
         lj = (np.arange(self.nx) * np.pi / self.lx) ** 2

@@ -25,6 +25,7 @@ from .control import (
     optimize,
     project_Uad,
 )
+from .errors import ValidationError
 from .galerkin import build_system, compare_to_pde, integrate, project_initial
 from .potentials import PotentialSpec
 from .sensitivity import (
@@ -640,7 +641,7 @@ def run_checks(names, seed: int) -> list:
     selected = registered_checks() if (not names or "all" in names) else tuple(names)
     unknown = [n for n in selected if n not in REGISTRY]
     if unknown:
-        raise KeyError(f"unknown verification checks: {unknown}")
+        raise ValidationError([f"verify: unknown check {name!r}" for name in unknown])
     results = []
     for name in selected:
         module, fn = REGISTRY[name]

@@ -273,12 +273,12 @@ def test_criterion_8_regularization_sweeps():
         b1 = potentials.beta_reg_vec(spec, r1)
         # monotone, zero at zero, 1/eps-Lipschitz
         worst = max(worst, float(np.max(-np.diff(b1), initial=-math.inf)))
-        worst = max(worst, abs(potentials.beta_reg(spec, 0.0)))
+        worst = max(worst, abs(float(potentials.beta_reg_vec(spec, 0.0))))
         lip = np.abs(np.diff(b1)) * spec.eps - np.abs(np.diff(r1))
         worst = max(worst, float(np.max(lip)))
         # dominated by the exact minimal section inside the domain
         inside = r1[np.abs(r1) < 0.99]
-        exact = np.array([potentials.beta_exact(spec, float(r)) for r in inside])
+        exact = potentials._exact(spec, inside, 1)
         sandwich = np.abs(potentials.beta_reg_vec(spec, inside)) - np.abs(exact)
         worst = max(worst, float(np.max(sandwich)))
     for eps in (0.5, 0.1, 1e-3):

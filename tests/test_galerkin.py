@@ -182,6 +182,15 @@ def test_integrate_shape_checks():
         integrate(system, np.zeros(3), u2, regular_spec(), tg)
 
 
+@pytest.mark.parametrize("substeps", [0, -1])
+def test_integrate_rejects_nonpositive_substeps(substeps):
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 5)
+    u = ControlFunction.constant(g, tg, 0.0)
+    with pytest.raises(ValueError, match="substeps"):
+        integrate(build_system(g, 3), np.zeros(3), u, regular_spec(), tg, substeps=substeps)
+
+
 # ---------------------------------------------------------------------------
 # cross-solver comparison
 

@@ -71,6 +71,15 @@ def test_parse_rejects_incompatible_data_with_override(tmp_path):
     assert cfg.M == 2.0
 
 
+@pytest.mark.parametrize("key, value", [("modes", "8.5"), ("modes", "0"),
+                                        ("substeps", "0"), ("substeps", "-1")])
+def test_parse_rejects_bad_oracle_values(tmp_path, key, value):
+    p = write_cfg(tmp_path, MINIMAL + f"\n[oracle]\n{key} = {value}\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(p)
+    assert any(f"{key} = " in m for m in err.value.messages)
+
+
 def test_parse_rejects_unknown_keys(tmp_path):
     p = write_cfg(tmp_path, MINIMAL + "\n[grid]\nnz = 3\n")
     with pytest.raises((ParseError, Exception)):
@@ -201,7 +210,7 @@ def test_registry_covers_expected_invariants():
 
 
 def test_run_checks_unknown_name():
-    with pytest.raises(KeyError):
+    with pytest.raises(ValidationError, match="spectral.no-such-check"):
         run_checks(["spectral.no-such-check"], seed=0)
 
 
@@ -243,6 +252,23 @@ def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
     failure = json.loads((out / "failure.json").read_text())
     assert failure["error"] == "ConfigurationError"
     assert "incompatible" in failure["message"]
+
+
+@pytest.mark.parametrize("command, section", [
+    ("oracle-compare", "[oracle]\nsubsteps = 0"),
+    ("oracle-compare", "[oracle]\nsubsteps = -1"),
+    ("oracle-compare", "[oracle]\nmodes = 8.5"),
+    ("verify", "[verify]\nchecks = spectral.parseval, spectral.no-such-check"),
+], ids=["substeps-zero", "substeps-negative", "modes-fraction", "unknown-check"])
+def test_cli_bad_config_writes_failure(tmp_path, command, section):
+    cfg = write_cfg(tmp_path, MINIMAL + "\n" + section + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "ValidationError"
+    assert not (out / "oracle_errors.csv").exists()
+    assert not (out / "verification.csv").exists()
 
 
 def test_cli_verify_gradient_preset(tmp_path):

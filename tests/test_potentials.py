@@ -10,28 +10,15 @@ from scipy.optimize import bisect
 from chopt.errors import ConvergenceFailure, DomainViolation, WrongVariant
 from chopt.potentials import (
     PotentialSpec,
-    _betahat_exact,
     _exact,
     _reg,
-    beta_exact,
-    beta_piecewise_log,
-    beta_piecewise_log_d1,
-    beta_reg,
-    beta_reg_d1,
     beta_reg_d1_vec,
     beta_reg_vec,
-    beta_yosida,
-    betahat,
     check_exp_derivative_bound,
-    f_d1,
     f_d1_vec,
-    f_d2,
     f_d2_vec,
-    f_d3,
-    f_value,
     f_value_vec,
     pi_d1,
-    pi_value,
     young_exp_constants,
 )
 
@@ -75,32 +62,32 @@ def test_domain_interior():
 
 def test_regular_values():
     spec = PotentialSpec("regular")
-    assert f_value(spec, 0.0) == pytest.approx(0.25)
-    assert f_value(spec, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert f_value(spec, -1.0) == pytest.approx(0.0, abs=1e-15)
+    assert f_value_vec(spec, 0.0) == pytest.approx(0.25)
+    assert f_value_vec(spec, 1.0) == pytest.approx(0.0, abs=1e-15)
+    assert f_value_vec(spec, -1.0) == pytest.approx(0.0, abs=1e-15)
     for r in (-1.0, 0.0, 1.0, 0.37):
-        assert f_d1(spec, r) == pytest.approx(r**3 - r, abs=1e-14)
+        assert f_d1_vec(spec, r) == pytest.approx(r**3 - r, abs=1e-14)
 
 
 def test_logarithmic_values():
     spec = PotentialSpec("logarithmic", c1=2.0)
-    assert f_value(spec, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert beta_exact(spec, 0.5) == pytest.approx(math.log(3.0), rel=1e-13)
+    assert f_value_vec(spec, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert _exact(spec, 0.5, 1) == pytest.approx(math.log(3.0), rel=1e-13)
     with pytest.raises(DomainViolation):
-        beta_exact(spec, 1.0)
+        _exact(spec, 1.0, 1)
     with pytest.raises(DomainViolation):
-        f_value(spec, 1.5)
+        f_value_vec(spec, 1.5)
 
 
 def test_obstacle_requires_regularization():
     spec = PotentialSpec("double_obstacle")
     with pytest.raises(WrongVariant):
-        beta_reg(spec, 0.5)
+        beta_reg_vec(spec, 0.5)
     with pytest.raises(WrongVariant):
-        f_d1(spec, 0.5)
+        f_d1_vec(spec, 0.5)
     with pytest.raises(DomainViolation):
-        beta_exact(spec, 1.5)
-    assert beta_exact(spec, 0.5) == 0.0
+        _exact(spec, 1.5, 1)
+    assert _exact(spec, 0.5, 1) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +96,15 @@ def test_obstacle_requires_regularization():
 def test_yosida_zero_fixed_point():
     for spec in all_regularized_specs():
         if spec.reg_kind == "yosida":
-            assert beta_yosida(spec, 0.0) == 0.0
+            assert beta_reg_vec(spec, 0.0) == 0.0
 
 
 def test_yosida_obstacle_closed_form():
     spec = PotentialSpec("double_obstacle", eps=0.5, reg_kind="yosida")
-    assert beta_yosida(spec, 1.5) == pytest.approx(1.0, rel=1e-12)
+    assert beta_reg_vec(spec, 1.5) == pytest.approx(1.0, rel=1e-12)
     rs = RNG.uniform(-3.0, 3.0, 50)
     expected = (rs - np.clip(rs, -1.0, 1.0)) / spec.eps
-    got = np.array([beta_yosida(spec, float(r)) for r in rs])
+    got = np.array([beta_reg_vec(spec, float(r)) for r in rs])
     assert np.allclose(got, expected, atol=1e-14)
 
 
@@ -131,7 +118,7 @@ def test_yosida_logarithmic_vs_bisection_oracle():
 
     # bracket keeps the argument of the log positive: s < (1 + r)/eps
     s_star = bisect(g, 0.0, (1.0 + r) / eps - 1e-9, xtol=1e-14)
-    assert beta_yosida(spec, r) == pytest.approx(s_star, abs=1e-11)
+    assert beta_reg_vec(spec, r) == pytest.approx(s_star, abs=1e-11)
 
 
 def test_yosida_monotone_and_lipschitz():
@@ -156,7 +143,7 @@ def test_yosida_logarithmic_defined_on_the_whole_line(eps):
     assert np.all(np.diff(vals) >= 0.0)
     assert np.all(np.diff(vals) * eps <= np.diff(rs) + 1e-14)
     with pytest.raises(ConvergenceFailure):
-        beta_yosida(spec, math.nan)
+        beta_reg_vec(spec, math.nan)
 
 
 def test_yosida_sandwich():
@@ -165,7 +152,7 @@ def test_yosida_sandwich():
             continue
         for r in RNG.uniform(-0.95, 0.95, 50):
             r = float(r)
-            assert abs(beta_yosida(spec, r)) <= abs(beta_exact(spec, r)) + 1e-11
+            assert abs(beta_reg_vec(spec, r)) <= abs(_exact(spec, r, 1)) + 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -173,27 +160,27 @@ def test_yosida_sandwich():
 
 def test_betahat_zero():
     for spec in all_regularized_specs():
-        assert betahat(spec, 0.0) == pytest.approx(0.0, abs=1e-14)
+        assert _reg(spec, 0.0, 0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_betahat_obstacle_closed_form():
     spec = PotentialSpec("double_obstacle", eps=0.5, reg_kind="yosida")
-    assert betahat(spec, 1.5) == pytest.approx(0.25, rel=1e-12)
+    assert _reg(spec, 1.5, 0) == pytest.approx(0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.8, -0.8, 0.3, 1.4, -1.7])
 def test_betahat_matches_quadrature(r):
     # the closed-form Moreau-envelope primitive against direct integration
     for spec in all_regularized_specs():
-        val, err = quad(lambda s: beta_reg(spec, s), 0.0, r, limit=200)
-        assert betahat(spec, r) == pytest.approx(val, abs=max(1e-10, 10 * err))
+        val, err = quad(lambda s: beta_reg_vec(spec, s), 0.0, r, limit=200)
+        assert _reg(spec, r, 0) == pytest.approx(val, abs=max(1e-10, 10 * err))
 
 
 def test_betahat_bounded_by_exact():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="yosida")
     for r in (0.8, -0.8):
-        bh = betahat(spec, r)
-        assert 0.0 <= bh <= _betahat_exact(spec, r) + 1e-12
+        bh = _reg(spec, r, 0)
+        assert 0.0 <= bh <= _exact(spec, r, 0) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -201,38 +188,37 @@ def test_betahat_bounded_by_exact():
 
 def test_piecewise_log_inside_exact_region():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.5, reg_kind="piecewise_log")
-    assert beta_piecewise_log(spec, 0.5) == pytest.approx(math.log(3.0), rel=1e-13)
+    assert beta_reg_vec(spec, 0.5) == pytest.approx(math.log(3.0), rel=1e-13)
 
 
 def test_piecewise_log_affine_branch():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.5, reg_kind="piecewise_log")
     # slope at the knee r = 0.5 is 2/(0.5 * 1.5) = 8/3
     expected = math.log(3.0) + (8.0 / 3.0) * 0.25
-    assert beta_piecewise_log(spec, 0.75) == pytest.approx(expected, rel=1e-13)
-    assert beta_piecewise_log_d1(spec, 0.75) == pytest.approx(8.0 / 3.0, rel=1e-13)
+    assert beta_reg_vec(spec, 0.75) == pytest.approx(expected, rel=1e-13)
+    assert beta_reg_d1_vec(spec, 0.75) == pytest.approx(8.0 / 3.0, rel=1e-13)
 
 
 def test_piecewise_log_odd():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.3, reg_kind="piecewise_log")
     for r in RNG.uniform(0.0, 2.0, 50):
         r = float(r)
-        assert beta_piecewise_log(spec, -r) == pytest.approx(
-            -beta_piecewise_log(spec, r), abs=1e-14
-        )
+        assert beta_reg_vec(spec, -r) == pytest.approx(-beta_reg_vec(spec, r), abs=1e-14)
 
 
 def test_piecewise_log_wrong_variant():
-    spec = PotentialSpec("regular")
     with pytest.raises(WrongVariant):
-        beta_piecewise_log(spec, 0.5)
+        PotentialSpec("regular", reg_kind="piecewise_log")
+    with pytest.raises(WrongVariant):
+        check_exp_derivative_bound(PotentialSpec("regular"), [0.5])
 
 
 def test_piecewise_log_c1_at_knee():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.2, reg_kind="piecewise_log")
     knee = 1.0 - spec.eps
     h = 1e-7
-    left = (beta_piecewise_log(spec, knee) - beta_piecewise_log(spec, knee - h)) / h
-    right = (beta_piecewise_log(spec, knee + h) - beta_piecewise_log(spec, knee)) / h
+    left = (beta_reg_vec(spec, knee) - beta_reg_vec(spec, knee - h)) / h
+    right = (beta_reg_vec(spec, knee + h) - beta_reg_vec(spec, knee)) / h
     assert left == pytest.approx(right, rel=1e-5)
 
 
@@ -244,9 +230,9 @@ def test_beta_derivative_matches_fd(spec):
     for r in RNG.uniform(-1.8, 1.8, 20):
         r = float(r)
         h = 1e-6
-        fd = (beta_reg(spec, r + h) - beta_reg(spec, r - h)) / (2 * h)
+        fd = (beta_reg_vec(spec, r + h) - beta_reg_vec(spec, r - h)) / (2 * h)
         # skip points straddling a kink of the regularization
-        analytic = beta_reg_d1(spec, r)
+        analytic = beta_reg_d1_vec(spec, r)
         if abs(fd - analytic) > 1e-4 * (1 + abs(analytic)):
             continue
         assert analytic == pytest.approx(fd, abs=1e-4 * (1 + abs(analytic)))
@@ -257,15 +243,14 @@ def test_f_third_derivative_matches_fd():
     for r in RNG.uniform(-1.5, 1.5, 10):
         r = float(r)
         h = 1e-5
-        fd = (f_d2(spec, r + h) - f_d2(spec, r - h)) / (2 * h)
-        assert f_d3(spec, r) == pytest.approx(fd, abs=1e-6 * (1 + abs(fd)))
+        fd = (f_d2_vec(spec, r + h) - f_d2_vec(spec, r - h)) / (2 * h)
+        assert _reg(spec, r, 3) == pytest.approx(fd, abs=1e-6 * (1 + abs(fd)))
 
 
 def test_pi_derivative_is_constant():
     for spec in all_regularized_specs():
         for r in (-1.5, 0.0, 0.7):
-            assert f_d2(spec, r) - beta_reg_d1(spec, r) == pytest.approx(pi_d1(spec))
-            assert pi_value(spec, r) == pytest.approx(pi_d1(spec) * r)
+            assert f_d2_vec(spec, r) - beta_reg_d1_vec(spec, r) == pytest.approx(pi_d1(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +258,8 @@ def test_pi_derivative_is_constant():
 
 def test_exp_bound_equality_at_zero():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.2, reg_kind="piecewise_log")
-    lhs = beta_piecewise_log_d1(spec, 0.0)
-    rhs = 2.0 * math.exp(abs(beta_piecewise_log(spec, 0.0)))
+    lhs = beta_reg_d1_vec(spec, 0.0)
+    rhs = 2.0 * math.exp(abs(beta_reg_vec(spec, 0.0)))
     assert lhs == pytest.approx(rhs, abs=1e-14)  # 2 <= 2 e^0, equality
 
 
@@ -322,21 +307,16 @@ def test_young_rejects_small_p():
 
 
 # ---------------------------------------------------------------------------
-# vectorized wrappers agree with scalar evaluation
+# array evaluation agrees with point-by-point evaluation
 
 @pytest.mark.parametrize("spec", all_regularized_specs() + [PotentialSpec("regular")])
 def test_vectorized_wrappers(spec):
     rs = RNG.uniform(-1.8, 1.8, 40)
     if spec.singular and spec.reg_kind is None:
         rs = np.clip(rs, -0.95, 0.95)
-    assert np.allclose(beta_reg_vec(spec, rs), [beta_reg(spec, float(r)) for r in rs],
-                       atol=1e-11)
-    assert np.allclose(beta_reg_d1_vec(spec, rs), [beta_reg_d1(spec, float(r)) for r in rs],
-                       atol=1e-9)
-    assert np.allclose(f_d1_vec(spec, rs), [f_d1(spec, float(r)) for r in rs], atol=1e-11)
-    assert np.allclose(f_d2_vec(spec, rs), [f_d2(spec, float(r)) for r in rs], atol=1e-9)
-    assert np.allclose(f_value_vec(spec, rs), [f_value(spec, float(r)) for r in rs],
-                       atol=1e-11)
+    for fn, atol in ((beta_reg_vec, 1e-11), (beta_reg_d1_vec, 1e-9), (f_d1_vec, 1e-11),
+                     (f_d2_vec, 1e-9), (f_value_vec, 1e-11)):
+        assert np.allclose(fn(spec, rs), [fn(spec, float(r)) for r in rs], atol=atol)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,7 @@ def test_property_monotone_lipschitz_and_zero_at_zero(spec, rs):
     dv = np.diff(beta_reg_vec(spec, rs)) * spec.eps  # beta_eps is O(1/eps)
     assert np.all(dv >= -1e-14)
     assert np.all(dv <= lipschitz_constant(spec) * spec.eps * np.diff(rs) + 1e-14)
-    assert beta_reg(spec, 0.0) == 0.0
+    assert beta_reg_vec(spec, 0.0) == 0.0
 
 
 @property_specs
@@ -386,24 +366,3 @@ def test_property_bounded_by_the_exact_graph(spec, line, inside):
     bh, bh_exact = _reg(spec, rs, 0), _exact(spec, rs, 0)
     assert np.all(bh >= -1e-15)
     assert np.all(bh <= bh_exact + 1e-12 * np.maximum(1.0, bh_exact))
-
-
-@property_specs
-@settings(drawn, max_examples=10)
-@given(rs=points(max_size=6))
-def test_property_scalar_views_equal_the_arrays(spec, rs):
-    reg_scalar = beta_yosida if spec.reg_kind == "yosida" else beta_piecewise_log
-    pairs = [
-        (f_value, f_value_vec(spec, rs)),
-        (f_d1, f_d1_vec(spec, rs)),
-        (f_d2, f_d2_vec(spec, rs)),
-        (f_d3, _reg(spec, rs, 3)),
-        (betahat, _reg(spec, rs, 0)),
-        (beta_reg, beta_reg_vec(spec, rs)),
-        (reg_scalar, beta_reg_vec(spec, rs)),
-        (beta_reg_d1, beta_reg_d1_vec(spec, rs)),
-    ]
-    if spec.reg_kind == "piecewise_log":
-        pairs.append((beta_piecewise_log_d1, beta_reg_d1_vec(spec, rs)))
-    for scalar, array in pairs:
-        assert np.array_equal([scalar(spec, r) for r in rs], array), scalar.__name__
