@@ -63,9 +63,9 @@ def _build_cost(cfg: RunConfig) -> CostSpec:
     return CostSpec(cfg.grid, cfg.timegrid, cfg.alpha, phi_q, phi_omega, mu_q)
 
 
-def run_simulate(cfg: RunConfig, out: Path, override_compatibility: bool = False) -> int:
-    traj = simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid,
-                    check_compatibility=not override_compatibility)
+def run_simulate(cfg: RunConfig, out: Path) -> int:
+    # parse_config has checked (phi0, max(M, ||u0||_inf)) unless overridden
+    traj = simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid, check_compatibility=False)
     _write_diagnostics(out, traj.diagnostics)
     write_snapshots(out / "phi.bin", cfg.grid, traj.phi)
     write_snapshots(out / "mu.bin", cfg.grid, traj.mu)
@@ -154,7 +154,7 @@ def main(argv=None) -> int:
         )
         out = _out_dir(cfg, args.out)
         if args.command == "simulate":
-            return run_simulate(cfg, out, args.override_compatibility)
+            return run_simulate(cfg, out)
         if args.command == "optimize":
             return run_optimize(cfg, out)
         if args.command == "verify":

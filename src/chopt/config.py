@@ -23,6 +23,7 @@ Control descriptors additionally accept random:AMP (smooth random slices).
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .errors import ParseError, ValidationError
 from .potentials import PotentialSpec
 from .runio import read_snapshots
 from .spectral import Field, Grid, SpectralField, from_spectral, lowest_modes
-from .state import ControlFunction, TimeGrid, _dt_norm, default_stabilization, validate_compatibility
+from .state import ControlFunction, TimeGrid, default_stabilization, validate_compatibility
 
 __all__ = ["RunConfig", "parse_config", "build_field", "band_limited_field", "build_control"]
 
@@ -144,9 +145,9 @@ def build_control(
     timegrid: TimeGrid,
     descriptor: str,
     M: float,
-    Mprime: float,
     rng: np.random.Generator,
 ) -> ControlFunction:
+    """Resolve a control descriptor; ``random`` defaults to amplitude min(M, 1)."""
     desc = descriptor.strip()
     nt1 = timegrid.nt + 1
     kind, _, rest = desc.partition(":")
@@ -176,11 +177,7 @@ def build_control(
         slices = frames
     else:
         raise ValidationError(f"unknown control descriptor {descriptor!r}")
-    # the raw descriptor may overshoot the bounds; feasibility is the
-    # caller's concern (the optimizer projects, simulate only needs M)
-    box = max(M, float(np.max(np.abs(slices))) if slices.size else 0.0)
-    dn = _dt_norm(grid, timegrid, np.diff(slices, axis=0))
-    return ControlFunction(grid, timegrid, slices, box, max(Mprime, dn))
+    return ControlFunction(grid, timegrid, slices)
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str) -> str:
@@ -252,7 +249,7 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     variant = _get(cp, "potential", "variant").strip()
     reg_kind_s = _get(cp, "potential", "reg_kind").strip()
     reg_kind = None if reg_kind_s in ("none", "") else reg_kind_s
-    if not (eps is not None and 0.0 < eps < 1.0):
+    if not 0.0 < eps < 1.0:
         errors.append(f"potential: eps = {eps} outside the required range (0, 1)")
     else:
         stab_s = _get(cp, "potential", "stabilization").strip()
@@ -263,17 +260,20 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
         except Exception as exc:
             errors.append(f"potential: {exc}")
 
-    if M is not None and M < 0:
-        errors.append("control: M must be nonnegative")
-    if Mprime is not None and Mprime < 0:
-        errors.append("control: Mprime must be nonnegative")
-    if any(a is None or a < 0 for a in alpha):
-        errors.append("cost: alpha weights must be nonnegative")
+    # M and M' may be inf (no bound), never NaN
+    if not M >= 0:
+        errors.append(f"control: M = {M} must be nonnegative")
+    if not Mprime >= 0:
+        errors.append(f"control: Mprime = {Mprime} must be nonnegative")
+    if not all(0 <= a < math.inf for a in alpha):
+        errors.append("cost: alpha weights must be nonnegative and finite")
     elif all(a == 0 for a in alpha):
         errors.append("cost: alpha weights must not all vanish")
     for key, value in (("modes", oracle_modes), ("substeps", oracle_substeps)):
         if value < 1:
             errors.append(f"oracle: {key} = {value} must be at least 1")
+    if seed_val < 0:
+        errors.append(f"[run] seed = {seed_val} must be nonnegative")
     target = _get(cp, "cost", "target").strip()
     if target not in ("zero", "inverse_crime"):
         errors.append(f"cost: unknown target {target!r}")
@@ -283,19 +283,18 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     rng = np.random.default_rng(seed_val)
     try:
         phi0 = build_field(grid, _get(cp, "initial", "phi0"), rng)
-        u0 = build_control(grid, timegrid, _get(cp, "control", "initial"), M, Mprime, rng)
+        u0 = build_control(grid, timegrid, _get(cp, "control", "initial"), M, rng)
         u_true = None
         if target == "inverse_crime":
-            u_true = build_control(grid, timegrid, _get(cp, "cost", "u_true"), M, Mprime, rng)
+            u_true = build_control(grid, timegrid, _get(cp, "cost", "u_true"), M, rng)
     except ValidationError as exc:
         raise
     except Exception as exc:
         raise ValidationError([str(exc)])
 
     if spec.singular and not override_compatibility:
-        # feasibility of the whole admissible set: phibar0 +/- M inside D(beta)
-        probe = ControlFunction(grid, timegrid, u0.slices, max(M, u0.linf()), np.inf)
-        report = validate_compatibility(phi0, probe, spec)
+        # the admissible set and the initial control: phibar0 +/- M inside D(beta)
+        report = validate_compatibility(phi0, max(M, u0.linf()), spec)
         if not report.passed:
             errors.append(
                 f"compatibility: phi0 and the control bound M = {M:g} leave the "

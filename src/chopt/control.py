@@ -1,15 +1,18 @@
 """Admissible-set projection, projected-gradient optimizer, optimality check.
 
 The admissible set couples a pointwise box |u| <= M with a bound M' on the
-L^2(Q) norm of the discrete time derivative.  Feasibility is enforced by
-Dykstra's alternating projection between the box and the derivative ball;
-the ball step rescales the forward differences and reintegrates them around
-the preserved time-mean slice.  The optimizer is projected gradient descent
-with Armijo backtracking on the reduced discrete cost.
+L^2(Q) norm of the discrete time derivative; both bounds belong to the
+``ControlProblem``.  Feasibility is enforced by Dykstra's alternating
+projection between the box and the derivative ball; the ball step rescales
+the forward differences and reintegrates them around the preserved
+time-mean slice.  ``project_Uad`` is the one producer that promises a
+feasible control, and it checks its own output.  The optimizer is projected
+gradient descent with Armijo backtracking on the reduced discrete cost.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +44,8 @@ __all__ = [
 # Dykstra's iteration budget and its stopping increment (max-norm).
 DYKSTRA_ITERS = 50
 DYKSTRA_TOL = 1e-10
+# Relative slack of the derivative bound that project_Uad guarantees.
+FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,13 +64,13 @@ class OptimizerConfig:
         if not (0.0 < self.backtrack < 1.0):
             raise ValueError("backtrack factor must lie in (0, 1)")
         for name in ("max_iters", "initial_step", "tol", "max_backtracks"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Forward-problem data the optimizer needs to evaluate a control."""
+    """Forward-problem data and the bounds M, M' of the admissible set."""
 
     phi0: Field
     spec: PotentialSpec
@@ -113,10 +118,13 @@ def project_Uad(
     """Project a raw control onto the admissible set.
 
     Dykstra's algorithm alternates the box clamp with the derivative-ball
-    rescale; afterwards both constraints are re-enforced exactly so the
-    output is feasible to within 1e-9.  Feasible inputs are returned
-    unchanged (up to roundoff).
+    rescale; afterwards both constraints are re-enforced exactly.  The box
+    holds exactly and the derivative bound to within ``FEASIBILITY_TOL``;
+    an output that misses it raises ValueError.  Feasible inputs are
+    returned unchanged (up to roundoff).
     """
+    if not (M >= 0 and Mprime >= 0):
+        raise ValueError("bounds must be nonnegative")
     x = np.asarray(slices, dtype=float)
     if x.shape != (timegrid.nt + 1, grid.size):
         raise ShapeMismatch("control slices have the wrong shape")
@@ -131,14 +139,16 @@ def project_Uad(
             x = x_new
             break
         x = x_new
-    # exact feasibility polish
+    # exact feasibility polish; the clip comes last, so the box holds exactly
     for _ in range(8):
         x = _project_ball(grid, timegrid, x, Mprime)
         x = np.clip(x, -M, M)
-        m, d = _diff_decompose(x)
-        if _dt_norm(grid, timegrid, d) <= Mprime * (1.0 + 1e-12) + 1e-15:
+        dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))
+        if dn <= Mprime * (1.0 + 1e-12) + 1e-15:
             break
-    return ControlFunction(grid, timegrid, x, M, Mprime)
+    if dn > Mprime + FEASIBILITY_TOL * (1.0 + Mprime):
+        raise ValueError(f"control violates the derivative bound: {dn:g} > {Mprime:g}")
+    return ControlFunction(grid, timegrid, x)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +193,10 @@ def optimize(
             "mu-tracking (alpha3 > 0) requires a single-valued potential; "
             "regularize the obstacle variant"
         )
-    report = validate_compatibility(problem.phi0, u0, problem.spec)
+    report = validate_compatibility(problem.phi0, problem.M, problem.spec)
     if not report.passed:
         raise ConfigurationError(
-            f"(phi0, u) incompatible with the potential domain (margin {report.margin:g})"
+            f"(phi0, M) incompatible with the potential domain (margin {report.margin:g})"
         )
     grid, tg = problem.grid, problem.timegrid
     proj = lambda s: project_Uad(grid, tg, s, problem.M, problem.Mprime)

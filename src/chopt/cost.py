@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,7 @@ class CostSpec:
       + a3/2 |mu - mu_q|^2_Q + a4/2 |u|^2_Q,
 
     discretized with trapezoid-in-time, midpoint-in-space quadrature.
-    Targets left as None are treated as zero.
+    Targets left as None are stored as zeros.
     """
 
     grid: Grid
@@ -33,8 +34,8 @@ class CostSpec:
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.alpha)
-        if len(a) != 4 or any(x < 0 for x in a):
-            raise ValueError("alpha must be four nonnegative weights")
+        if len(a) != 4 or not all(0 <= x < math.inf for x in a):
+            raise ValueError("alpha must be four nonnegative finite weights")
         if all(x == 0 for x in a):
             raise ValueError("alpha weights must not all vanish")
         object.__setattr__(self, "alpha", a)
@@ -44,23 +45,10 @@ class CostSpec:
             ("mu_q", self.mu_q, shape_qt),
             ("phi_omega", self.phi_omega, (self.grid.size,)),
         ):
-            if target is None:
-                continue
-            t = np.asarray(target, dtype=float)
+            t = np.zeros(shape) if target is None else np.asarray(target, dtype=float)
             if t.shape != shape:
                 raise ShapeMismatch(f"{name} must have shape {shape}, got {t.shape}")
             object.__setattr__(self, name, t)
-
-    def phi_q_at(self, n: int) -> np.ndarray:
-        return self.phi_q[n] if self.phi_q is not None else 0.0
-
-    def mu_q_at(self, n: int) -> np.ndarray:
-        return self.mu_q[n] if self.mu_q is not None else 0.0
-
-    def phi_omega_or_zero(self) -> np.ndarray:
-        if self.phi_omega is not None:
-            return self.phi_omega
-        return np.zeros(self.grid.size)
 
 
 def cost_J(traj: StateTrajectory, u: ControlFunction, cost: CostSpec) -> float:
@@ -75,13 +63,13 @@ def cost_J(traj: StateTrajectory, u: ControlFunction, cost: CostSpec) -> float:
     w = _trapezoid_weights(cost.timegrid.nt)
     total = 0.0
     if a1 > 0:
-        d = traj.phi - (cost.phi_q if cost.phi_q is not None else 0.0)
+        d = traj.phi - cost.phi_q
         total += 0.5 * a1 * tau * float(np.dot(w, cell * np.sum(d * d, axis=1)))
     if a2 > 0:
-        d = traj.phi[-1] - cost.phi_omega_or_zero()
+        d = traj.phi[-1] - cost.phi_omega
         total += 0.5 * a2 * cell * float(np.dot(d, d))
     if a3 > 0:
-        d = traj.mu - (cost.mu_q if cost.mu_q is not None else 0.0)
+        d = traj.mu - cost.mu_q
         total += 0.5 * a3 * tau * float(np.dot(w, cell * np.sum(d * d, axis=1)))
     if a4 > 0:
         total += 0.5 * a4 * tau * float(

@@ -87,8 +87,8 @@ class PotentialSpec:
             raise ValueError("c2 must be positive for the obstacle variant")
         if self.reg_kind == "piecewise_log" and self.variant != LOGARITHMIC:
             raise WrongVariant("piecewise_log applies to the logarithmic variant only")
-        if self.stabilization < 0.0:
-            raise ValueError("stabilization must be nonnegative")
+        if not 0.0 <= self.stabilization < math.inf:
+            raise ValueError("stabilization must be nonnegative and finite")
 
     @property
     def singular(self) -> bool:

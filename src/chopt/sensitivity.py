@@ -118,12 +118,12 @@ def _cost_sources(base: StateTrajectory, cost: CostSpec):
     s_mu = np.zeros_like(base.mu)
     if a1 > 0:
         for n in range(nt + 1):
-            s_phi[n] = a1 * tau * w[n] * (base.phi[n] - cost.phi_q_at(n))
+            s_phi[n] = a1 * tau * w[n] * (base.phi[n] - cost.phi_q[n])
     if a2 > 0:
-        s_phi[nt] = s_phi[nt] + a2 * (base.phi[nt] - cost.phi_omega_or_zero())
+        s_phi[nt] = s_phi[nt] + a2 * (base.phi[nt] - cost.phi_omega)
     if a3 > 0:
         for n in range(nt + 1):
-            s_mu[n] = a3 * tau * w[n] * (base.mu[n] - cost.mu_q_at(n))
+            s_mu[n] = a3 * tau * w[n] * (base.mu[n] - cost.mu_q[n])
     return s_phi, s_mu
 
 

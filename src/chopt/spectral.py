@@ -18,6 +18,7 @@ multipliers are self-adjoint in the discrete L^2 inner product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,8 +64,8 @@ class Grid:
             raise ValueError("nx must be >= 2")
         if self.ny < 1:
             raise ValueError("ny must be >= 1 (ny == 1 encodes d = 1)")
-        if not (self.lx > 0 and self.ly > 0):
-            raise ValueError("side lengths must be positive")
+        if not (0 < self.lx < math.inf and 0 < self.ly < math.inf):
+            raise ValueError("side lengths must be positive and finite")
 
     @property
     def dimension(self) -> int:

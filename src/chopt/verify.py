@@ -311,7 +311,7 @@ def _separation_run(seed):
                          stabilization=S)
     rng = _rng(seed, 130)
     phi0 = band_limited_field(grid, 0.6, 6, rng)
-    u = ControlFunction.constant(grid, tg, 0.1, M=0.2)
+    u = ControlFunction.constant(grid, tg, 0.1)
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     return spec, traj
 
@@ -533,8 +533,6 @@ def _opt_setup(seed, index):
         tg,
         np.clip(np.repeat(band_limited_field(grid, 0.8, 6, rng).values[None, :], tg.nt + 1, axis=0),
                 -1.0, 1.0),
-        M=1.0,
-        Mprime=10.0,
     )
     return grid, tg, spec, phi0, problem, cost, u0, rng
 

@@ -94,7 +94,7 @@ def test_criterion_1_mean_dynamics():
     grid = Grid(32, 32, 1.0)
     tg = TimeGrid(1.0, 400)
     spec = regular_spec()
-    u = ControlFunction.constant(grid, tg, 2.0, M=2.0)
+    u = ControlFunction.constant(grid, tg, 2.0)
     traj = simulate(
         Field(grid, np.zeros(grid.size)), u, spec, tg, with_diagnostics=False
     )
@@ -209,7 +209,7 @@ def test_criterion_6_separation_and_xi_bound():
     )
     rng = np.random.default_rng(SEED)
     phi0 = band_limited_field(grid, 0.6, 6, rng)
-    u = ControlFunction.constant(grid, tg, 0.1, M=0.2)
+    u = ControlFunction.constant(grid, tg, 0.1)
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     peak = float(np.max(np.abs(traj.phi)))
     xi_defect = -math.inf
@@ -313,7 +313,7 @@ def test_criterion_9_descent_and_optimality():
         phi_q=target.phi.copy(), phi_omega=target.phi[-1].copy(),
     )
     problem = ControlProblem(phi0, spec, tg, M, Mprime)
-    u0 = ControlFunction.constant(grid, tg, 0.0, M=M, Mprime=Mprime)
+    u0 = ControlFunction.constant(grid, tg, 0.0)
     result = optimize(u0, problem, cost, OptimizerConfig(max_iters=200, tol=1e-7))
     Js = [row["J"] for row in result.history]
     monotone = all(b <= a + 1e-14 for a, b in zip(Js, Js[1:]))

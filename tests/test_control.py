@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from chopt import control
 from chopt.control import (
     ControlProblem,
     OptimizerConfig,
@@ -49,7 +50,7 @@ def test_cost_zero_when_tracking_is_perfect():
 def test_cost_control_penalty_value():
     # J = a4/2 |u|^2_Q = 1/2 * |Omega| * T for u == 1 on the unit square
     g, tg, spec, problem = small_problem(T=0.4, M=2.0)
-    u = ControlFunction.constant(g, tg, 1.0, M=2.0)
+    u = ControlFunction.constant(g, tg, 1.0)
     traj = simulate(problem.phi0, u, spec, tg, check_compatibility=False,
                     with_diagnostics=False)
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
@@ -132,13 +133,23 @@ def test_projection_output_is_feasible():
     assert out.dt_l2() <= 1.5 + 1e-9
 
 
+def test_project_Uad_checks_its_output(monkeypatch):
+    # without the ball step the derivative bound cannot be met
+    monkeypatch.setattr(control, "_project_ball", lambda grid, tg, slices, Mprime: slices)
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.5, 20)
+    slices = 5.0 * RNG.standard_normal((tg.nt + 1, g.size))
+    with pytest.raises(ValueError, match="derivative bound"):
+        project_Uad(g, tg, slices, M=0.7, Mprime=1.5)
+
+
 # ---------------------------------------------------------------------------
 # optimizer
 
 def test_optimize_pure_penalty_drives_control_to_zero():
     g, tg, spec, problem = small_problem()
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
-    u0 = ControlFunction.constant(g, tg, 0.4, M=problem.M, Mprime=problem.Mprime)
+    u0 = ControlFunction.constant(g, tg, 0.4)
     result = optimize(u0, problem, cost, OptimizerConfig(tol=1e-10, max_iters=100))
     assert result.converged
     assert result.u.linf() < 1e-8
@@ -154,7 +165,7 @@ def test_optimize_monotone_descent_and_inverse_crime():
     target = simulate(problem.phi0, u_true, spec, tg, with_diagnostics=False)
     cost = CostSpec(g, tg, (1.0, 1.0, 0.0, 1e-2), phi_q=target.phi.copy(),
                     phi_omega=target.phi[-1].copy())
-    u0 = ControlFunction.constant(g, tg, 0.0, M=problem.M, Mprime=problem.Mprime)
+    u0 = ControlFunction.constant(g, tg, 0.0)
     result = optimize(u0, problem, cost, OptimizerConfig(max_iters=60, tol=1e-8))
     Js = [row["J"] for row in result.history]
     assert all(b <= a + 1e-14 for a, b in zip(Js, Js[1:]))
@@ -193,9 +204,33 @@ def test_optimize_rejects_incompatible_initial_data():
     problem = ControlProblem(Field(g, np.zeros(g.size)), spec, tg, M=2.0,
                              Mprime=10.0)
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
-    u0 = ControlFunction.constant(g, tg, 0.0, M=2.0, Mprime=10.0)
+    u0 = ControlFunction.constant(g, tg, 0.0)
     with pytest.raises(ConfigurationError):
         optimize(u0, problem, cost)
+
+
+def test_optimize_refuses_unbounded_box_for_singular_potential():
+    # phibar0 +/- M leaves D(beta) for M = inf, whatever the initial control
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 10)
+    spec = PotentialSpec("logarithmic", c1=2.0, eps=1e-3,
+                         reg_kind="piecewise_log", stabilization=5.0)
+    problem = ControlProblem(Field(g, np.zeros(g.size)), spec, tg, np.inf, np.inf)
+    cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
+    u0 = ControlFunction.constant(g, tg, 0.0)
+    with pytest.raises(ConfigurationError, match="incompatible"):
+        optimize(u0, problem, cost)
+
+
+@pytest.mark.parametrize("make", [
+    lambda g, tg: OptimizerConfig(tol=np.nan),
+    lambda g, tg: OptimizerConfig(initial_step=np.inf),
+    lambda g, tg: CostSpec(g, tg, (np.nan, 0.0, 0.0, 1.0)),
+    lambda g, tg: CostSpec(g, tg, (1.0, np.inf, 0.0, 0.0)),
+], ids=["tol-nan", "initial_step-inf", "alpha1-nan", "alpha2-inf"])
+def test_settings_must_be_finite(make):
+    with pytest.raises(ValueError, match="finite"):
+        make(Grid(4, 4, 1.0), TimeGrid(0.1, 2))
 
 
 def test_optimize_reports_stall():
@@ -203,7 +238,7 @@ def test_optimize_reports_stall():
     rng = np.random.default_rng(3)
     target = 0.2 * rng.standard_normal((tg.nt + 1, g.size))
     cost = CostSpec(g, tg, (1.0, 0.0, 0.0, 1e-6), phi_q=target)
-    u0 = ControlFunction.constant(g, tg, 0.0, M=problem.M, Mprime=problem.Mprime)
+    u0 = ControlFunction.constant(g, tg, 0.0)
     config = OptimizerConfig(initial_step=1e6, max_backtracks=1, step_growth=1.0,
                              backtrack=1.0 - 1e-12, max_iters=3)
     result = optimize(u0, problem, cost, config)
@@ -217,7 +252,7 @@ def test_optimize_reports_stall():
 def test_optimality_residual_at_minimizer():
     g, tg, spec, problem = small_problem()
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
-    u0 = ControlFunction.constant(g, tg, 0.3, M=problem.M, Mprime=problem.Mprime)
+    u0 = ControlFunction.constant(g, tg, 0.3)
     result = optimize(u0, problem, cost, OptimizerConfig(tol=1e-12, max_iters=200))
     traj = simulate(problem.phi0, result.u, spec, tg, with_diagnostics=False)
     adj = solve_adjoint(traj, cost, spec)
@@ -230,7 +265,7 @@ def test_optimality_residual_at_minimizer():
 def test_optimality_residual_detects_non_minimizer():
     g, tg, spec, problem = small_problem()
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
-    u = ControlFunction.constant(g, tg, 0.4, M=problem.M, Mprime=problem.Mprime)
+    u = ControlFunction.constant(g, tg, 0.4)
     traj = simulate(problem.phi0, u, spec, tg, with_diagnostics=False)
     adj = solve_adjoint(traj, cost, spec)
     grad = reduced_gradient(traj, adj, u, cost)

@@ -141,7 +141,7 @@ def test_integrate_n1_mean_bound():
     g = Grid(8, 8, 1.0)
     tg = TimeGrid(1.0, 20)
     spec = regular_spec()
-    u = ControlFunction.constant(g, tg, 0.4, M=0.4)
+    u = ControlFunction.constant(g, tg, 0.4)
     system = build_system(g, 1)
     y0 = project_initial(Field(g, np.full(g.size, 0.2)), 1)
     traj = integrate(system, y0, u, spec, tg, substeps=10)

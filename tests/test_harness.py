@@ -1,3 +1,4 @@
+import configparser
 import json
 import struct
 from importlib import resources
@@ -5,6 +6,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from chopt import state
 from chopt.cli import main
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ValidationError
@@ -30,6 +32,20 @@ ny = 8
 final = 0.1
 steps = 10
 """
+
+
+def write_cfg_with(tmp_path, section, key, value):
+    """MINIMAL with ``[section] key = value`` set."""
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(MINIMAL)
+    if not cp.has_section(section):
+        cp.add_section(section)
+    cp.set(section, key, value)
+    p = tmp_path / "run.cfg"
+    with open(p, "w") as fh:
+        cp.write(fh)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +85,61 @@ def test_parse_rejects_incompatible_data_with_override(tmp_path):
     assert any("compatib" in m for m in err.value.messages)
     cfg = parse_config(p, override_compatibility=True)
     assert cfg.M == 2.0
+
+
+@pytest.mark.parametrize("M, initial, margin", [
+    ("0.3", "constant:0.5", None),
+    ("0.3", "constant:0.9995", "0.0005"),
+    ("0.9995", "constant:0.5", "0.0005"),
+    ("inf", "zero", "-inf"),
+], ids=["control-overshoots-M", "control-leaves", "M-leaves", "M-inf"])
+def test_parse_compatibility_uses_bound_and_initial_control(tmp_path, M, initial, margin):
+    # phi0 = 0, so the margin is 1 - max(M, ||u0||_inf)
+    p = write_cfg(tmp_path, MINIMAL + "\n[potential]\nvariant = logarithmic\n"
+                  f"\n[control]\nM = {M}\ninitial = {initial}\n")
+    if margin is None:
+        assert parse_config(p).M == float(M)
+        return
+    with pytest.raises(ValidationError) as err:
+        parse_config(p)
+    assert any(f"(margin {margin})" in m for m in err.value.messages)
+    assert parse_config(p, override_compatibility=True).M == float(M)
+
+
+def test_parse_computes_no_derivative_norm(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("parse_config computed a derivative norm")
+
+    monkeypatch.setattr(state, "_dt_norm", refuse)
+    p = write_cfg(tmp_path, MINIMAL + "\n[control]\nMprime = inf\ninitial = random:0.1\n")
+    assert parse_config(p).Mprime == np.inf
+
+
+def test_parse_rejects_negative_seed(tmp_path):
+    p = write_cfg_with(tmp_path, "run", "seed", "-1")
+    with pytest.raises(ValidationError) as err:
+        parse_config(p)
+    assert any("[run] seed" in m for m in err.value.messages)
+    p = write_cfg(tmp_path, MINIMAL)
+    with pytest.raises(ValidationError, match=r"\[run\] seed"):
+        parse_config(p, seed=-1)
+
+
+@pytest.mark.parametrize("section, key, value, fragment", [
+    ("control", "M", "nan", "M = nan"),
+    ("control", "Mprime", "nan", "Mprime = nan"),
+    ("time", "final", "inf", "final time"),
+    ("grid", "lx", "inf", "side lengths"),
+    ("potential", "stabilization", "nan", "stabilization"),
+    ("optimizer", "tol", "nan", "tol"),
+    ("optimizer", "initial_step", "inf", "initial_step"),
+    ("cost", "alpha1", "nan", "alpha"),
+])
+def test_parse_rejects_nan_and_inf(tmp_path, section, key, value, fragment):
+    p = write_cfg_with(tmp_path, section, key, value)
+    with pytest.raises(ValidationError) as err:
+        parse_config(p)
+    assert any(fragment in m for m in err.value.messages)
 
 
 @pytest.mark.parametrize("key, value", [("modes", "8.5"), ("modes", "0"),
@@ -259,7 +330,13 @@ def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
     ("oracle-compare", "[oracle]\nsubsteps = -1"),
     ("oracle-compare", "[oracle]\nmodes = 8.5"),
     ("verify", "[verify]\nchecks = spectral.parseval, spectral.no-such-check"),
-], ids=["substeps-zero", "substeps-negative", "modes-fraction", "unknown-check"])
+    ("simulate", "[run]\nseed = -1"),
+    ("simulate", "[control]\nM = nan"),
+    ("simulate", "[potential]\nstabilization = nan"),
+    ("optimize", "[optimizer]\ntol = nan"),
+    ("optimize", "[cost]\nalpha1 = nan"),
+], ids=["substeps-zero", "substeps-negative", "modes-fraction", "unknown-check",
+        "seed-negative", "M-nan", "stabilization-nan", "tol-nan", "alpha1-nan"])
 def test_cli_bad_config_writes_failure(tmp_path, command, section):
     cfg = write_cfg(tmp_path, MINIMAL + "\n" + section + "\n")
     out = tmp_path / "out"
@@ -269,6 +346,7 @@ def test_cli_bad_config_writes_failure(tmp_path, command, section):
     assert failure["error"] == "ValidationError"
     assert not (out / "oracle_errors.csv").exists()
     assert not (out / "verification.csv").exists()
+    assert not (out / "phi.bin").exists()
 
 
 def test_cli_verify_gradient_preset(tmp_path):

@@ -26,8 +26,8 @@ def regular_spec():
     return PotentialSpec("regular", stabilization=default_stabilization(base))
 
 
-def constant_control(grid, tg, value, **kw):
-    return ControlFunction.constant(grid, tg, value, **kw)
+def constant_control(grid, tg, value):
+    return ControlFunction.constant(grid, tg, value)
 
 
 # ---------------------------------------------------------------------------
@@ -37,21 +37,11 @@ def test_timegrid():
     tg = TimeGrid(1.0, 4)
     assert tg.tau == 0.25
     assert np.allclose(tg.times(), [0, 0.25, 0.5, 0.75, 1.0])
-    with pytest.raises(ValueError):
-        TimeGrid(0.0, 4)
+    for T in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            TimeGrid(T, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
-
-
-def test_control_bounds_enforced():
-    g = Grid(4, 4, 1.0)
-    tg = TimeGrid(1.0, 3)
-    with pytest.raises(ValueError):
-        ControlFunction(g, tg, np.full((4, 16), 2.0), M=1.0)
-    slices = np.zeros((4, 16))
-    slices[2] = 5.0
-    with pytest.raises(ValueError):
-        ControlFunction(g, tg, slices, M=10.0, Mprime=0.1)
 
 
 def test_control_l2q_constant():
@@ -68,30 +58,31 @@ def test_control_l2q_constant():
 
 def test_compatibility_regular_always_passes():
     g = Grid(8, 8, 1.0)
-    tg = TimeGrid(1.0, 10)
     phi0 = Field(g, 5.0 * RNG.standard_normal(g.size))
-    u = constant_control(g, tg, 3.0, M=3.0)
-    assert validate_compatibility(phi0, u, PotentialSpec("regular")).passed
+    assert validate_compatibility(phi0, 3.0, PotentialSpec("regular")).passed
 
 
 def test_compatibility_logarithmic_fail():
     g = Grid(8, 8, 1.0)
-    tg = TimeGrid(1.0, 10)
     phi0 = Field(g, np.zeros(g.size))
-    u = constant_control(g, tg, 2.0, M=2.0)
-    report = validate_compatibility(phi0, u, PotentialSpec("logarithmic", c1=2.0))
+    report = validate_compatibility(phi0, 2.0, PotentialSpec("logarithmic", c1=2.0))
     assert not report.passed
     assert report.margin == pytest.approx(-1.0)
 
 
 def test_compatibility_logarithmic_pass_with_margin():
     g = Grid(8, 8, 1.0)
-    tg = TimeGrid(1.0, 10)
     phi0 = Field(g, np.full(g.size, 0.2))
-    u = constant_control(g, tg, 0.5, M=0.5)
-    report = validate_compatibility(phi0, u, PotentialSpec("logarithmic", c1=2.0))
+    report = validate_compatibility(phi0, 0.5, PotentialSpec("logarithmic", c1=2.0))
     assert report.passed
     assert report.margin == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("M", [math.inf, math.nan])
+def test_compatibility_refuses_unbounded_or_nan_bound(M):
+    g = Grid(8, 8, 1.0)
+    phi0 = Field(g, np.zeros(g.size))
+    assert not validate_compatibility(phi0, M, PotentialSpec("logarithmic", c1=2.0)).passed
 
 
 def test_default_stabilization_regular():
@@ -230,14 +221,32 @@ def test_simulate_refuses_incompatible_data():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="piecewise_log",
                          stabilization=10.0)
     phi0 = Field(g, np.zeros(g.size))
-    u = constant_control(g, tg, 2.0, M=2.0)
+    u = constant_control(g, tg, 2.0)
     with pytest.raises(ValueError, match="incompatible"):
         simulate(phi0, u, spec, tg)
     # override runs (regularized potential is globally defined)
     tg_short = TimeGrid(0.05, 10)
-    u_short = constant_control(g, tg_short, 2.0, M=2.0)
+    u_short = constant_control(g, tg_short, 2.0)
     traj = simulate(phi0, u_short, spec, tg_short, check_compatibility=False)
     assert traj.phi.shape == (11, g.size)
+
+
+@pytest.mark.parametrize("peak, refused", [(0.998, False), (0.9995, True)])
+def test_simulate_measures_control_by_sup_norm(peak, refused):
+    # one spike of height peak: phibar0 - ||u||_inf leaves (-1, 1) by 1 - peak
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.01, 2)
+    spec = PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="piecewise_log",
+                         stabilization=10.0)
+    phi0 = Field(g, np.zeros(g.size))
+    slices = np.zeros((tg.nt + 1, g.size))
+    slices[1, 5] = -peak
+    u = ControlFunction(g, tg, slices)
+    if refused:
+        with pytest.raises(ValueError, match="incompatible"):
+            simulate(phi0, u, spec, tg)
+    else:
+        assert simulate(phi0, u, spec, tg).phi.shape == (3, g.size)
 
 
 def test_simulate_mean_drift_bound():
