@@ -258,13 +258,15 @@ def optimality_residual(
     ``gradient`` is the reduced gradient density at u* (the costate part
     plus the control-weight term).  At optimality the form is nonnegative for
     every admissible u; the probe set is ``samples`` random feasible controls
-    plus the projected-gradient point P(u* - g).
+    plus the projected-gradient point P(u* - g).  The raw probes are drawn
+    from [-M, M], or from [-R, R] with R = 1 + ||u*||_inf when M is infinite.
     """
     rng = rng or np.random.default_rng(0)
     grid, tg = u_star.grid, u_star.timegrid
+    radius = M if math.isfinite(M) else 1.0 + u_star.linf()
     worst = 0.0
     for _ in range(samples):
-        raw = rng.uniform(-M, M, size=u_star.slices.shape)
+        raw = rng.uniform(-radius, radius, size=u_star.slices.shape)
         probe = project_Uad(grid, tg, raw, M, Mprime)
         val = control_inner(tg, grid, gradient, probe.slices - u_star.slices)
         worst = min(worst, val)

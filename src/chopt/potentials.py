@@ -81,10 +81,10 @@ class PotentialSpec:
             raise ValueError(f"unknown reg_kind {self.reg_kind!r}")
         if not (0.0 < self.eps < 1.0):
             raise ValueError("eps must lie in (0, 1)")
-        if self.variant == LOGARITHMIC and not self.c1 > 1.0:
-            raise ValueError("c1 must exceed 1 for the logarithmic variant")
-        if self.variant == DOUBLE_OBSTACLE and not self.c2 > 0.0:
-            raise ValueError("c2 must be positive for the obstacle variant")
+        if self.variant == LOGARITHMIC and not 1.0 < self.c1 < math.inf:
+            raise ValueError("c1 must be finite and exceed 1 for the logarithmic variant")
+        if self.variant == DOUBLE_OBSTACLE and not 0.0 < self.c2 < math.inf:
+            raise ValueError("c2 must be positive and finite for the obstacle variant")
         if self.reg_kind == "piecewise_log" and self.variant != LOGARITHMIC:
             raise WrongVariant("piecewise_log applies to the logarithmic variant only")
         if not 0.0 <= self.stabilization < math.inf:

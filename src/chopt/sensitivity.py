@@ -149,27 +149,20 @@ def solve_adjoint(
     tau = stepper.tau
     s_phi, s_mu = _cost_sources(base, cost)
 
-    def r_hat(n: int) -> np.ndarray:
-        r = _dct(grid, s_phi[n])
-        if n >= 1:
-            r = r + (lam + S) * _dct(grid, s_mu[n])
-        if n <= nt - 1:
-            r = r + _dct(grid, W[n] * s_mu[n + 1])
-        return r
-
-    costate = np.empty((nt + 1, grid.nx, grid.ny))
-    costate[nt] = r_hat(nt)
+    # the cost sources of every snapshot, transformed in three stacked calls
+    costate = _dct(grid, s_phi)
+    costate[1:] += (lam + S) * _dct(grid, s_mu[1:])
+    costate[:-1] += _dct(grid, W * s_mu[1:])
     for n in range(nt - 1, -1, -1):
         a = costate[n + 1] / denom
-        propagated = a - tau * _dct(grid, W[n] * _idct(lam * a))
-        costate[n] = r_hat(n) + propagated
+        costate[n] += a - tau * _dct(grid, W[n] * _idct(lam * a))
     return AdjointTrajectory(base.grid, base.timegrid, costate)
 
 
 def _source_cotangent(base: StateTrajectory, adj: AdjointTrajectory) -> np.ndarray:
     """idct(P^{n+1} / denom), n < nt: the cotangent of a unit source at u^n."""
     denom = _Stepper(base.grid, base.spec, base.timegrid.tau).denom
-    return np.array([_idct(c / denom) for c in adj.costate[1:]])
+    return _idct(adj.costate[1:] / denom)
 
 
 def reduced_gradient(

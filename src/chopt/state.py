@@ -227,11 +227,11 @@ class _Stepper:
 
         x_hat' = (x_hat + tau s_hat - tau lam g_hat) / denom and
         y' = idct((lam + S) x_hat') + g; returns (x', y') nodal arrays.  The
-        forward step takes g = f'(phi) - S phi, the tangent g = W xi.
+        forward step takes g = f'(phi) - S phi, the tangent g = W xi.  The
+        transform is linear, so x + tau s is transformed as one field.
         """
         grid = self.grid
-        xhat = (_dct(grid, x) + self.tau * _dct(grid, s)
-                - self.tau * self.lam * _dct(grid, g)) / self.denom
+        xhat = (_dct(grid, x + self.tau * s) - self.tau * self.lam * _dct(grid, g)) / self.denom
         return _idct(xhat), _idct((self.lam + self.S) * xhat) + g
 
     def advance(self, phi: np.ndarray, u: np.ndarray):

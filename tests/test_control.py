@@ -272,3 +272,17 @@ def test_optimality_residual_detects_non_minimizer():
     res = optimality_residual(u, grad, problem.M, problem.Mprime,
                               samples=20, rng=np.random.default_rng(1))
     assert res < -1e-3
+
+
+def test_optimality_residual_accepts_unbounded_box():
+    # optimize accepts M = inf on the regular potential; the probes then
+    # come from a box around u*
+    g, tg, spec, problem = small_problem(nx=4, M=np.inf)
+    cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
+    u = ControlFunction.constant(g, tg, 0.4)
+    traj = simulate(problem.phi0, u, spec, tg, with_diagnostics=False)
+    grad = reduced_gradient(traj, solve_adjoint(traj, cost, spec), u, cost)
+    res = optimality_residual(u, grad, problem.M, problem.Mprime,
+                              samples=20, rng=np.random.default_rng(1))
+    assert np.isfinite(res)
+    assert res <= 0.0

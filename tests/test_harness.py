@@ -142,6 +142,19 @@ def test_parse_rejects_nan_and_inf(tmp_path, section, key, value, fragment):
     assert any(fragment in m for m in err.value.messages)
 
 
+@pytest.mark.parametrize("variant, reg_kind, key", [
+    ("logarithmic", "none", "c1"),
+    ("double_obstacle", "yosida", "c2"),
+])
+def test_parse_rejects_infinite_potential_constants(tmp_path, variant, reg_kind, key):
+    # a fixed stabilization, so no derived value can catch the infinity first
+    body = (MINIMAL + f"\n[potential]\nvariant = {variant}\nreg_kind = {reg_kind}\n"
+            f"stabilization = 17\n{key} = inf\n")
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, body))
+    assert any(f"{key} must be" in m for m in err.value.messages)
+
+
 @pytest.mark.parametrize("key, value", [("modes", "8.5"), ("modes", "0"),
                                         ("substeps", "0"), ("substeps", "-1")])
 def test_parse_rejects_bad_oracle_values(tmp_path, key, value):
@@ -152,8 +165,8 @@ def test_parse_rejects_bad_oracle_values(tmp_path, key, value):
 
 
 def test_parse_rejects_unknown_keys(tmp_path):
-    p = write_cfg(tmp_path, MINIMAL + "\n[grid]\nnz = 3\n")
-    with pytest.raises((ParseError, Exception)):
+    p = write_cfg_with(tmp_path, "grid", "nz", "3")
+    with pytest.raises(ParseError, match="unknown key"):
         parse_config(p)
     p2 = write_cfg(tmp_path, MINIMAL + "\n[nonsense]\nfoo = 1\n", name="run2.cfg")
     with pytest.raises(ParseError):
@@ -333,10 +346,15 @@ def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
     ("simulate", "[run]\nseed = -1"),
     ("simulate", "[control]\nM = nan"),
     ("simulate", "[potential]\nstabilization = nan"),
+    ("simulate", "[control]\nM = 0.2\n[potential]\nvariant = logarithmic\n"
+                 "stabilization = 17\nc1 = inf"),
+    ("simulate", "[control]\nM = 0.2\n[potential]\nvariant = double_obstacle\n"
+                 "reg_kind = yosida\nstabilization = 17\nc2 = inf"),
     ("optimize", "[optimizer]\ntol = nan"),
     ("optimize", "[cost]\nalpha1 = nan"),
 ], ids=["substeps-zero", "substeps-negative", "modes-fraction", "unknown-check",
-        "seed-negative", "M-nan", "stabilization-nan", "tol-nan", "alpha1-nan"])
+        "seed-negative", "M-nan", "stabilization-nan", "c1-inf", "c2-inf", "tol-nan",
+        "alpha1-nan"])
 def test_cli_bad_config_writes_failure(tmp_path, command, section):
     cfg = write_cfg(tmp_path, MINIMAL + "\n" + section + "\n")
     out = tmp_path / "out"

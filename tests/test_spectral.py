@@ -1,10 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.fft import dctn
 
+import chopt
 from chopt.errors import NonzeroMean, ShapeMismatch
 from chopt.spectral import (
     Field,
     Grid,
+    _cos_matrix,
+    _dct,
+    _idct,
     basis_mode,
     from_spectral,
     grad_norm,
@@ -84,6 +94,50 @@ def test_round_trip():
         f = random_field(g)
         back = from_spectral(to_spectral(f))
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+@pytest.mark.parametrize("nx, ny", [(2, 1), (3, 1), (16, 1), (17, 1), (64, 1), (128, 1),
+                                    (2, 2), (3, 3), (16, 16), (17, 17), (64, 64), (128, 128),
+                                    (16, 3), (17, 64), (128, 2)])
+def test_dct_matches_fft_reference(nx, ny):
+    g = Grid(nx, ny, 1.0)
+    x = RNG.standard_normal(g.size)
+    ref = dctn(x.reshape(nx, ny), type=2, norm="ortho")
+    assert np.max(np.abs(_dct(g, x) - ref)) <= 1e-14 * np.max(np.abs(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 128])
+def test_cos_matrix_is_orthogonal(n):
+    c = _cos_matrix(n)
+    assert np.max(np.abs(c @ c.T - np.eye(n))) <= 1e-14
+    assert not c.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(17, 1, 2.0), Grid(6, 10, 1.5, 0.7)])
+def test_stacked_transforms_equal_per_slice_calls(grid):
+    x = RNG.standard_normal((5, grid.size))
+    coeffs = _dct(grid, x)
+    assert np.array_equal(coeffs, np.array([_dct(grid, v) for v in x]))
+    assert np.array_equal(_idct(coeffs), np.array([_idct(c) for c in coeffs]))
+
+
+def test_solver_does_not_import_scipy(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nnx = 8\nny = 8\n\n[time]\nfinal = 0.1\nsteps = 10\n")
+    script = (
+        "import sys\n"
+        "import chopt.cli\n"
+        f"code = chopt.cli.main(['simulate', '--config', {str(cfg)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(chopt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
 
 
 def test_basis_orthonormality():
