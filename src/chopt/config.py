@@ -10,7 +10,9 @@ sections.  Recognized sections and keys (all optional unless noted):
 [control]   M, Mprime, initial  -- descriptor, see below
 [initial]   phi0                -- descriptor, see below
 [cost]      alpha1..alpha4, target (zero|inverse_crime), u_true (descriptor)
-[optimizer] max_iters, tol, initial_step, armijo_c, backtrack
+[optimizer] max_iters, tol, initial_step (the first iteration's trial step
+            only; later line searches start at the Barzilai-Borwein step),
+            armijo_c, backtrack
 [verify]    checks (all | comma-separated invariant names)
 [oracle]    modes, substeps
 [run]       seed, out

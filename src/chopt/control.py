@@ -6,8 +6,9 @@ L^2(Q) norm of the discrete time derivative; both bounds belong to the
 projection between the box and the derivative ball; the ball step rescales
 the forward differences and reintegrates them around the preserved
 time-mean slice.  ``project_Uad`` is the one producer that promises a
-feasible control, and it checks its own output.  The optimizer is projected
-gradient descent with Armijo backtracking on the reduced discrete cost.
+feasible control, and it checks its own output.  The optimizer is
+projected-gradient descent with Barzilai–Borwein trial steps and Armijo
+backtracking on the reduced discrete cost.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .sensitivity import control_inner, reduced_gradient, solve_adjoint
 from .spectral import Field, Grid
 from .state import (
     ControlFunction,
+    StateTrajectory,
     TimeGrid,
     _dt_norm,
     simulate,
@@ -46,6 +48,8 @@ DYKSTRA_ITERS = 50
 DYKSTRA_TOL = 1e-10
 # Relative slack of the derivative bound that project_Uad guarantees.
 FEASIBILITY_TOL = 1e-9
+# Largest trial step of the line search.
+MAX_STEP = 1e6
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,6 @@ class OptimizerConfig:
     armijo_c: float = 1e-4
     backtrack: float = 0.5
     initial_step: float = 1.0
-    step_growth: float = 2.0
     tol: float = 1e-6
     max_backtracks: int = 40
 
@@ -156,7 +159,13 @@ def project_Uad(
 
 @dataclass
 class OptimizeResult:
+    """The last accepted control, its forward solve and the iteration log.
+
+    ``trajectory`` is the forward solve at ``u``, without diagnostics.
+    """
+
     u: ControlFunction
+    trajectory: StateTrajectory = field(repr=False)
     history: list = field(repr=False)
     converged: bool = False
     stalled: bool = False
@@ -176,15 +185,26 @@ def _evaluate(problem: ControlProblem, u: ControlFunction, cost: CostSpec):
     return traj, cost_J(traj, u, cost)
 
 
+def _bb_step(tg: TimeGrid, grid: Grid, s: np.ndarray, y: np.ndarray, step: float) -> float:
+    """The Barzilai–Borwein step <s, s>/<s, y>, capped; ``step`` when <s, y> <= 0."""
+    sy = control_inner(tg, grid, s, y)
+    return min(control_inner(tg, grid, s, s) / sy, MAX_STEP) if sy > 0 else step
+
+
 def optimize(
     u0: ControlFunction,
     problem: ControlProblem,
     cost: CostSpec,
     config: OptimizerConfig = OptimizerConfig(),
 ) -> OptimizeResult:
-    """Projected-gradient descent with Armijo backtracking.
+    """Projected-gradient descent with Barzilai–Borwein trial steps.
 
-    Accepted steps never increase J; the run stops when the projected
+    The first line search starts at ``initial_step``.  Each later one starts
+    at the BB step <s, s>/<s, y> in the ``control_inner`` metric, capped at
+    ``MAX_STEP``, where s and y are the changes of the control and of the
+    gradient over the last accepted step; when <s, y> <= 0 it starts at the
+    last accepted step instead.  Armijo backtracking keeps every accepted
+    step from increasing J.  The run stops when the projected
     gradient residual ||u - P(u - g)|| falls below tol * (1 + ||g||), or when
     the line search stalls (best iterate returned with the stalled flag).
     """
@@ -203,13 +223,17 @@ def optimize(
     u = proj(u0.slices)
     traj, J = _evaluate(problem, u, cost)
     step = config.initial_step
+    u_prev = g_prev = None
     history = []
     converged = False
     stalled = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        adj = solve_adjoint(traj, cost, problem.spec)
-        g = reduced_gradient(traj, adj, u, cost)
+        g = reduced_gradient(traj, solve_adjoint(traj, cost, problem.spec), u, cost)
+        if u_prev is not None:
+            step = _bb_step(tg, grid, u.slices - u_prev, g - g_prev, step)
+            # released here, so the line search holds no extra control copies
+            u_prev = g_prev = None
         gnorm = np.sqrt(control_inner(tg, grid, g, g))
         u_pg = proj(u.slices - g)
         stationarity = np.sqrt(
@@ -234,15 +258,15 @@ def optimize(
             pred = control_inner(tg, grid, g, u.slices - cand.slices)
             traj_c, J_c = _evaluate(problem, cand, cost)
             if J_c <= J - config.armijo_c * pred:
+                u_prev, g_prev = u.slices, g
                 u, traj, J = cand, traj_c, J_c
                 accepted = True
-                step = min(step * config.step_growth, 1e6)
                 break
             step *= config.backtrack
         if not accepted:
             stalled = True
             break
-    return OptimizeResult(u, history, converged, stalled, J, it)
+    return OptimizeResult(u, traj, history, converged, stalled, J, it)
 
 
 def optimality_residual(

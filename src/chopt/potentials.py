@@ -144,10 +144,11 @@ def _formula(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
     domain by construction.
     """
     if spec.variant == REGULAR:
+        # products, not integer powers: numpy's pow is about ten times slower
         if k == 0:
-            return t**4 / 4.0
+            return t * t * t * t / 4.0
         if k == 1:
-            return t**3
+            return t * t * t
         if k == 2:
             return 3.0 * t * t
         return 6.0 * t

@@ -257,6 +257,27 @@ def _energies(grid: Grid, spec: PotentialSpec, phi: np.ndarray) -> np.ndarray:
     ])
 
 
+def _diagnostics(
+    grid: Grid, spec: PotentialSpec, timegrid: TimeGrid, phi: np.ndarray, mu: np.ndarray
+) -> dict:
+    """Per-step diagnostics of a finite trajectory; raises NonFinite on overflow."""
+    # a finite trajectory can still overflow its energy or ||grad mu||
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagnostics = {
+            "t": timegrid.times(),
+            "mean": phi.mean(axis=1),
+            "energy": _energies(grid, spec, phi),
+            "min_phi": phi.min(axis=1),
+            "max_phi": phi.max(axis=1),
+            "grad_mu_norm": np.sqrt(grad_sq(grid, mu)),
+        }
+    finite = np.all([np.isfinite(v) for v in diagnostics.values()], axis=0)
+    if not np.all(finite):
+        n = int(np.argmin(finite))
+        raise NonFinite(f"diagnostics not finite at step {n}", step=n)
+    return diagnostics
+
+
 def simulate(
     phi0: Field,
     u: ControlFunction,
@@ -295,22 +316,7 @@ def simulate(
         phi[n + 1], mu[n + 1] = stepper.advance(phi[n], u.slices[n])
         if not (np.all(np.isfinite(phi[n + 1])) and np.all(np.isfinite(mu[n + 1]))):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
-    diagnostics = {}
-    if with_diagnostics:
-        # a finite trajectory can still overflow its energy or ||grad mu||
-        with np.errstate(over="ignore", invalid="ignore"):
-            diagnostics = {
-                "t": timegrid.times(),
-                "mean": phi.mean(axis=1),
-                "energy": _energies(grid, spec, phi),
-                "min_phi": phi.min(axis=1),
-                "max_phi": phi.max(axis=1),
-                "grad_mu_norm": np.sqrt(grad_sq(grid, mu)),
-            }
-        finite = np.all([np.isfinite(v) for v in diagnostics.values()], axis=0)
-        if not np.all(finite):
-            n = int(np.argmin(finite))
-            raise NonFinite(f"diagnostics not finite at step {n}", step=n)
+    diagnostics = _diagnostics(grid, spec, timegrid, phi, mu) if with_diagnostics else {}
     return StateTrajectory(grid, timegrid, spec, phi, mu, diagnostics)
 
 

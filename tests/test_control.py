@@ -1,7 +1,11 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
 from chopt import control
+from chopt.cli import _build_cost
+from chopt.config import parse_config
 from chopt.control import (
     ControlProblem,
     OptimizerConfig,
@@ -15,6 +19,7 @@ from chopt.potentials import PotentialSpec
 from chopt.sensitivity import control_inner, reduced_gradient, solve_adjoint
 from chopt.spectral import Field, Grid
 from chopt.state import ControlFunction, TimeGrid, default_stabilization, simulate
+from chopt.verify import _opt_setup
 
 RNG = np.random.default_rng(55)
 
@@ -239,11 +244,66 @@ def test_optimize_reports_stall():
     target = 0.2 * rng.standard_normal((tg.nt + 1, g.size))
     cost = CostSpec(g, tg, (1.0, 0.0, 0.0, 1e-6), phi_q=target)
     u0 = ControlFunction.constant(g, tg, 0.0)
-    config = OptimizerConfig(initial_step=1e6, max_backtracks=1, step_growth=1.0,
+    config = OptimizerConfig(initial_step=1e6, max_backtracks=1,
                              backtrack=1.0 - 1e-12, max_iters=3)
     result = optimize(u0, problem, cost, config)
     assert result.stalled
     assert not result.converged
+    # the first trial lands on the box and is accepted; the second is not
+    assert result.iterations == 2
+
+
+def test_optimize_inverse_crime_preset_budget():
+    # the BB trial step reaches the packaged preset's optimum in a few
+    # iterations; this bounds the forward solves an optimize run costs
+    cfg = parse_config(resources.files("chopt").joinpath("presets").joinpath("inverse-crime.cfg"))
+    problem = ControlProblem(cfg.phi0, cfg.spec, cfg.timegrid, cfg.M, cfg.Mprime)
+    result = optimize(cfg.u0, problem, _build_cost(cfg), cfg.optimizer)
+    assert result.converged
+    assert result.iterations <= 30
+    assert result.J == pytest.approx(1.3103e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_optimize_active_derivative_bound_ends_before_the_budget(seed):
+    # with M' = 0.1 the derivative ball binds; the run must converge or
+    # report a stall, not spend its whole iteration budget
+    grid, tg, spec, phi0, problem, cost, u0, rng = _opt_setup(seed, 260)
+    problem = ControlProblem(phi0, spec, tg, problem.M, 0.1)
+    config = OptimizerConfig(max_iters=300, tol=1e-8)
+    result = optimize(u0, problem, cost, config)
+    assert result.converged or result.stalled
+    assert result.iterations < config.max_iters
+
+
+def test_optimize_keeps_last_step_without_curvature(monkeypatch):
+    # J = |u|^2 / 2 with a scripted gradient: the accepted step moves u from
+    # 0.4 to 0 (s < 0) while the gradient grows (y > 0), so <s, y> < 0 and the
+    # second line search starts at the last accepted step, not at BB
+    g, tg, spec, problem = small_problem(nx=4, nt=4)
+    cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
+    u0 = ControlFunction.constant(g, tg, 0.4)
+    levels = iter([0.4, 0.6])
+    monkeypatch.setattr(control, "reduced_gradient",
+                        lambda traj, adj, u, cost: np.full(u.slices.shape, next(levels)))
+    config = OptimizerConfig(initial_step=2.0, max_iters=2, max_backtracks=3)
+    result = optimize(u0, problem, cost, config)
+    # step 2 overshoots to -0.4 (no decrease); step 1 lands on 0
+    assert [row["step"] for row in result.history] == [2.0, 1.0]
+    assert result.stalled
+
+
+def test_optimize_starts_line_search_at_bb_step():
+    # J = a4 |u|^2 / 2 has gradient a4 u, so the BB step is exactly 1 / a4
+    g, tg, spec, problem = small_problem(nx=4, nt=4)
+    cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 4.0))
+    u0 = ControlFunction.constant(g, tg, 0.4)
+    result = optimize(u0, problem, cost, OptimizerConfig(initial_step=0.1, tol=1e-10))
+    assert result.history[0]["step"] == 0.1
+    assert result.history[1]["step"] == pytest.approx(0.25, rel=1e-12)
+    # iteration 2 lands on u = 0, iteration 3 confirms it
+    assert result.converged
+    assert result.iterations == 3
 
 
 # ---------------------------------------------------------------------------

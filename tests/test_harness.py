@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from chopt import state
-from chopt.cli import main
+from chopt.cli import _write_diagnostics, main
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ValidationError
 from chopt.runio import format_value, read_snapshots, write_csv, write_snapshots
@@ -382,6 +382,34 @@ def test_cli_oracle_compare(tmp_path):
     assert code == 0
     lines = (out / "oracle_errors.csv").read_text().splitlines()
     assert lines[0] == "step,t,phi_error,mu_error"
+
+
+def test_cli_oracle_compare_mu_error_is_finite_on_stationary(tmp_path):
+    # mu vanishes at this fixed point; the trajectory-wide scale keeps the
+    # mu column an absolute roundoff-sized error instead of 0/0
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", "stationary", "--out", str(out)]) == 0
+    lines = (out / "oracle_errors.csv").read_text().splitlines()[1:]
+    mu_errors = [float(line.split(",")[3]) for line in lines]
+    assert len(mu_errors) == 51
+    assert all(np.isfinite(e) and e <= 1e-9 for e in mu_errors)
+
+
+def test_cli_optimize_artifacts_match_a_fresh_forward_run(tmp_path):
+    # optimize writes phi.bin and diagnostics.csv from its last accepted
+    # forward solve; they must equal a separate simulate of u_star byte for byte
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    fresh.mkdir()
+    assert main(["optimize", "--config", "inverse-crime", "--out", str(out)]) == 0
+    path = resources.files("chopt").joinpath("presets").joinpath("inverse-crime.cfg")
+    cfg = parse_config(path)
+    _, _, u_star = read_snapshots(out / "u_star.bin")
+    u = state.ControlFunction(cfg.grid, cfg.timegrid, u_star)
+    traj = state.simulate(cfg.phi0, u, cfg.spec, cfg.timegrid, check_compatibility=False)
+    _write_diagnostics(fresh, traj.diagnostics)
+    write_snapshots(fresh / "phi.bin", cfg.grid, traj.phi)
+    for name in ("phi.bin", "diagnostics.csv"):
+        assert (out / name).read_bytes() == (fresh / name).read_bytes()
 
 
 def test_cli_optimize_smoke(tmp_path):
