@@ -16,7 +16,8 @@ from pathlib import Path
 
 
 from .config import RunConfig, parse_config
-from .control import ControlProblem, CostSpec, optimize
+from .control import ControlProblem, optimize
+from .cost import CostSpec
 from .errors import ChoptError, ValidationError
 from .galerkin import build_system, compare_to_pde, integrate, project_initial
 from .runio import write_csv, write_snapshots

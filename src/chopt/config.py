@@ -11,8 +11,7 @@ sections.  Recognized sections and keys (all optional unless noted):
 [initial]   phi0                -- descriptor, see below
 [cost]      alpha1..alpha4, target (zero|inverse_crime), u_true (descriptor)
 [optimizer] max_iters, tol, initial_step (the first iteration's trial step
-            only; later line searches start at the Barzilai-Borwein step),
-            armijo_c, backtrack
+            only; later line searches start at the Barzilai-Borwein step)
 [verify]    checks (all | comma-separated invariant names)
 [oracle]    modes, substeps
 [run]       seed, out
@@ -65,8 +64,6 @@ _DEFAULTS = {
         "max_iters": "200",
         "tol": "1e-6",
         "initial_step": "1.0",
-        "armijo_c": "1e-4",
-        "backtrack": "0.5",
     },
     "verify": {"checks": "all"},
     "oracle": {"modes": "8", "substeps": "10"},
@@ -251,16 +248,13 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     variant = _get(cp, "potential", "variant").strip()
     reg_kind_s = _get(cp, "potential", "reg_kind").strip()
     reg_kind = None if reg_kind_s in ("none", "") else reg_kind_s
-    if not 0.0 < eps < 1.0:
-        errors.append(f"potential: eps = {eps} outside the required range (0, 1)")
-    else:
-        stab_s = _get(cp, "potential", "stabilization").strip()
-        try:
-            probe = PotentialSpec(variant, c1, c2, eps, reg_kind, 0.0)
-            stab = default_stabilization(probe) if stab_s == "auto" else float(stab_s)
-            spec = PotentialSpec(variant, c1, c2, eps, reg_kind, stab)
-        except Exception as exc:
-            errors.append(f"potential: {exc}")
+    stab_s = _get(cp, "potential", "stabilization").strip()
+    try:
+        probe = PotentialSpec(variant, c1, c2, eps, reg_kind, 0.0)
+        stab = default_stabilization(probe) if stab_s == "auto" else float(stab_s)
+        spec = PotentialSpec(variant, c1, c2, eps, reg_kind, stab)
+    except Exception as exc:
+        errors.append(f"potential: {exc}")
 
     # M and M' may be inf (no bound), never NaN
     if not M >= 0:
@@ -309,8 +303,6 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     try:
         opt = OptimizerConfig(
             max_iters=int(_get(cp, "optimizer", "max_iters")),
-            armijo_c=float(_get(cp, "optimizer", "armijo_c")),
-            backtrack=float(_get(cp, "optimizer", "backtrack")),
             initial_step=float(_get(cp, "optimizer", "initial_step")),
             tol=float(_get(cp, "optimizer", "tol")),
         )

@@ -21,13 +21,14 @@ import numpy as np
 from .cost import CostSpec, cost_J
 from .errors import ConfigurationError, ShapeMismatch
 from .potentials import DOUBLE_OBSTACLE, PotentialSpec
-from .sensitivity import control_inner, reduced_gradient, solve_adjoint
+from .sensitivity import reduced_gradient, solve_adjoint
 from .spectral import Field, Grid
 from .state import (
     ControlFunction,
     StateTrajectory,
     TimeGrid,
     _dt_norm,
+    control_inner,
     simulate,
     validate_compatibility,
 )
@@ -39,8 +40,6 @@ __all__ = [
     "project_Uad",
     "optimize",
     "optimality_residual",
-    "CostSpec",
-    "cost_J",
 ]
 
 # Dykstra's iteration budget and its stopping increment (max-norm).
@@ -48,25 +47,22 @@ DYKSTRA_ITERS = 50
 DYKSTRA_TOL = 1e-10
 # Relative slack of the derivative bound that project_Uad guarantees.
 FEASIBILITY_TOL = 1e-9
-# Largest trial step of the line search.
+# The line search: largest trial step, Armijo constant, backtracking factor
+# and the number of trial steps before it reports a stall.
 MAX_STEP = 1e6
+ARMIJO_C = 1e-4
+BACKTRACK = 0.5
+MAX_BACKTRACKS = 40
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iters: int = 200
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
     initial_step: float = 1.0
     tol: float = 1e-6
-    max_backtracks: int = 40
 
     def __post_init__(self):
-        if not (0.0 < self.armijo_c < 1.0):
-            raise ValueError("armijo_c must lie in (0, 1)")
-        if not (0.0 < self.backtrack < 1.0):
-            raise ValueError("backtrack factor must lie in (0, 1)")
-        for name in ("max_iters", "initial_step", "tol", "max_backtracks"):
+        for name in ("max_iters", "initial_step", "tol"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
 
@@ -253,16 +249,16 @@ def optimize(
             converged = True
             break
         accepted = False
-        for _ in range(config.max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             cand = proj(u.slices - step * g)
             pred = control_inner(tg, grid, g, u.slices - cand.slices)
             traj_c, J_c = _evaluate(problem, cand, cost)
-            if J_c <= J - config.armijo_c * pred:
+            if J_c <= J - ARMIJO_C * pred:
                 u_prev, g_prev = u.slices, g
                 u, traj, J = cand, traj_c, J_c
                 accepted = True
                 break
-            step *= config.backtrack
+            step *= BACKTRACK
         if not accepted:
             stalled = True
             break

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .spectral import Grid
-from .state import ControlFunction, StateTrajectory, TimeGrid, _trapezoid_weights
+from .state import ControlFunction, StateTrajectory, TimeGrid, control_inner
 
 __all__ = ["CostSpec", "cost_J"]
 
@@ -58,21 +58,17 @@ def cost_J(traj: StateTrajectory, u: ControlFunction, cost: CostSpec) -> float:
     if u.grid != cost.grid or u.timegrid != cost.timegrid:
         raise ShapeMismatch("control does not match the cost grids")
     a1, a2, a3, a4 = cost.alpha
-    tau = cost.timegrid.tau
-    cell = cost.grid.cell
-    w = _trapezoid_weights(cost.timegrid.nt)
+    tg, grid = cost.timegrid, cost.grid
     total = 0.0
     if a1 > 0:
         d = traj.phi - cost.phi_q
-        total += 0.5 * a1 * tau * float(np.dot(w, cell * np.sum(d * d, axis=1)))
+        total += 0.5 * a1 * control_inner(tg, grid, d, d)
     if a2 > 0:
         d = traj.phi[-1] - cost.phi_omega
-        total += 0.5 * a2 * cell * float(np.dot(d, d))
+        total += 0.5 * a2 * grid.cell * float(np.dot(d, d))
     if a3 > 0:
         d = traj.mu - cost.mu_q
-        total += 0.5 * a3 * tau * float(np.dot(w, cell * np.sum(d * d, axis=1)))
+        total += 0.5 * a3 * control_inner(tg, grid, d, d)
     if a4 > 0:
-        total += 0.5 * a4 * tau * float(
-            np.dot(w, cell * np.sum(u.slices**2, axis=1))
-        )
+        total += 0.5 * a4 * control_inner(tg, grid, u.slices, u.slices)
     return total

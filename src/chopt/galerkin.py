@@ -84,12 +84,6 @@ class GalerkinTrajectory:
     y: np.ndarray = field(repr=False)  # state coefficients, (nt+1, n)
     z: np.ndarray = field(repr=False)  # chemical potential coefficients
 
-    def phi_values(self, step: int) -> np.ndarray:
-        return self.system.reconstruct(self.y[step])
-
-    def mu_values(self, step: int) -> np.ndarray:
-        return self.system.reconstruct(self.z[step])
-
 
 def _nonlinearity(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
     phi = system.reconstruct(y)
@@ -195,15 +189,10 @@ def compare_to_pde(oracle_traj: GalerkinTrajectory, pde_traj: StateTrajectory) -
         raise ShapeMismatch("oracle and PDE trajectories live on different grids")
     if oracle_traj.timegrid != pde_traj.timegrid:
         raise ShapeMismatch("oracle and PDE trajectories use different time grids")
-    nt = pde_traj.timegrid.nt
-    phi_err = np.empty(nt + 1)
-    mu_err = np.empty(nt + 1)
+    system = oracle_traj.system
+    phi_norm = np.linalg.norm(pde_traj.phi, axis=1)
     mu_scale = max(float(np.max(np.linalg.norm(pde_traj.mu, axis=1))),
                    float(np.sqrt(pde_traj.grid.size)))
-    for n in range(nt + 1):
-        po = oracle_traj.phi_values(n)
-        mo = oracle_traj.mu_values(n)
-        denom_p = max(np.linalg.norm(pde_traj.phi[n]), 1e-300)
-        phi_err[n] = np.linalg.norm(po - pde_traj.phi[n]) / denom_p
-        mu_err[n] = np.linalg.norm(mo - pde_traj.mu[n]) / mu_scale
-    return ComparisonReport(phi_err, mu_err)
+    phi_err = np.linalg.norm(system.reconstruct(oracle_traj.y) - pde_traj.phi, axis=1)
+    mu_err = np.linalg.norm(system.reconstruct(oracle_traj.z) - pde_traj.mu, axis=1)
+    return ComparisonReport(phi_err / np.maximum(phi_norm, 1e-300), mu_err / mu_scale)

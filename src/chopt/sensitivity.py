@@ -32,7 +32,6 @@ from .state import (
     StateTrajectory,
     _Stepper,
     _trapezoid_weights,
-    control_inner,
 )
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "solve_adjoint",
     "reduced_gradient",
     "adjoint_identity_residual",
-    "control_inner",
 ]
 
 
@@ -82,10 +80,7 @@ class AdjointTrajectory:
 
 def _curvature(base: StateTrajectory, stepper: _Stepper) -> np.ndarray:
     """W^n = f''(phi^n) - S for n < nt: the tangent's g = W xi."""
-    W = np.empty((base.timegrid.nt, base.grid.size))
-    for n in range(base.timegrid.nt):
-        W[n] = potentials.f_d2_vec(stepper.spec, base.phi[n]) - stepper.S
-    return W
+    return potentials.f_d2_vec(stepper.spec, base.phi[:-1]) - stepper.S
 
 
 def solve_linearized(
@@ -109,21 +104,18 @@ def solve_linearized(
 
 
 def _cost_sources(base: StateTrajectory, cost: CostSpec):
-    """Per-snapshot cotangent densities of the cost w.r.t. phi^n and mu^n."""
+    """Per-snapshot cotangent densities of the cost w.r.t. phi^n and mu^n.
+
+    The tracking terms carry the trapezoid weights tau * w_n of
+    ``control_inner``, so cell * <s, delta> is the exact derivative of
+    ``cost_J`` along a perturbation delta of phi or mu.
+    """
     a1, a2, a3, _ = cost.alpha
     tau = base.timegrid.tau
-    nt = base.timegrid.nt
-    w = _trapezoid_weights(nt)
-    s_phi = np.zeros_like(base.phi)
-    s_mu = np.zeros_like(base.mu)
-    if a1 > 0:
-        for n in range(nt + 1):
-            s_phi[n] = a1 * tau * w[n] * (base.phi[n] - cost.phi_q[n])
-    if a2 > 0:
-        s_phi[nt] = s_phi[nt] + a2 * (base.phi[nt] - cost.phi_omega)
-    if a3 > 0:
-        for n in range(nt + 1):
-            s_mu[n] = a3 * tau * w[n] * (base.mu[n] - cost.mu_q[n])
+    w = _trapezoid_weights(base.timegrid.nt)[:, None]
+    s_phi = a1 * tau * w * (base.phi - cost.phi_q)
+    s_phi[-1] += a2 * (base.phi[-1] - cost.phi_omega)
+    s_mu = a3 * tau * w * (base.mu - cost.mu_q)
     return s_phi, s_mu
 
 
@@ -173,7 +165,7 @@ def reduced_gradient(
 ) -> np.ndarray:
     """Gradient density g of the reduced discrete cost, shape (nt+1, size).
 
-    With the trapezoid quadrature pairing <g, h>_{L2(Q)} = sum_n tau w_n
+    With the ``control_inner`` pairing <g, h>_{L2(Q)} = sum_n tau w_n cell
     <g^n, h^n>, the inner product of g with any direction equals the exact
     directional derivative of the discrete cost.
     """
@@ -198,15 +190,7 @@ def adjoint_identity_residual(
     cost, so the residual is pure roundoff when tangent and adjoint come from
     the same base trajectory and cost.
     """
-    nt = base.timegrid.nt
-    tau = base.timegrid.tau
-    cell = base.grid.cell
     s_phi, s_mu = _cost_sources(base, cost)
-    lhs = 0.0
-    for n in range(nt + 1):
-        lhs += cell * float(np.dot(s_phi[n], tangent.xi[n]))
-        lhs += cell * float(np.dot(s_mu[n], tangent.eta[n]))
-    rhs = 0.0
-    for n, c in enumerate(_source_cotangent(base, adj)):
-        rhs += tau * cell * float(np.dot(c, h.slices[n]))
-    return abs(lhs - rhs)
+    lhs = np.sum(s_phi * tangent.xi) + np.sum(s_mu * tangent.eta)
+    rhs = base.timegrid.tau * np.sum(_source_cotangent(base, adj) * h.slices[:-1])
+    return abs(float(base.grid.cell * (lhs - rhs)))

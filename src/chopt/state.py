@@ -98,10 +98,6 @@ class ControlFunction:
     def dt_l2(self) -> float:
         return _dt_norm(self.grid, self.timegrid, np.diff(self.slices, axis=0))
 
-    def l2q(self) -> float:
-        """Trapezoid-in-time L^2(Q) norm."""
-        return float(np.sqrt(control_inner(self.timegrid, self.grid, self.slices, self.slices)))
-
     def means(self) -> np.ndarray:
         return self.slices.mean(axis=1)
 
@@ -123,7 +119,16 @@ def _trapezoid_weights(nt: int) -> np.ndarray:
 
 
 def control_inner(timegrid: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) -> float:
-    """Trapezoid-in-time L^2(Q) inner product of two control-shaped series."""
+    """Trapezoid-in-time L^2(Q) inner product of two control-shaped series.
+
+    This is the one L^2(Q) pairing of the control problem: the cost, the
+    adjoint's cost sources (which carry the same weights tau * w_n), the
+    reduced gradient and the optimizer's metric (stationarity, Armijo
+    prediction, Barzilai-Borwein step) all use it, and sqrt(control_inner(x,
+    x)) is the L^2(Q) norm of a ControlFunction's slices.  ``project_Uad``
+    acts on the same slices, but its Dykstra steps are Euclidean per slice,
+    so it is not yet the metric projection in this pairing.
+    """
     w = _trapezoid_weights(timegrid.nt)
     return float(timegrid.tau * np.dot(w, grid.cell * np.sum(a * b, axis=1)))
 
@@ -360,11 +365,6 @@ def energy_balance_residual(
           - <mu^{n+1}, u^n - phi^{n+1}>,  expected O(tau) + O(h^2).
     """
     grid = traj.grid
-    tau = traj.timegrid.tau
     en = _energies(grid, spec, traj.phi)
-    gm2 = grad_sq(grid, traj.mu[1:])
-    res = np.empty(traj.timegrid.nt)
-    for n in range(len(res)):
-        source = grid.cell * float(np.dot(traj.mu[n + 1], u.slices[n] - traj.phi[n + 1]))
-        res[n] = (en[n + 1] - en[n]) / tau + gm2[n] - source
-    return res
+    source = grid.cell * np.sum(traj.mu[1:] * (u.slices[:-1] - traj.phi[1:]), axis=1)
+    return np.diff(en) / traj.timegrid.tau + grad_sq(grid, traj.mu[1:]) - source

@@ -17,20 +17,18 @@ import numpy as np
 from . import potentials, spectral
 from .config import band_limited_field
 from .control import (
-    CostSpec,
     ControlProblem,
     OptimizerConfig,
-    cost_J,
     optimality_residual,
     optimize,
     project_Uad,
 )
+from .cost import CostSpec, cost_J
 from .errors import ValidationError
 from .galerkin import build_system, compare_to_pde, integrate, project_initial
 from .potentials import PotentialSpec
 from .sensitivity import (
     adjoint_identity_residual,
-    control_inner,
     reduced_gradient,
     solve_adjoint,
     solve_linearized,
@@ -39,6 +37,7 @@ from .spectral import Field, Grid, from_spectral, to_spectral
 from .state import (
     ControlFunction,
     TimeGrid,
+    control_inner,
     default_stabilization,
     mean_closed_form,
     simulate,
@@ -97,10 +96,6 @@ def _zero_mean(f: Field) -> Field:
 
 def _c0_h(series, grid) -> float:
     return float(max(np.sqrt(grid.cell) * np.linalg.norm(s) for s in series))
-
-
-def _l2_h(series, grid, tg) -> float:
-    return math.sqrt(control_inner(tg, grid, series, series))
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +345,9 @@ def _continuous_dependence(seed):
         t1 = simulate(phi0, u1, spec, tg, with_diagnostics=False)
         t2 = simulate(phi0, u2, spec, tg, with_diagnostics=False)
         dphi = _c0_h(t1.phi - t2.phi, grid)
-        dmu = _l2_h(t1.mu - t2.mu, grid, tg)
-        du = _l2_h(u1.slices - u2.slices, grid, tg)
-        worst = max(worst, (dphi + dmu) / max(du, 1e-300))
+        dmu, du = t1.mu - t2.mu, u1.slices - u2.slices
+        num = dphi + math.sqrt(control_inner(tg, grid, dmu, dmu))
+        worst = max(worst, num / max(math.sqrt(control_inner(tg, grid, du, du)), 1e-300))
     return math.isfinite(worst), worst, "max perturbation ratio over 10 control pairs"
 
 
@@ -490,8 +485,8 @@ def _tangent_continuity(seed):
     for _ in range(5):
         h = _direction(grid, tg, rng)
         tangent = solve_linearized(traj, h, spec)
-        num = _c0_h(tangent.xi, grid) + _l2_h(tangent.eta, grid, tg)
-        den = _l2_h(h.slices, grid, tg)
+        num = _c0_h(tangent.xi, grid) + math.sqrt(control_inner(tg, grid, tangent.eta, tangent.eta))
+        den = math.sqrt(control_inner(tg, grid, h.slices, h.slices))
         worst = max(worst, num / max(den, 1e-300))
     return math.isfinite(worst), worst, "max of (||xi||_C0H + ||eta||_L2H)/||h||_L2H"
 

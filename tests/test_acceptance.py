@@ -23,7 +23,6 @@ from chopt.galerkin import build_system, compare_to_pde, integrate, project_init
 from chopt.potentials import PotentialSpec
 from chopt.sensitivity import (
     adjoint_identity_residual,
-    control_inner,
     reduced_gradient,
     solve_adjoint,
     solve_linearized,
@@ -39,9 +38,11 @@ from chopt.spectral import (
 from chopt.state import (
     ControlFunction,
     TimeGrid,
+    control_inner,
     default_stabilization,
     simulate,
 )
+from chopt.verify import _c0_h
 
 SEED = 20240824
 
@@ -75,14 +76,6 @@ def tracking_setup(nx=16, nt=50, T=0.25, seed=SEED):
         mu_q=0.1 * rng.standard_normal(traj.mu.shape),
     )
     return grid, tg, spec, phi0, u, traj, cost, rng
-
-
-def c0_h(series, grid):
-    return float(max(np.sqrt(grid.cell) * np.linalg.norm(s) for s in series))
-
-
-def l2_q(series, grid, tg):
-    return math.sqrt(control_inner(tg, grid, series, series))
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +168,7 @@ def test_criterion_4_linearization_order():
     for lam in (1e-1, 5e-2, 2.5e-2):
         up = ControlFunction(grid, tg, u.slices + lam * h.slices)
         tp = simulate(phi0, up, spec, tg, with_diagnostics=False)
-        rems.append(c0_h(tp.phi - traj.phi - lam * tangent.xi, grid))
+        rems.append(_c0_h(tp.phi - traj.phi - lam * tangent.xi, grid))
     orders = [math.log2(rems[i] / rems[i + 1]) for i in range(2)]
     ok = all(abs(o - 2.0) <= 0.2 for o in orders)
     report(4, "second-order Taylor remainder", ok,
@@ -246,8 +239,9 @@ def test_criterion_7_continuous_dependence():
             u2 = ControlFunction(grid, tg, np.repeat(0.4 * np.tanh(s2)[None, :], nt + 1, axis=0))
             t1 = simulate(phi0, u1, spec, tg, with_diagnostics=False)
             t2 = simulate(phi0, u2, spec, tg, with_diagnostics=False)
-            num = c0_h(t1.phi - t2.phi, grid) + l2_q(t1.mu - t2.mu, grid, tg)
-            den = l2_q(u1.slices - u2.slices, grid, tg)
+            dmu, du = t1.mu - t2.mu, u1.slices - u2.slices
+            num = _c0_h(t1.phi - t2.phi, grid) + math.sqrt(control_inner(tg, grid, dmu, dmu))
+            den = math.sqrt(control_inner(tg, grid, du, du))
             worst = max(worst, num / max(den, 1e-300))
         return worst
 

@@ -16,9 +16,9 @@ from chopt.control import (
 from chopt.cost import CostSpec, cost_J
 from chopt.errors import ConfigurationError
 from chopt.potentials import PotentialSpec
-from chopt.sensitivity import control_inner, reduced_gradient, solve_adjoint
+from chopt.sensitivity import reduced_gradient, solve_adjoint
 from chopt.spectral import Field, Grid
-from chopt.state import ControlFunction, TimeGrid, default_stabilization, simulate
+from chopt.state import ControlFunction, TimeGrid, control_inner, default_stabilization, simulate
 from chopt.verify import _opt_setup
 
 RNG = np.random.default_rng(55)
@@ -238,14 +238,15 @@ def test_settings_must_be_finite(make):
         make(Grid(4, 4, 1.0), TimeGrid(0.1, 2))
 
 
-def test_optimize_reports_stall():
+def test_optimize_reports_stall(monkeypatch):
     g, tg, spec, problem = small_problem()
     rng = np.random.default_rng(3)
     target = 0.2 * rng.standard_normal((tg.nt + 1, g.size))
     cost = CostSpec(g, tg, (1.0, 0.0, 0.0, 1e-6), phi_q=target)
     u0 = ControlFunction.constant(g, tg, 0.0)
-    config = OptimizerConfig(initial_step=1e6, max_backtracks=1,
-                             backtrack=1.0 - 1e-12, max_iters=3)
+    monkeypatch.setattr(control, "MAX_BACKTRACKS", 1)
+    monkeypatch.setattr(control, "BACKTRACK", 1.0 - 1e-12)
+    config = OptimizerConfig(initial_step=1e6, max_iters=3)
     result = optimize(u0, problem, cost, config)
     assert result.stalled
     assert not result.converged
@@ -286,7 +287,8 @@ def test_optimize_keeps_last_step_without_curvature(monkeypatch):
     levels = iter([0.4, 0.6])
     monkeypatch.setattr(control, "reduced_gradient",
                         lambda traj, adj, u, cost: np.full(u.slices.shape, next(levels)))
-    config = OptimizerConfig(initial_step=2.0, max_iters=2, max_backtracks=3)
+    monkeypatch.setattr(control, "MAX_BACKTRACKS", 3)
+    config = OptimizerConfig(initial_step=2.0, max_iters=2)
     result = optimize(u0, problem, cost, config)
     # step 2 overshoots to -0.4 (no decrease); step 1 lands on 0
     assert [row["step"] for row in result.history] == [2.0, 1.0]

@@ -18,6 +18,12 @@ def test_all_lists_exactly_the_public_definitions(name):
     assert len(set(exported)) == len(exported), f"duplicate names in {name}.__all__"
     stale = [n for n in exported if not hasattr(module, n)]
     assert not stale, f"{name}.__all__ lists undefined names {stale}"
+    # a re-export would give one name two owners; constants carry no __module__
+    foreign = [
+        n for n in exported
+        if getattr(getattr(module, n), "__module__", module.__name__) != module.__name__
+    ]
+    assert not foreign, f"{name}.__all__ re-exports names defined elsewhere: {foreign}"
     defined = [
         n for n, obj in vars(module).items()
         if not n.startswith("_")

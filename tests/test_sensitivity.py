@@ -5,14 +5,21 @@ from chopt.cost import CostSpec, cost_J
 from chopt.potentials import PotentialSpec
 from chopt.sensitivity import (
     TangentTrajectory,
+    _cost_sources,
     adjoint_identity_residual,
-    control_inner,
     reduced_gradient,
     solve_adjoint,
     solve_linearized,
 )
 from chopt.spectral import Field, Grid, _idct
-from chopt.state import ControlFunction, TimeGrid, default_stabilization, simulate
+from chopt.state import (
+    ControlFunction,
+    StateTrajectory,
+    TimeGrid,
+    control_inner,
+    default_stabilization,
+    simulate,
+)
 
 RNG = np.random.default_rng(77)
 
@@ -128,6 +135,33 @@ def test_adjoint_identity_machine_precision():
         tan = solve_linearized(traj, h, spec)
         res = adjoint_identity_residual(traj, tan, adj, h, cost)
         assert res <= 1e-10 * scale
+
+
+def test_cost_sources_are_the_derivative_of_cost_J():
+    # J is quadratic in (phi, mu), so a central difference of cost_J is exact
+    # up to roundoff and must equal cell * <s, delta> for the adjoint's sources
+    rng = np.random.default_rng(9)
+    g, tg = Grid(8, 8, 1.0, 0.7), TimeGrid(0.3, 20)
+    shape = (tg.nt + 1, g.size)
+    traj = StateTrajectory(g, tg, PotentialSpec("regular"),
+                           rng.standard_normal(shape), rng.standard_normal(shape))
+    u = ControlFunction(g, tg, rng.standard_normal(shape))
+    cost = CostSpec(g, tg, (0.7, 1.3, 0.4, 0.9), phi_q=rng.standard_normal(shape),
+                    phi_omega=rng.standard_normal(g.size), mu_q=rng.standard_normal(shape))
+    s_phi, s_mu = _cost_sources(traj, cost)
+    for name, source in (("phi", s_phi), ("mu", s_mu)):
+        delta = rng.standard_normal(shape)
+        step = 0.5
+
+        def J(sign):
+            fields = {"phi": traj.phi, "mu": traj.mu}
+            fields[name] = fields[name] + sign * step * delta
+            moved = StateTrajectory(g, tg, traj.spec, fields["phi"], fields["mu"])
+            return cost_J(moved, u, cost)
+
+        fd = (J(1.0) - J(-1.0)) / (2.0 * step)
+        exact = g.cell * float(np.sum(source * delta))
+        assert abs(fd - exact) <= 1e-12 * abs(exact)
 
 
 # ---------------------------------------------------------------------------
