@@ -21,7 +21,7 @@ from .cost import CostSpec
 from .errors import ChoptError, ValidationError
 from .galerkin import build_system, compare_to_pde, integrate, project_initial
 from .runio import write_csv, write_snapshots
-from .state import _diagnostics, simulate
+from .state import simulate
 from .verify import run_checks
 
 __all__ = ["main", "run_simulate", "run_optimize", "run_verify", "run_oracle_compare"]
@@ -83,8 +83,8 @@ def run_optimize(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "history.csv", header,
               ([row[c] for c in header] for row in result.history))
     write_snapshots(out / "u_star.bin", cfg.grid, result.u.slices)
-    traj = result.trajectory
-    _write_diagnostics(out, _diagnostics(cfg.grid, cfg.spec, cfg.timegrid, traj.phi, traj.mu))
+    traj = simulate(cfg.phi0, result.u, cfg.spec, cfg.timegrid)
+    _write_diagnostics(out, traj.diagnostics)
     write_snapshots(out / "phi.bin", cfg.grid, traj.phi)
     summary = {
         "converged": result.converged,

@@ -25,7 +25,6 @@ from .sensitivity import reduced_gradient, solve_adjoint
 from .spectral import Field, Grid
 from .state import (
     ControlFunction,
-    StateTrajectory,
     TimeGrid,
     _dt_norm,
     control_inner,
@@ -155,13 +154,9 @@ def project_Uad(
 
 @dataclass
 class OptimizeResult:
-    """The last accepted control, its forward solve and the iteration log.
-
-    ``trajectory`` is the forward solve at ``u``, without diagnostics.
-    """
+    """The last accepted control and the iteration log."""
 
     u: ControlFunction
-    trajectory: StateTrajectory = field(repr=False)
     history: list = field(repr=False)
     converged: bool = False
     stalled: bool = False
@@ -262,7 +257,7 @@ def optimize(
         if not accepted:
             stalled = True
             break
-    return OptimizeResult(u, traj, history, converged, stalled, J, it)
+    return OptimizeResult(u, history, converged, stalled, J, it)
 
 
 def optimality_residual(

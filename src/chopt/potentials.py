@@ -239,22 +239,19 @@ def _piecewise_log(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     its second-order Taylor polynomial at the knee, so beta is affine with the
     matched slope 2/(eps(2-eps)) and beta'' vanishes.  The resulting beta is
     odd and C^1.  Logarithmic variant only, which PotentialSpec enforces.
+    Evaluated at t = clip(r, +-knee) plus the remainder d = r - t.
     """
     eps = spec.eps
-    a = np.abs(r)
     knee = 1.0 - eps
     slope = 2.0 / (eps * (2.0 - eps))
-    bk = math.log((2.0 - eps) / eps)  # beta°(knee)
-    inside = a <= knee
+    t = np.clip(r, -knee, knee)
+    d = r - t
     if k == 0:
-        d = np.where(inside, 0.0, a - knee)
-        return _formula(spec, np.where(inside, a, knee), 0) + bk * d + 0.5 * slope * d * d
-    safe = np.where(inside, a, 0.0)
+        bk = math.log((2.0 - eps) / eps)  # beta°(knee)
+        return _formula(spec, t, 0) + bk * np.abs(d) + 0.5 * slope * d * d
     if k == 1:
-        return np.sign(r) * np.where(inside, _formula(spec, safe, 1), bk + slope * (a - knee))
-    if k == 2:
-        return np.where(inside, _formula(spec, safe, 2), slope)
-    return np.where(inside, _formula(spec, np.where(inside, r, 0.0), 3), 0.0)
+        return _formula(spec, t, 1) + slope * d
+    return np.where(d == 0.0, _formula(spec, t, k), slope if k == 2 else 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ _MAGIC = b"CHO1"
 
 
 def write_snapshots(path, grid: Grid, frames: np.ndarray) -> None:
-    """Dump a stack of fields; ``frames`` has shape (count, nx*ny)."""
+    """Dump a stack of fields, shape (count, nx*ny); a C-contiguous "<f8" stack is not copied."""
     frames = np.ascontiguousarray(frames, dtype="<f8")
     if frames.ndim == 1:
         frames = frames[None, :]
@@ -32,7 +32,7 @@ def write_snapshots(path, grid: Grid, frames: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<III", grid.nx, grid.ny, frames.shape[0]))
-        fh.write(frames.tobytes())
+        fh.write(frames.data)
 
 
 def read_snapshots(path):

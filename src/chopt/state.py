@@ -227,26 +227,32 @@ class _Stepper:
             - self.S * phi
         )
 
-    def linear(self, x: np.ndarray, s: np.ndarray, g: np.ndarray):
+    def linear(self, x: np.ndarray, s: np.ndarray, g: np.ndarray, grads=None):
         """The implicit update with explicit term g and source s.
 
         x_hat' = (x_hat + tau s_hat - tau lam g_hat) / denom and
         y' = idct((lam + S) x_hat') + g; returns (x', y') nodal arrays.  The
         forward step takes g = f'(phi) - S phi, the tangent g = W xi.  The
-        transform is linear, so x + tau s is transformed as one field.
+        transform is linear, so x + tau s is transformed as one field.  A length-2
+        ``grads`` receives ||grad x'||^2, ||grad y'||^2 = cell * sum lam * coeff^2.
         """
         grid = self.grid
-        xhat = (_dct(grid, x + self.tau * s) - self.tau * self.lam * _dct(grid, g)) / self.denom
-        return _idct(xhat), _idct((self.lam + self.S) * xhat) + g
+        ghat = _dct(grid, g)
+        xhat = (_dct(grid, x + self.tau * s) - self.tau * self.lam * ghat) / self.denom
+        yhat = (self.lam + self.S) * xhat
+        if grads is not None:
+            grads[0] = grid.cell * np.sum(self.lam * xhat**2)
+            grads[1] = grid.cell * np.sum(self.lam * (yhat + ghat) ** 2)
+        return _idct(xhat), _idct(yhat) + g
 
-    def advance(self, phi: np.ndarray, u: np.ndarray):
-        """One step; returns (phi_next, mu_next) nodal arrays.
+    def advance(self, phi: np.ndarray, u: np.ndarray, grads=None):
+        """One step; returns (phi_next, mu_next) nodal arrays (``grads`` as in linear).
 
         Overflow propagates as inf/nan without a warning: the callers check
         the result and report a blow-up as NonFinite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.linear(phi, u, self.nonlinear(phi))
+            return self.linear(phi, u, self.nonlinear(phi), grads)
 
     def mu_of(self, phi: np.ndarray) -> np.ndarray:
         """Chemical potential -Delta phi + f'(phi) for a snapshot (used at t=0)."""
@@ -254,27 +260,32 @@ class _Stepper:
             return _idct(self.lam * _dct(self.grid, phi)) + potentials.f_d1_vec(self.spec, phi)
 
 
-def _energies(grid: Grid, spec: PotentialSpec, phi: np.ndarray) -> np.ndarray:
-    """E = 0.5 ||grad phi||^2 + int f(phi) for each snapshot row of phi."""
+def _energies(grid: Grid, spec: PotentialSpec, phi: np.ndarray, g2s: np.ndarray) -> np.ndarray:
+    """E = 0.5 ||grad phi||^2 + int f(phi) for each snapshot row of phi; g2s = ||grad phi||^2."""
     return np.array([
         0.5 * g2 + grid.cell * np.sum(potentials.f_value_vec(spec, p))
-        for g2, p in zip(grad_sq(grid, phi), phi)
+        for g2, p in zip(g2s, phi)
     ])
 
 
 def _diagnostics(
-    grid: Grid, spec: PotentialSpec, timegrid: TimeGrid, phi: np.ndarray, mu: np.ndarray
+    grid: Grid, spec: PotentialSpec, timegrid: TimeGrid, phi: np.ndarray, mu: np.ndarray,
+    grads: np.ndarray,
 ) -> dict:
-    """Per-step diagnostics of a finite trajectory; raises NonFinite on overflow."""
+    """Per-step diagnostics of a finite trajectory; raises NonFinite on overflow.
+
+    Rows 1.. of ``grads`` hold the steps' ||grad phi||^2, ||grad mu||^2; row 0 is set here.
+    """
     # a finite trajectory can still overflow its energy or ||grad mu||
     with np.errstate(over="ignore", invalid="ignore"):
+        grads[0] = grad_sq(grid, (phi[0], mu[0]))
         diagnostics = {
             "t": timegrid.times(),
             "mean": phi.mean(axis=1),
-            "energy": _energies(grid, spec, phi),
+            "energy": _energies(grid, spec, phi, grads[:, 0]),
             "min_phi": phi.min(axis=1),
             "max_phi": phi.max(axis=1),
-            "grad_mu_norm": np.sqrt(grad_sq(grid, mu)),
+            "grad_mu_norm": np.sqrt(grads[:, 1]),
         }
     finite = np.all([np.isfinite(v) for v in diagnostics.values()], axis=0)
     if not np.all(finite):
@@ -317,11 +328,12 @@ def simulate(
     mu[0] = stepper.mu_of(phi[0])
     if not np.all(np.isfinite(mu[0])):
         raise NonFinite("initial chemical potential is not finite", step=0)
+    grads = np.empty((nt + 1, 2)) if with_diagnostics else [None] * (nt + 1)
     for n in range(nt):
-        phi[n + 1], mu[n + 1] = stepper.advance(phi[n], u.slices[n])
+        phi[n + 1], mu[n + 1] = stepper.advance(phi[n], u.slices[n], grads[n + 1])
         if not (np.all(np.isfinite(phi[n + 1])) and np.all(np.isfinite(mu[n + 1]))):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
-    diagnostics = _diagnostics(grid, spec, timegrid, phi, mu) if with_diagnostics else {}
+    diagnostics = _diagnostics(grid, spec, timegrid, phi, mu, grads) if with_diagnostics else {}
     return StateTrajectory(grid, timegrid, spec, phi, mu, diagnostics)
 
 
@@ -353,7 +365,7 @@ def mean_closed_form(phi0bar: float, ubar_series: np.ndarray, tau: float, t: flo
 
 def energy(phi: Field, spec: PotentialSpec) -> float:
     """Free energy E(phi) = int 0.5 |grad phi|^2 + f(phi)."""
-    return float(_energies(phi.grid, spec, phi.values[None])[0])
+    return float(_energies(phi.grid, spec, phi.values[None], grad_sq(phi.grid, phi.values))[0])
 
 
 def energy_balance_residual(
@@ -365,6 +377,6 @@ def energy_balance_residual(
           - <mu^{n+1}, u^n - phi^{n+1}>,  expected O(tau) + O(h^2).
     """
     grid = traj.grid
-    en = _energies(grid, spec, traj.phi)
+    en = _energies(grid, spec, traj.phi, grad_sq(grid, traj.phi))
     source = grid.cell * np.sum(traj.mu[1:] * (u.slices[:-1] - traj.phi[1:]), axis=1)
     return np.diff(en) / traj.timegrid.tau + grad_sq(grid, traj.mu[1:]) - source

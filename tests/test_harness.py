@@ -1,6 +1,7 @@
 import configparser
 import json
 import struct
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -226,6 +227,35 @@ def test_snapshot_header_layout(tmp_path):
     assert len(raw) == 16 + 2 * g.size * 8
 
 
+def test_snapshot_write_does_not_copy_a_contiguous_stack(tmp_path):
+    g = Grid(128, 128, 1.0)
+    frames = np.zeros((200, g.size))  # 26 MB
+    tracemalloc.start()
+    try:
+        write_snapshots(tmp_path / "phi.bin", g, frames)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "float32", "big-endian", "1-d", "empty"])
+def test_snapshot_bytes_match_the_little_endian_buffer(tmp_path, layout):
+    g = Grid(6, 4, 1.0)
+    base = RNG.standard_normal((10, 2 * g.size))
+    frames = {
+        "contiguous": base[:, :g.size].copy(),
+        "strided": base[::3, ::2],
+        "float32": base[:, :g.size].astype(np.float32),
+        "big-endian": base[:, :g.size].astype(">f8"),
+        "1-d": base[0, :g.size],
+        "empty": base[:0, :g.size],
+    }[layout]
+    path = tmp_path / "phi.bin"
+    write_snapshots(path, g, frames)
+    assert path.read_bytes()[16:] == np.ascontiguousarray(frames, "<f8").tobytes()
+
+
 def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -396,8 +426,8 @@ def test_cli_oracle_compare_mu_error_is_finite_on_stationary(tmp_path):
 
 
 def test_cli_optimize_artifacts_match_a_fresh_forward_run(tmp_path):
-    # optimize writes phi.bin and diagnostics.csv from its last accepted
-    # forward solve; they must equal a separate simulate of u_star byte for byte
+    # optimize writes phi.bin and diagnostics.csv from a simulate of u_star
+    # with diagnostics; they must equal a separate run byte for byte
     out, fresh = tmp_path / "out", tmp_path / "fresh"
     fresh.mkdir()
     assert main(["optimize", "--config", "inverse-crime", "--out", str(out)]) == 0

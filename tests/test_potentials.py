@@ -366,3 +366,36 @@ def test_property_bounded_by_the_exact_graph(spec, line, inside):
     bh, bh_exact = _reg(spec, rs, 0), _exact(spec, rs, 0)
     assert np.all(bh >= -1e-15)
     assert np.all(bh <= bh_exact + 1e-12 * np.maximum(1.0, bh_exact))
+
+
+PIECEWISE_LOG_SPECS = [
+    PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="piecewise_log")
+    for eps in (1e-4, 1e-2, 0.3)
+]
+piecewise_log_specs = pytest.mark.parametrize(
+    "spec", PIECEWISE_LOG_SPECS, ids=lambda s: f"eps-{s.eps:g}")
+
+
+@piecewise_log_specs
+@drawn
+@given(rs=points(-3.0, 3.0), inside=points(-1.0, 1.0))
+def test_property_piecewise_log_is_odd_and_exact_inside(spec, rs, inside):
+    # clip plus remainder: beta(-r) is -beta(r) exactly, and on |r| <= knee
+    # the remainder is zero, so beta is the exact graph to the last bit
+    assert np.array_equal(beta_reg_vec(spec, -rs), -beta_reg_vec(spec, rs))
+    knee = 1.0 - spec.eps
+    inside = np.append(inside * knee, [knee, -knee])
+    assert np.all(np.abs(inside) <= knee)
+    assert np.array_equal(beta_reg_vec(spec, inside), np.log1p(inside) - np.log1p(-inside))
+
+
+@piecewise_log_specs
+@pytest.mark.parametrize("side", [1.0, -1.0])
+def test_piecewise_log_continuous_across_the_knee(spec, side):
+    # the last float inside and the first float beyond the knee: betahat, beta
+    # and beta' agree there to 1e-12 relative (the affine branch is matched)
+    knee = side * (1.0 - spec.eps)
+    below, beyond = np.nextafter(knee, 0.0), np.nextafter(knee, 2.0 * side)
+    for k in (0, 1, 2):
+        v_in, v_out = _reg(spec, below, k), _reg(spec, beyond, k)
+        assert abs(v_out - v_in) <= 1e-12 * abs(v_in), (k, v_in, v_out)

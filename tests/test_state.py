@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from chopt import spectral, state
 from chopt.config import band_limited_field
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
-from chopt.spectral import Field, Grid, basis_mode
+from chopt.spectral import Field, Grid, basis_mode, grad_sq
 from chopt.state import (
     ControlFunction,
     TimeGrid,
+    _energies,
     control_inner,
     default_stabilization,
     energy,
@@ -304,6 +306,64 @@ def test_mean_closed_form_homogeneous():
 
 # ---------------------------------------------------------------------------
 # energy diagnostics
+
+def diagnostic_spec(variant):
+    if variant == "regular":
+        return regular_spec()
+    return PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="piecewise_log",
+                         stabilization=17.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n, variant", [(32, "logarithmic"), (16, "regular")])
+def test_simulate_diagnostics_match_the_stored_snapshots(n, variant):
+    # the step's own coefficients give ||grad phi||^2 and ||grad mu||^2; they
+    # must agree with transforming the stored snapshots, row 0 included
+    g = Grid(n, n, 1.0)
+    tg = TimeGrid(0.01, 40)
+    rng = np.random.default_rng(n)
+    phi0 = band_limited_field(g, 0.9, 8, rng)
+    u = ControlFunction(g, tg, rng.uniform(-0.05, 0.05, (tg.nt + 1, g.size)))
+    spec = diagnostic_spec(variant)
+    traj = simulate(phi0, u, spec, tg)
+    energies = _energies(g, spec, traj.phi, grad_sq(g, traj.phi))
+    grad_mu = np.sqrt(grad_sq(g, traj.mu))
+    assert np.allclose(traj.diagnostics["energy"], energies, rtol=1e-12, atol=0.0)
+    assert np.allclose(traj.diagnostics["grad_mu_norm"], grad_mu, rtol=1e-12, atol=0.0)
+
+
+def count_transforms(monkeypatch):
+    """Count the fields transformed through the state and spectral bindings."""
+    count = [0]
+    dct, idct = spectral._dct, spectral._idct
+
+    def counted_dct(grid, values):
+        count[0] += int(np.prod(np.shape(values)[:-1]))
+        return dct(grid, values)
+
+    def counted_idct(coeffs):
+        count[0] += int(np.prod(np.shape(coeffs)[:-2]))
+        return idct(coeffs)
+
+    for module in (spectral, state):
+        monkeypatch.setattr(module, "_dct", counted_dct)
+        monkeypatch.setattr(module, "_idct", counted_idct)
+    return count
+
+
+def test_simulate_diagnostics_transform_no_snapshot(monkeypatch):
+    # a step makes four transforms; the diagnostics take their gradient norms
+    # from the steps' coefficients and transform row 0 only, so they add O(1)
+    g = Grid(16, 16, 1.0)
+    tg = TimeGrid(0.05, 50)
+    phi0 = band_limited_field(g, 0.5, 6, np.random.default_rng(3))
+    u = constant_control(g, tg, 0.1)
+    count = count_transforms(monkeypatch)
+    simulate(phi0, u, regular_spec(), tg, with_diagnostics=False)
+    plain, count[0] = count[0], 0
+    simulate(phi0, u, regular_spec(), tg)
+    assert plain <= 4 * tg.nt + 4
+    assert count[0] <= plain + 4
 
 def test_energy_of_pure_phase():
     g = Grid(8, 8, 1.0)
