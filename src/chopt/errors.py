@@ -14,7 +14,7 @@ class DomainViolation(ChoptError):
 
 
 class ConvergenceFailure(ChoptError):
-    """Raised when a scalar root solve fails to reach tolerance."""
+    """Raised for a non-finite resolvent argument, or resolvent sweeps that did not settle."""
 
 
 class WrongVariant(ChoptError):

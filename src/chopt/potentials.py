@@ -53,7 +53,7 @@ DOUBLE_OBSTACLE = "double_obstacle"
 _VARIANTS = (REGULAR, LOGARITHMIC, DOUBLE_OBSTACLE)
 _REG_KINDS = (None, "yosida", "piecewise_log")
 
-_ROOT_MAXIT = 200
+_SWEEPS = 64  # a fault detector: the logarithmic sweeps settle in at most ~21
 
 
 @dataclass(frozen=True)
@@ -169,42 +169,31 @@ def _formula(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
 def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     """Solve t + eps*beta°(t) = r elementwise for t (the resolvent point J_eps r).
 
-    Safeguarded Newton with a bisection fallback, one bracket per point; the
-    equation is monotone in t.  A point stops, and is frozen while the rest
-    iterate, once its Newton step or its bracket reaches the float spacing of
-    t.  A residual tolerance would not do: near the singular endpoints one ulp
-    of t moves the residual by more than any fixed tolerance, and short of
-    them a tolerance tau leaves beta_eps off by up to tau/eps.
+    The obstacle resolvent is a clip and the regular one the real root of
+    the cubic t + eps*t^3 = r.  The logarithmic one is t = sign(r)*tanh(s)
+    with tanh(s) + 2*eps*s = |r|: concave and increasing in s >= 0, so
+    Newton started below the root climbs to it monotonically.  The sweeps
+    stop once no point moves; |t| is kept below 1, where tanh would round.
     """
     if spec.variant == DOUBLE_OBSTACLE:
         return np.clip(r, -1.0, 1.0)
+    if not np.all(np.isfinite(r)):
+        raise ConvergenceFailure(f"resolvent of a non-finite argument, eps = {spec.eps:g}")
     eps = spec.eps
-    shape = r.shape
-    r = r.reshape(-1)
     if spec.variant == REGULAR:
-        hi = np.abs(r) + 1.0
-    else:  # logarithmic: t confined to (-1, 1)
-        hi = np.ones_like(r)
-    lo = -hi
-    t = np.minimum(hi - 1e-9, np.maximum(lo + 1e-9, r))
-    done = np.zeros(r.shape, dtype=bool)
-    for _ in range(_ROOT_MAXIT):
-        g = t + eps * _formula(spec, t, 1) - r
-        hi = np.where(g > 0, t, hi)
-        lo = np.where(g > 0, lo, t)
-        newton = t - g / (1.0 + eps * _formula(spec, t, 2))
-        t_new = np.where((lo < newton) & (newton < hi), newton, 0.5 * (lo + hi))
-        ulp = np.spacing(np.abs(t))
-        done |= (np.abs(newton - t) <= ulp) | (np.abs(t_new - t) <= ulp)
-        if done.all():
-            return t.reshape(shape)
-        t = np.where(done, t, t_new)
-    live = ~done
-    i = int(np.argmax(live))
-    raise ConvergenceFailure(
-        f"resolvent solve failed at {int(live.sum())} point(s), e.g. r = {r[i]:g}, "
-        f"eps = {eps:g} (residual {g[i]:.3e})"
-    )
+        a = math.sqrt(3.0 * eps)
+        return (2.0 / a) * np.sinh(np.arcsinh(1.5 * a * r) / 3.0)
+    x = np.abs(r)
+    s = np.maximum(x / (1.0 + 2.0 * eps), (x - 1.0) / (2.0 * eps))
+    for _ in range(_SWEEPS):
+        th = np.tanh(s)
+        e = np.exp(-2.0 * s)  # sech^2 s = 4e/(1+e)^2; cosh overflows past s ~ 710
+        step = (th + 2.0 * eps * s - x) / (4.0 * e / (1.0 + e) ** 2 + 2.0 * eps)
+        s_new = np.maximum(s, s - step)
+        if np.array_equal(s_new, s):
+            return np.copysign(np.minimum(th, np.nextafter(1.0, 0.0)), r)
+        s = s_new
+    raise ConvergenceFailure(f"resolvent sweeps did not settle in {_SWEEPS}, eps = {eps:g}")
 
 
 def _yosida(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:

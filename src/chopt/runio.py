@@ -9,6 +9,7 @@ float formatting, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -36,17 +37,25 @@ def write_snapshots(path, grid: Grid, frames: np.ndarray) -> None:
 
 
 def read_snapshots(path):
-    """Read a snapshot file; returns (nx, ny, frames) with frames (count, nx*ny)."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != _MAGIC:
-        raise ParseError(f"{path}: bad magic {raw[:4]!r}, expected {_MAGIC!r}")
-    if len(raw) < 16:
-        raise ParseError(f"{path}: truncated header")
-    nx, ny, count = struct.unpack("<III", raw[4:16])
-    expected = 16 + count * nx * ny * 8
-    if len(raw) != expected:
-        raise ParseError(f"{path}: expected {expected} bytes, got {len(raw)}")
-    frames = np.frombuffer(raw, dtype="<f8", offset=16).reshape(count, nx * ny).copy()
+    """Read a snapshot file; returns (nx, ny, frames) with frames (count, nx*ny).
+
+    The header and the file size are checked first; the frames are then read
+    straight into the returned array, so the file is held once.
+    """
+    with open(path, "rb") as fh:
+        head = fh.read(16)
+        if head[:4] != _MAGIC:
+            raise ParseError(f"{path}: bad magic {head[:4]!r}, expected {_MAGIC!r}")
+        if len(head) < 16:
+            raise ParseError(f"{path}: truncated header")
+        nx, ny, count = struct.unpack("<III", head[4:])
+        expected = 16 + count * nx * ny * 8
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise ParseError(f"{path}: expected {expected} bytes, got {size}")
+        frames = np.empty((count, nx * ny), dtype="<f8")
+        if fh.readinto(frames) != frames.nbytes:
+            raise ParseError(f"{path}: file shrank while it was read")
     return nx, ny, frames
 
 

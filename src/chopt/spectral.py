@@ -43,12 +43,9 @@ __all__ = [
     "mean",
     "solve_N",
     "norm_H",
-    "norm_V",
     "norm_Vstar",
     "inner",
-    "grad_norm",
     "grad_sq",
-    "basis_mode",
     "basis_modes",
     "lowest_modes",
 ]
@@ -214,18 +211,6 @@ def grad_sq(grid: Grid, snapshots) -> np.ndarray:
     return np.array([np.sum(lam * (_dct(grid, v) * scale) ** 2) for v in rows])
 
 
-def grad_norm(f: Field) -> float:
-    """L^2 norm of the gradient."""
-    return float(np.sqrt(grad_sq(f.grid, f.values)[0]))
-
-
-def norm_V(f: Field) -> float:
-    """H^1 norm: sqrt(||f||^2 + ||grad f||^2)."""
-    s = to_spectral(f)
-    lam = f.grid.eigenvalues()
-    return float(np.sqrt(np.sum((1.0 + lam) * s.coeffs**2)))
-
-
 def solve_N(f: Field) -> Field:
     """Inverse Neumann Laplacian on zero-mean fields.
 
@@ -254,13 +239,6 @@ def norm_Vstar(f: Field) -> float:
     m = mean(f)
     nz = lam > 0
     return float(np.sqrt(np.sum(s.coeffs[nz] ** 2 / lam[nz]) + m * m))
-
-
-def basis_mode(grid: Grid, j: int, k: int = 0) -> Field:
-    """The orthonormal eigenfunction e_{jk} sampled on the grid."""
-    if not (0 <= j < grid.nx and 0 <= k < grid.ny):
-        raise ValueError(f"mode ({j},{k}) outside grid {grid.nx}x{grid.ny}")
-    return Field(grid, basis_modes(grid, [j], [k])[0])
 
 
 def basis_modes(grid: Grid, j, k) -> np.ndarray:

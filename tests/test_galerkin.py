@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from chopt.cli import run_oracle_compare
+from chopt.config import parse_config
 from chopt.errors import BadModeCount, ShapeMismatch
 from chopt.galerkin import (
     build_system,
@@ -15,7 +17,7 @@ from chopt.spectral import (
     Field,
     Grid,
     SpectralField,
-    basis_mode,
+    basis_modes,
     from_spectral,
     norm_H,
     to_spectral,
@@ -96,7 +98,7 @@ def test_basis_rows_are_orthonormal():
 
 def test_project_initial_eigenmode():
     g = Grid(8, 8, 1.0)
-    y0 = project_initial(basis_mode(g, 1, 0), 4)
+    y0 = project_initial(Field(g, basis_modes(g, [1], [0])[0]), 4)
     expected = np.zeros(4)
     expected[2] = 1.0  # (1,0) comes after (0,0), (0,1) in the ordering
     assert np.allclose(y0, expected, atol=1e-12)
@@ -201,7 +203,7 @@ def test_compare_linear_band_limited():
     spec = linear_spec()
     tg = TimeGrid(0.002, 200)
     u = ControlFunction.constant(g, tg, 0.0)
-    phi0 = Field(g, 0.05 + 0.01 * basis_mode(g, 1, 0).values)
+    phi0 = Field(g, 0.05 + 0.01 * basis_modes(g, [1], [0])[0])
     pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
     system = build_system(g, 4)
     y0 = project_initial(phi0, 4)
@@ -236,3 +238,42 @@ def test_compare_mismatched_grids():
     oracle = integrate(system, np.zeros(3), u, spec, tg)
     with pytest.raises(ShapeMismatch):
         compare_to_pde(oracle, pde)
+
+
+# the oracle-yosida-16 benchmark config at eps = 1e-3: with a resolvent
+# solved only to a residual tolerance, these two inputs once stalled the
+# implicit-midpoint Newton iteration and raised NewtonFailure
+ORACLE_YOSIDA = """\
+[grid]
+nx = 16
+ny = 16
+[time]
+final = 0.25
+steps = 50
+[potential]
+variant = logarithmic
+c1 = 2.0
+eps = 1e-3
+reg_kind = yosida
+stabilization = 17.0
+[control]
+M = 0.2
+Mprime = inf
+initial = random:0.1
+[initial]
+phi0 = band_limited:0.4:4
+[oracle]
+modes = 256
+substeps = {substeps}
+[run]
+seed = {seed}
+"""
+
+
+@pytest.mark.parametrize("seed, substeps", [(450395673, 2), (2351394226, 4)])
+def test_oracle_yosida_small_eps_finishes(tmp_path, seed, substeps):
+    path = tmp_path / "run.cfg"
+    path.write_text(ORACLE_YOSIDA.format(seed=seed, substeps=substeps))
+    assert run_oracle_compare(parse_config(path), tmp_path) == 0
+    errors = (tmp_path / "oracle_errors.csv").read_text().splitlines()
+    assert len(errors) == 52

@@ -268,9 +268,25 @@ def test_snapshot_rejects_truncation(tmp_path):
     path = tmp_path / "phi.bin"
     write_snapshots(path, g, np.ones((3, g.size)))
     data = path.read_bytes()
-    path.write_bytes(data[:-8])
-    with pytest.raises(ParseError):
-        read_snapshots(path)
+    for bad in (data[:-8], data + b"\x00" * 8, data[:10]):  # short, over-long, cut header
+        path.write_bytes(bad)
+        with pytest.raises(ParseError):
+            read_snapshots(path)
+
+
+def test_snapshot_read_holds_one_copy(tmp_path):
+    g = Grid(128, 128, 1.0)
+    path = tmp_path / "phi.bin"
+    write_snapshots(path, g, np.zeros((200, g.size)))  # 26 MB
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        _, _, frames = read_snapshots(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert frames.shape == (200, g.size)
+    assert peak < 1.1 * size
 
 
 # ---------------------------------------------------------------------------

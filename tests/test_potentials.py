@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,16 +109,16 @@ def test_yosida_obstacle_closed_form():
     assert np.allclose(got, expected, atol=1e-14)
 
 
-def test_yosida_logarithmic_vs_bisection_oracle():
-    spec = PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="yosida")
-    r, eps = 0.9, 0.1
+@pytest.mark.parametrize("r, eps", [(0.9, 0.1), (1.5, 0.1), (0.5, 1e-3), (1.02, 1e-3)])
+def test_yosida_logarithmic_vs_bisection_oracle(r, eps):
+    spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="yosida")
 
     def g(s):
         # s = beta(r - eps*s) <=> fixed point of the implicit definition
         return s - math.log((1.0 + r - eps * s) / (1.0 - r + eps * s))
 
-    # bracket keeps the argument of the log positive: s < (1 + r)/eps
-    s_star = bisect(g, 0.0, (1.0 + r) / eps - 1e-9, xtol=1e-14)
+    # the bracket keeps both log arguments positive: (r - 1)/eps < s < (1 + r)/eps
+    s_star = bisect(g, (r - 1.0) / eps + 1e-9, (1.0 + r) / eps - 1e-9, xtol=1e-14)
     assert beta_reg_vec(spec, r) == pytest.approx(s_star, abs=1e-11)
 
 
@@ -132,18 +133,23 @@ def test_yosida_monotone_and_lipschitz():
             )
 
 
-@pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3])
+@pytest.mark.parametrize("eps", [0.1, 1e-2, 1e-3, 1e-4])
 def test_yosida_logarithmic_defined_on_the_whole_line(eps):
-    # beyond |r| ~ 1 + eps*ln(2/ulp) one ulp of the resolvent point moves the
-    # residual by more than any fixed tolerance; the solve must still finish
-    spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="yosida")
+    # beyond |r| ~ 1 + 38*eps the logarithmic resolvent point rounds to 1
+    # unless it is kept below it; every derivative must stay finite there
     rs = np.linspace(-5.0, 5.0, 2001)
-    vals = beta_reg_vec(spec, rs)
-    assert np.all(np.isfinite(vals))
-    assert np.all(np.diff(vals) >= 0.0)
-    assert np.all(np.diff(vals) * eps <= np.diff(rs) + 1e-14)
-    with pytest.raises(ConvergenceFailure):
-        beta_reg_vec(spec, math.nan)
+    for variant in ("logarithmic", "regular"):
+        spec = PotentialSpec(variant, c1=2.0, eps=eps, reg_kind="yosida")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            derivatives = [_reg(spec, rs, k) for k in range(4)]
+        assert all(np.all(np.isfinite(d)) for d in derivatives)
+        vals = derivatives[1]
+        assert np.all(np.diff(vals) >= 0.0)
+        assert np.all(np.diff(vals) * eps <= np.diff(rs) + 1e-14)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConvergenceFailure):
+                beta_reg_vec(spec, bad)
 
 
 def test_yosida_sandwich():
@@ -354,6 +360,7 @@ def test_property_monotone_lipschitz_and_zero_at_zero(spec, rs):
     assert np.all(dv >= -1e-14)
     assert np.all(dv <= lipschitz_constant(spec) * spec.eps * np.diff(rs) + 1e-14)
     assert beta_reg_vec(spec, 0.0) == 0.0
+    assert np.array_equal(beta_reg_vec(spec, -rs), -beta_reg_vec(spec, rs))
 
 
 @property_specs

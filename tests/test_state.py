@@ -7,7 +7,7 @@ from chopt import spectral, state
 from chopt.config import band_limited_field
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
-from chopt.spectral import Field, Grid, basis_mode, grad_sq
+from chopt.spectral import Field, Grid, basis_modes, grad_sq
 from chopt.state import (
     ControlFunction,
     TimeGrid,
@@ -128,7 +128,7 @@ def test_step_single_mode_recurrence():
     tau = 1e-3
     lam = g.eigenvalues()[1, 0]
     amp = 0.01
-    e10 = basis_mode(g, 1, 0).values
+    e10 = basis_modes(g, [1], [0])[0]
     phi1, mu1 = one_step(Field(g, amp * e10), 0.0, spec, tau)
     # g_n = pi(phi) = -2 c2 phi, so phihat' = (1 + 2 c2 tau lam) phihat / denom
     expected = amp * (1.0 + 2.0 * c2 * tau * lam) / (1.0 + tau + tau * lam**2)
@@ -145,7 +145,7 @@ def test_step_blowup_raises():
     # f'(phi0) is finite (|phi0|^3 <= 8e306), so mu^0 is too; the update
     # overflows and must end in a clean NonFinite, not an overflow warning
     g = Grid(8, 8, 1.0)
-    phi = Field(g, 1e102 * basis_mode(g, 2, 2).values)
+    phi = Field(g, 1e102 * basis_modes(g, [2], [2])[0])
     with pytest.raises(NonFinite) as err:
         one_step(phi, 0.0, regular_spec(), tau=0.1)
     assert err.value.step == 1
@@ -155,7 +155,7 @@ def test_step_blowup_raises():
 def test_simulate_nonfinite_initial_chemical_potential():
     # f'(phi0) overflows: simulate reports step 0 instead of warning
     g = Grid(8, 8, 1.0)
-    phi = Field(g, 1e200 * basis_mode(g, 2, 2).values)
+    phi = Field(g, 1e200 * basis_modes(g, [2], [2])[0])
     with pytest.raises(NonFinite) as err:
         one_step(phi, 0.0, regular_spec(), tau=0.1)
     assert err.value.step == 0
@@ -166,7 +166,7 @@ def test_simulate_nonfinite_diagnostics():
     # phi and mu stay finite, but the energy and ||grad mu|| overflow from
     # step 0 on: the diagnostics report that as NonFinite instead of storing inf
     g = Grid(8, 8, 1.0)
-    phi = Field(g, 5e101 * basis_mode(g, 2, 2).values)
+    phi = Field(g, 5e101 * basis_modes(g, [2], [2])[0])
     tg = TimeGrid(0.1, 1)
     u = constant_control(g, tg, 0.0)
     simulate(phi, u, regular_spec(), tg, with_diagnostics=False)
