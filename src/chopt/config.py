@@ -151,10 +151,10 @@ def build_control(
     nt1 = timegrid.nt + 1
     kind, _, rest = desc.partition(":")
     if desc == "zero":
-        slices = np.zeros((nt1, grid.size))
-    elif kind == "constant":
-        slices = np.full((nt1, grid.size), float(rest))
-    elif kind == "random":
+        return ControlFunction.constant(grid, timegrid, 0.0)
+    if kind == "constant":
+        return ControlFunction.constant(grid, timegrid, float(rest))
+    if kind == "random":
         amp = float(rest) if rest else min(M, 1.0)
         slices = np.empty((nt1, grid.size))
         base = _band_limited_values(grid, 4, rng)

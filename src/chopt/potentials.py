@@ -17,11 +17,13 @@ graph on [-(1-eps), 1-eps] and continues affinely with the matched slope.
 
 Every formula is written once, in numpy, and evaluated over whole arrays.
 The array kernels (``_formula`` and its domain-checked front ``_exact``,
-``_yosida``, ``_piecewise_log`` and the dispatcher ``_reg``) take ``k``, the
-order of the derivative of betahat they return: 0 for betahat, 1 for beta,
-2 for beta', 3 for beta''.  The ``*_vec`` functions are the public API:
-they take a scalar or an array and return numpy values of the same shape
-(shape () for a scalar).
+``_yosida``, ``_piecewise_log`` and the dispatcher ``_reg``) take ``ks``, a
+tuple of orders of the derivative of betahat, and return one array per
+order: 0 for betahat, 1 for beta, 2 for beta', 3 for beta''.  Orders asked
+for together share their intermediate: the log1p pair of the logarithmic
+formulas, the clipped point of piecewise-log, the resolvent point of Yosida.
+The ``*_vec`` functions are the public API: they take a scalar or an array
+and return numpy values of the same shape (shape () for a scalar).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "beta_reg_vec",
     "beta_reg_d1_vec",
     "f_value_vec",
+    "f_and_beta_reg_vec",
     "f_d1_vec",
     "f_d2_vec",
     "BoundReport",
@@ -113,7 +116,7 @@ def pi_d1(spec: PotentialSpec) -> float:
     return -2.0 * spec.c2
 
 
-def _pihat(spec: PotentialSpec, r: float) -> float:
+def _pihat(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     if spec.variant == REGULAR:
         return (1.0 - 2.0 * r * r) / 4.0
     if spec.variant == LOGARITHMIC:
@@ -124,8 +127,8 @@ def _pihat(spec: PotentialSpec, r: float) -> float:
 # ---------------------------------------------------------------------------
 # exact convex part
 
-def _exact(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
-    """k-th derivative of the unregularized betahat; k = 1 is the minimal section beta°.
+def _exact(spec: PotentialSpec, t: np.ndarray, ks: tuple) -> list:
+    """Derivatives of orders ``ks`` of the unregularized betahat; order 1 is beta°.
 
     Raises DomainViolation outside D(beta): (-1, 1) for the logarithmic
     variant, [-1, 1] for the obstacle.
@@ -134,30 +137,43 @@ def _exact(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
         raise DomainViolation(f"r = {np.max(np.abs(t)):g} outside D(beta) = (-1, 1)")
     if spec.variant == DOUBLE_OBSTACLE and np.any(np.abs(t) > 1.0):
         raise DomainViolation(f"r = {np.max(np.abs(t)):g} outside D(beta) = [-1, 1]")
-    return _formula(spec, t, k)
+    return _formula(spec, t, ks)
 
 
-def _formula(spec: PotentialSpec, t: np.ndarray, k: int) -> np.ndarray:
+def _formula(spec: PotentialSpec, t: np.ndarray, ks: tuple) -> list:
     """The formulas behind :func:`_exact`, for t already inside D(beta).
 
     The regularizations call them directly: their arguments lie inside the
-    domain by construction.
+    domain by construction.  The logarithmic betahat and beta share one
+    log1p pair.
     """
     if spec.variant == REGULAR:
-        # products, not integer powers: numpy's pow is about ten times slower
-        if k == 0:
-            return t * t * t * t / 4.0
-        if k == 1:
-            return t * t * t
-        if k == 2:
-            return 3.0 * t * t
-        return 6.0 * t
+        return [_regular(t, k) for k in ks]
     if spec.variant == DOUBLE_OBSTACLE:
-        return np.zeros_like(t)
+        return [np.zeros_like(t) for _ in ks]
+    lp = lm = None
+    if 0 in ks or 1 in ks:
+        lp, lm = np.log1p(t), np.log1p(-t)
+    return [_logarithmic(t, k, lp, lm) for k in ks]
+
+
+def _regular(t: np.ndarray, k: int) -> np.ndarray:
+    # products, not integer powers: numpy's pow is about ten times slower
     if k == 0:
-        return (1.0 + t) * np.log1p(t) + (1.0 - t) * np.log1p(-t)
+        return t * t * t * t / 4.0
     if k == 1:
-        return np.log1p(t) - np.log1p(-t)
+        return t * t * t
+    if k == 2:
+        return 3.0 * t * t
+    return 6.0 * t
+
+
+def _logarithmic(t: np.ndarray, k: int, lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
+    """Order k of the logarithmic betahat, given lp = log1p(t) and lm = log1p(-t)."""
+    if k == 0:
+        return (1.0 + t) * lp + (1.0 - t) * lm
+    if k == 1:
+        return lp - lm
     if k == 2:
         return 2.0 / (1.0 - t * t)
     return 4.0 * t / (1.0 - t * t) ** 2
@@ -196,8 +212,8 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     raise ConvergenceFailure(f"resolvent sweeps did not settle in {_SWEEPS}, eps = {eps:g}")
 
 
-def _yosida(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
-    """k-th derivative of the Moreau envelope betahat_eps, from one resolvent solve.
+def _yosida(spec: PotentialSpec, r: np.ndarray, ks: tuple) -> list:
+    """Derivatives of orders ``ks`` of the Moreau envelope betahat_eps, from one resolvent solve.
 
     beta_eps = (r - J_eps r)/eps; its derivatives follow by implicit
     differentiation of t + eps*beta°(t) = r, and betahat_eps(r) =
@@ -206,23 +222,30 @@ def _yosida(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     """
     eps = spec.eps
     t = _resolvent(spec, r)
-    if k <= 1:
+    if 0 in ks or 1 in ks:
         s = (r - t) / eps
-        return s if k == 1 else 0.5 * eps * s * s + _formula(spec, t, 0)
-    if k == 2 and spec.variant == DOUBLE_OBSTACLE:
-        # J_eps = clip has slope 0 outside [-1, 1], which beta° = 0 does not see
-        return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
-    bp = _formula(spec, t, 2)
-    if k == 2:
-        return bp / (1.0 + eps * bp)
-    return _formula(spec, t, 3) / (1.0 + eps * bp) ** 3
+
+    def order(k):
+        if k == 1:
+            return s
+        if k == 0:
+            return 0.5 * eps * s * s + _formula(spec, t, (0,))[0]
+        if k == 2 and spec.variant == DOUBLE_OBSTACLE:
+            # J_eps = clip has slope 0 outside [-1, 1], which beta° = 0 does not see
+            return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
+        (bp,) = _formula(spec, t, (2,))
+        if k == 2:
+            return bp / (1.0 + eps * bp)
+        return _formula(spec, t, (3,))[0] / (1.0 + eps * bp) ** 3
+
+    return [order(k) for k in ks]
 
 
 # ---------------------------------------------------------------------------
 # piecewise C^1 logarithmic regularization
 
-def _piecewise_log(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
-    """k-th derivative of the piecewise C^1 logarithmic betahat.
+def _piecewise_log(spec: PotentialSpec, r: np.ndarray, ks: tuple) -> list:
+    """Derivatives of orders ``ks`` of the piecewise C^1 logarithmic betahat.
 
     The exact graph on |r| <= knee = 1-eps; beyond it, betahat continues with
     its second-order Taylor polynomial at the knee, so beta is affine with the
@@ -235,44 +258,62 @@ def _piecewise_log(spec: PotentialSpec, r: np.ndarray, k: int) -> np.ndarray:
     slope = 2.0 / (eps * (2.0 - eps))
     t = np.clip(r, -knee, knee)
     d = r - t
-    if k == 0:
-        bk = math.log((2.0 - eps) / eps)  # beta°(knee)
-        return _formula(spec, t, 0) + bk * np.abs(d) + 0.5 * slope * d * d
-    if k == 1:
-        return _formula(spec, t, 1) + slope * d
-    return np.where(d == 0.0, _formula(spec, t, k), slope if k == 2 else 0.0)
+
+    def order(k, inside):
+        if k == 0:
+            bk = math.log((2.0 - eps) / eps)  # beta°(knee)
+            return inside + bk * np.abs(d) + 0.5 * slope * d * d
+        if k == 1:
+            return inside + slope * d
+        return np.where(d == 0.0, inside, slope if k == 2 else 0.0)
+
+    return [order(k, inside) for k, inside in zip(ks, _formula(spec, t, ks))]
 
 
 # ---------------------------------------------------------------------------
 # dispatch on the selected regularization
 
-def _reg(spec: PotentialSpec, r, k: int) -> np.ndarray:
-    """k-th derivative of the betahat selected by ``spec.reg_kind`` (exact if None)."""
+def _reg(spec: PotentialSpec, r, ks: tuple) -> list:
+    """Derivatives of orders ``ks`` of the betahat selected by ``spec.reg_kind`` (exact if None)."""
     r = np.asarray(r, dtype=float)
     if spec.reg_kind == "yosida":
-        return _yosida(spec, r, k)
+        return _yosida(spec, r, ks)
     if spec.reg_kind == "piecewise_log":
-        return _piecewise_log(spec, r, k)
+        return _piecewise_log(spec, r, ks)
     if spec.variant == DOUBLE_OBSTACLE:
         raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
-    return _exact(spec, r, k)
+    return _exact(spec, r, ks)
+
+
+def _f_with(spec: PotentialSpec, v: np.ndarray, ks: tuple) -> tuple:
+    """f = betahat_reg + pihat, then the betahat derivatives of orders ``ks``; one kernel call."""
+    if spec.reg_kind is None and spec.variant == REGULAR:
+        return (0.25 * (v * v - 1.0) ** 2, *_formula(spec, v, ks))
+    bhat, *rest = _reg(spec, v, (0, *ks))
+    return (bhat + _pihat(spec, v), *rest)
 
 
 def beta_reg_vec(spec: PotentialSpec, values) -> np.ndarray:
     """The single-valued beta selected by ``spec.reg_kind`` over an array."""
-    return _reg(spec, values, 1)
+    return _reg(spec, values, (1,))[0]
 
 
 def beta_reg_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
-    return _reg(spec, values, 2)
+    return _reg(spec, values, (2,))[0]
 
 
 def f_value_vec(spec: PotentialSpec, values) -> np.ndarray:
     """f = betahat_reg + pihat over an array."""
-    v = np.asarray(values, dtype=float)
-    if spec.reg_kind is None and spec.variant == REGULAR:
-        return 0.25 * (v * v - 1.0) ** 2
-    return _reg(spec, v, 0) + _pihat(spec, v)
+    return _f_with(spec, np.asarray(values, dtype=float), ())[0]
+
+
+def f_and_beta_reg_vec(spec: PotentialSpec, values) -> tuple[np.ndarray, np.ndarray]:
+    """(f, beta_reg) over an array from one kernel call.
+
+    f and beta share the kernel's intermediate, so the pair costs less than
+    two separate calls: the forward step takes the energy density from it.
+    """
+    return _f_with(spec, np.asarray(values, dtype=float), (1,))
 
 
 def f_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
@@ -308,9 +349,9 @@ def check_exp_derivative_bound(spec: PotentialSpec, samples) -> BoundReport:
     if spec.reg_kind != "piecewise_log":
         raise WrongVariant("the exponential derivative bound targets piecewise_log")
     samples = np.asarray(samples, dtype=float).reshape(-1)
-    lhs = _piecewise_log(spec, samples, 2)
+    lhs, beta = _piecewise_log(spec, samples, (2, 1))
     # exponent capped to stay finite; the bound holds trivially beyond
-    rhs = 2.0 * np.exp(np.minimum(np.abs(_piecewise_log(spec, samples, 1)), 700.0))
+    rhs = 2.0 * np.exp(np.minimum(np.abs(beta), 700.0))
     violation = lhs - rhs
     i = int(np.argmax(violation))
     return BoundReport(float(violation[i]), float(samples[i]), samples.size)

@@ -72,8 +72,10 @@ class TimeGrid:
 class ControlFunction:
     """Space-time control u on the state grids.
 
-    ``slices`` has shape (nt+1, nx*ny); slice n is u(., t_n).  The time
-    derivative is measured by forward differences:
+    ``slices`` has shape (nt+1, nx*ny); slice n is u(., t_n).  It may be a
+    read-only broadcast view (``constant`` holds one row that way), so no
+    reader may write into it: readers take it row by row or reduce it.  The
+    time derivative is measured by forward differences:
     ||d_t u||^2 = sum_n cell * |u^{n+1} - u^n|^2 / tau.  The bounds M and M'
     of the admissible set belong to the control problem, not to a control.
     """
@@ -93,7 +95,8 @@ class ControlFunction:
         object.__setattr__(self, "slices", s)
 
     def linf(self) -> float:
-        return float(np.max(np.abs(self.slices))) if self.slices.size else 0.0
+        s = self.slices
+        return float(max(np.max(s), -np.min(s))) if s.size else 0.0
 
     def dt_l2(self) -> float:
         return _dt_norm(self.grid, self.timegrid, np.diff(self.slices, axis=0))
@@ -103,8 +106,9 @@ class ControlFunction:
 
     @staticmethod
     def constant(grid: Grid, timegrid: TimeGrid, value: float):
-        s = np.full((timegrid.nt + 1, grid.size), float(value))
-        return ControlFunction(grid, timegrid, s)
+        """u = value everywhere, held as a read-only broadcast of one row."""
+        row = np.full(grid.size, float(value))
+        return ControlFunction(grid, timegrid, np.broadcast_to(row, (timegrid.nt + 1, grid.size)))
 
 
 def _dt_norm(grid: Grid, timegrid: TimeGrid, d: np.ndarray) -> float:
@@ -220,13 +224,6 @@ class _Stepper:
         self.S = S
         self.denom = 1.0 + tau + tau * self.lam**2 + tau * self.lam * S
 
-    def nonlinear(self, phi: np.ndarray) -> np.ndarray:
-        return (
-            potentials.beta_reg_vec(self.spec, phi)
-            + potentials.pi_d1(self.spec) * phi
-            - self.S * phi
-        )
-
     def linear(self, x: np.ndarray, s: np.ndarray, g: np.ndarray, grads=None):
         """The implicit update with explicit term g and source s.
 
@@ -246,13 +243,23 @@ class _Stepper:
         return _idct(xhat), _idct(yhat) + g
 
     def advance(self, phi: np.ndarray, u: np.ndarray, grads=None):
-        """One step; returns (phi_next, mu_next) nodal arrays (``grads`` as in linear).
+        """One step; returns (phi_next, mu_next, F) with nodal arrays phi_next, mu_next.
 
+        The explicit term is g = f'(phi) - S phi.  With ``grads`` (as in
+        linear) F is the potential energy cell * sum f(phi) of the input
+        snapshot, from the kernel call that gives beta(phi); else None.
         Overflow propagates as inf/nan without a warning: the callers check
         the result and report a blow-up as NonFinite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            return self.linear(phi, u, self.nonlinear(phi), grads)
+            if grads is None:
+                beta, energy = potentials.beta_reg_vec(self.spec, phi), None
+            else:
+                f, beta = potentials.f_and_beta_reg_vec(self.spec, phi)
+                energy = self.grid.cell * np.sum(f)
+            g = beta + potentials.pi_d1(self.spec) * phi - self.S * phi
+            phi_next, mu_next = self.linear(phi, u, g, grads)
+        return phi_next, mu_next, energy
 
     def mu_of(self, phi: np.ndarray) -> np.ndarray:
         """Chemical potential -Delta phi + f'(phi) for a snapshot (used at t=0)."""
@@ -260,29 +267,34 @@ class _Stepper:
             return _idct(self.lam * _dct(self.grid, phi)) + potentials.f_d1_vec(self.spec, phi)
 
 
+def _potential_energy(grid: Grid, spec: PotentialSpec, p: np.ndarray) -> float:
+    """int f(p) = cell * sum f(p) for one snapshot p."""
+    return grid.cell * np.sum(potentials.f_value_vec(spec, p))
+
+
 def _energies(grid: Grid, spec: PotentialSpec, phi: np.ndarray, g2s: np.ndarray) -> np.ndarray:
     """E = 0.5 ||grad phi||^2 + int f(phi) for each snapshot row of phi; g2s = ||grad phi||^2."""
-    return np.array([
-        0.5 * g2 + grid.cell * np.sum(potentials.f_value_vec(spec, p))
-        for g2, p in zip(g2s, phi)
-    ])
+    return np.array([0.5 * g2 + _potential_energy(grid, spec, p) for g2, p in zip(g2s, phi)])
 
 
 def _diagnostics(
     grid: Grid, spec: PotentialSpec, timegrid: TimeGrid, phi: np.ndarray, mu: np.ndarray,
-    grads: np.ndarray,
+    grads: np.ndarray, potential: np.ndarray,
 ) -> dict:
     """Per-step diagnostics of a finite trajectory; raises NonFinite on overflow.
 
-    Rows 1.. of ``grads`` hold the steps' ||grad phi||^2, ||grad mu||^2; row 0 is set here.
+    Rows 1.. of ``grads`` hold the steps' ||grad phi||^2, ||grad mu||^2, and
+    rows ..nt-1 of ``potential`` their input snapshots' int f(phi); row 0 of
+    ``grads`` and the last of ``potential`` are set here.
     """
     # a finite trajectory can still overflow its energy or ||grad mu||
     with np.errstate(over="ignore", invalid="ignore"):
         grads[0] = grad_sq(grid, (phi[0], mu[0]))
+        potential[-1] = _potential_energy(grid, spec, phi[-1])
         diagnostics = {
             "t": timegrid.times(),
             "mean": phi.mean(axis=1),
-            "energy": _energies(grid, spec, phi, grads[:, 0]),
+            "energy": 0.5 * grads[:, 0] + potential,
             "min_phi": phi.min(axis=1),
             "max_phi": phi.max(axis=1),
             "grad_mu_norm": np.sqrt(grads[:, 1]),
@@ -329,11 +341,14 @@ def simulate(
     if not np.all(np.isfinite(mu[0])):
         raise NonFinite("initial chemical potential is not finite", step=0)
     grads = np.empty((nt + 1, 2)) if with_diagnostics else [None] * (nt + 1)
+    potential = np.empty(nt + 1) if with_diagnostics else [None] * (nt + 1)
     for n in range(nt):
-        phi[n + 1], mu[n + 1] = stepper.advance(phi[n], u.slices[n], grads[n + 1])
+        phi[n + 1], mu[n + 1], potential[n] = stepper.advance(phi[n], u.slices[n], grads[n + 1])
         if not (np.all(np.isfinite(phi[n + 1])) and np.all(np.isfinite(mu[n + 1]))):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
-    diagnostics = _diagnostics(grid, spec, timegrid, phi, mu, grads) if with_diagnostics else {}
+    diagnostics = (
+        _diagnostics(grid, spec, timegrid, phi, mu, grads, potential) if with_diagnostics else {}
+    )
     return StateTrajectory(grid, timegrid, spec, phi, mu, diagnostics)
 
 

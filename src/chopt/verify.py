@@ -198,13 +198,13 @@ def _yosida_sandwich(seed):
     for i, spec in enumerate(s for s in _reg_specs() if s.reg_kind == "yosida"):
         rng = _rng(seed, 70 + i)
         rs = rng.uniform(-0.97, 0.97, 200)
-        b_eps = potentials.beta_reg_vec(spec, rs)
-        bh = potentials._reg(spec, rs, 0)
+        bh, b_eps = potentials._reg(spec, rs, (0, 1))
+        bh_exact, b_exact = potentials._exact(spec, rs, (0, 1))
         worst = max(
             worst,
-            float(np.max(np.abs(b_eps) - np.abs(potentials._exact(spec, rs, 1)))),
+            float(np.max(np.abs(b_eps) - np.abs(b_exact))),
             float(np.max(-bh)),
-            float(np.max(bh - potentials._exact(spec, rs, 0))),
+            float(np.max(bh - bh_exact)),
         )
     return worst <= 1e-10, worst, "max violation of |beta_eps|<=|beta|, 0<=bh_eps<=bh"
 

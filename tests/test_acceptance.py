@@ -272,7 +272,7 @@ def test_criterion_8_regularization_sweeps():
         worst = max(worst, float(np.max(lip)))
         # dominated by the exact minimal section inside the domain
         inside = r1[np.abs(r1) < 0.99]
-        exact = potentials._exact(spec, inside, 1)
+        (exact,) = potentials._exact(spec, inside, (1,))
         sandwich = np.abs(potentials.beta_reg_vec(spec, inside)) - np.abs(exact)
         worst = max(worst, float(np.max(sandwich)))
     for eps in (0.5, 0.1, 1e-3):

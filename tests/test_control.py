@@ -5,7 +5,7 @@ import pytest
 
 from chopt import control
 from chopt.cli import _build_cost
-from chopt.config import parse_config
+from chopt.config import build_control, parse_config
 from chopt.control import (
     ControlProblem,
     OptimizerConfig,
@@ -161,7 +161,8 @@ def test_optimize_pure_penalty_drives_control_to_zero():
     assert result.J < 1e-16
 
 
-def test_optimize_monotone_descent_and_inverse_crime():
+def inverse_crime():
+    """A small problem whose target is the state of a random feasible control."""
     g, tg, spec, problem = small_problem(nt=30, T=0.3)
     rng = np.random.default_rng(9)
     u_true = project_Uad(
@@ -170,6 +171,11 @@ def test_optimize_monotone_descent_and_inverse_crime():
     target = simulate(problem.phi0, u_true, spec, tg, with_diagnostics=False)
     cost = CostSpec(g, tg, (1.0, 1.0, 0.0, 1e-2), phi_q=target.phi.copy(),
                     phi_omega=target.phi[-1].copy())
+    return g, tg, problem, cost, u_true, target
+
+
+def test_optimize_monotone_descent_and_inverse_crime():
+    g, tg, problem, cost, u_true, target = inverse_crime()
     u0 = ControlFunction.constant(g, tg, 0.0)
     result = optimize(u0, problem, cost, OptimizerConfig(max_iters=60, tol=1e-8))
     Js = [row["J"] for row in result.history]
@@ -177,6 +183,21 @@ def test_optimize_monotone_descent_and_inverse_crime():
     traj_true, J_true = (target, cost_J(target, u_true, cost))
     assert result.J <= J_true + 1e-12
     assert result.history[-1]["stationarity"] < result.history[0]["stationarity"]
+
+
+@pytest.mark.parametrize("descriptor", ["constant:0.4", "zero"])
+def test_optimize_from_a_read_only_constant_matches_a_writeable_copy(descriptor):
+    # a constant control is a read-only broadcast of one row; the optimizer
+    # reads it only through the projection, so the run is the same bits
+    g, tg, problem, cost, _, _ = inverse_crime()
+    u0 = build_control(g, tg, descriptor, problem.M, np.random.default_rng(0))
+    assert not u0.slices.flags.writeable
+    config = OptimizerConfig(max_iters=20, tol=1e-8)
+    view = optimize(u0, problem, cost, config)
+    copy = optimize(ControlFunction(g, tg, u0.slices.copy()), problem, cost, config)
+    assert view.iterations > 1
+    assert view.u.slices.tobytes() == copy.u.slices.tobytes()
+    assert view.history == copy.history
 
 
 def test_optimize_projects_infeasible_start():

@@ -16,6 +16,7 @@ from chopt.potentials import (
     beta_reg_d1_vec,
     beta_reg_vec,
     check_exp_derivative_bound,
+    f_and_beta_reg_vec,
     f_d1_vec,
     f_d2_vec,
     f_value_vec,
@@ -73,9 +74,9 @@ def test_regular_values():
 def test_logarithmic_values():
     spec = PotentialSpec("logarithmic", c1=2.0)
     assert f_value_vec(spec, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert _exact(spec, 0.5, 1) == pytest.approx(math.log(3.0), rel=1e-13)
+    assert _exact(spec, 0.5, (1,))[0] == pytest.approx(math.log(3.0), rel=1e-13)
     with pytest.raises(DomainViolation):
-        _exact(spec, 1.0, 1)
+        _exact(spec, 1.0, (1,))[0]
     with pytest.raises(DomainViolation):
         f_value_vec(spec, 1.5)
 
@@ -87,8 +88,8 @@ def test_obstacle_requires_regularization():
     with pytest.raises(WrongVariant):
         f_d1_vec(spec, 0.5)
     with pytest.raises(DomainViolation):
-        _exact(spec, 1.5, 1)
-    assert _exact(spec, 0.5, 1) == 0.0
+        _exact(spec, 1.5, (1,))[0]
+    assert _exact(spec, 0.5, (1,))[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +143,7 @@ def test_yosida_logarithmic_defined_on_the_whole_line(eps):
         spec = PotentialSpec(variant, c1=2.0, eps=eps, reg_kind="yosida")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            derivatives = [_reg(spec, rs, k) for k in range(4)]
+            derivatives = _reg(spec, rs, (0, 1, 2, 3))
         assert all(np.all(np.isfinite(d)) for d in derivatives)
         vals = derivatives[1]
         assert np.all(np.diff(vals) >= 0.0)
@@ -158,7 +159,7 @@ def test_yosida_sandwich():
             continue
         for r in RNG.uniform(-0.95, 0.95, 50):
             r = float(r)
-            assert abs(beta_reg_vec(spec, r)) <= abs(_exact(spec, r, 1)) + 1e-11
+            assert abs(beta_reg_vec(spec, r)) <= abs(_exact(spec, r, (1,))[0]) + 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +167,12 @@ def test_yosida_sandwich():
 
 def test_betahat_zero():
     for spec in all_regularized_specs():
-        assert _reg(spec, 0.0, 0) == pytest.approx(0.0, abs=1e-14)
+        assert _reg(spec, 0.0, (0,))[0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_betahat_obstacle_closed_form():
     spec = PotentialSpec("double_obstacle", eps=0.5, reg_kind="yosida")
-    assert _reg(spec, 1.5, 0) == pytest.approx(0.25, rel=1e-12)
+    assert _reg(spec, 1.5, (0,))[0] == pytest.approx(0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [0.8, -0.8, 0.3, 1.4, -1.7])
@@ -179,14 +180,14 @@ def test_betahat_matches_quadrature(r):
     # the closed-form Moreau-envelope primitive against direct integration
     for spec in all_regularized_specs():
         val, err = quad(lambda s: beta_reg_vec(spec, s), 0.0, r, limit=200)
-        assert _reg(spec, r, 0) == pytest.approx(val, abs=max(1e-10, 10 * err))
+        assert _reg(spec, r, (0,))[0] == pytest.approx(val, abs=max(1e-10, 10 * err))
 
 
 def test_betahat_bounded_by_exact():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="yosida")
     for r in (0.8, -0.8):
-        bh = _reg(spec, r, 0)
-        assert 0.0 <= bh <= _exact(spec, r, 0) + 1e-12
+        bh = _reg(spec, r, (0,))[0]
+        assert 0.0 <= bh <= _exact(spec, r, (0,))[0] + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,7 @@ def test_f_third_derivative_matches_fd():
         r = float(r)
         h = 1e-5
         fd = (f_d2_vec(spec, r + h) - f_d2_vec(spec, r - h)) / (2 * h)
-        assert _reg(spec, r, 3) == pytest.approx(fd, abs=1e-6 * (1 + abs(fd)))
+        assert _reg(spec, r, (3,))[0] == pytest.approx(fd, abs=1e-6 * (1 + abs(fd)))
 
 
 def test_pi_derivative_is_constant():
@@ -325,6 +326,22 @@ def test_vectorized_wrappers(spec):
         assert np.allclose(fn(spec, rs), [fn(spec, float(r)) for r in rs], atol=atol)
 
 
+@pytest.mark.parametrize("spec", all_regularized_specs() + [
+    PotentialSpec("regular"), PotentialSpec("logarithmic", c1=2.0)])
+def test_orders_asked_together_match_each_alone(spec):
+    # orders evaluated from one shared intermediate are the same bits as
+    # orders evaluated one at a time
+    rs = RNG.uniform(-1.8, 1.8, 64)
+    if spec.singular and spec.reg_kind is None:
+        rs = np.clip(rs, -0.95, 0.95)
+    together = _reg(spec, rs, (0, 1, 2, 3))
+    for k in range(4):
+        assert np.array_equal(together[k], _reg(spec, rs, (k,))[0])
+    f, beta = f_and_beta_reg_vec(spec, rs)
+    assert np.array_equal(f, f_value_vec(spec, rs))
+    assert np.array_equal(beta, beta_reg_vec(spec, rs))
+
+
 # ---------------------------------------------------------------------------
 # properties of every regularization, over drawn points
 
@@ -368,9 +385,10 @@ def test_property_monotone_lipschitz_and_zero_at_zero(spec, rs):
 @given(line=points(), inside=points(-1.0, 1.0))
 def test_property_bounded_by_the_exact_graph(spec, line, inside):
     rs = inside if spec.singular else line
-    exact = np.abs(_exact(spec, rs, 1))
-    assert np.all(np.abs(beta_reg_vec(spec, rs)) <= exact + 1e-12 * np.maximum(1.0, exact))
-    bh, bh_exact = _reg(spec, rs, 0), _exact(spec, rs, 0)
+    bh, beta = _reg(spec, rs, (0, 1))
+    bh_exact, exact = _exact(spec, rs, (0, 1))
+    exact = np.abs(exact)
+    assert np.all(np.abs(beta) <= exact + 1e-12 * np.maximum(1.0, exact))
     assert np.all(bh >= -1e-15)
     assert np.all(bh <= bh_exact + 1e-12 * np.maximum(1.0, bh_exact))
 
@@ -403,6 +421,6 @@ def test_piecewise_log_continuous_across_the_knee(spec, side):
     # and beta' agree there to 1e-12 relative (the affine branch is matched)
     knee = side * (1.0 - spec.eps)
     below, beyond = np.nextafter(knee, 0.0), np.nextafter(knee, 2.0 * side)
-    for k in (0, 1, 2):
-        v_in, v_out = _reg(spec, below, k), _reg(spec, beyond, k)
+    pairs = zip(_reg(spec, below, (0, 1, 2)), _reg(spec, beyond, (0, 1, 2)))
+    for k, (v_in, v_out) in enumerate(pairs):
         assert abs(v_out - v_in) <= 1e-12 * abs(v_in), (k, v_in, v_out)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from chopt import spectral, state
-from chopt.config import band_limited_field
+from chopt import potentials, spectral, state
+from chopt.config import band_limited_field, build_control
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
 from chopt.spectral import Field, Grid, basis_modes, grad_sq
@@ -310,15 +311,29 @@ def test_mean_closed_form_homogeneous():
 def diagnostic_spec(variant):
     if variant == "regular":
         return regular_spec()
+    if variant == "exact-logarithmic":
+        return PotentialSpec("logarithmic", c1=2.0, stabilization=17.0)
+    if variant == "yosida-logarithmic":
+        return PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="yosida",
+                             stabilization=17.0)
+    if variant == "yosida-obstacle":
+        return PotentialSpec("double_obstacle", c2=1.0, eps=1e-2, reg_kind="yosida",
+                             stabilization=17.0)
     return PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="piecewise_log",
                          stabilization=17.0)
 
 
+SINGULAR_DIAGNOSTIC_VARIANTS = [
+    "logarithmic", "exact-logarithmic", "yosida-logarithmic", "yosida-obstacle"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n, variant", [(32, "logarithmic"), (16, "regular")])
+@pytest.mark.parametrize("n, variant", [(32, v) for v in SINGULAR_DIAGNOSTIC_VARIANTS]
+                         + [(16, "regular")])
 def test_simulate_diagnostics_match_the_stored_snapshots(n, variant):
-    # the step's own coefficients give ||grad phi||^2 and ||grad mu||^2; they
-    # must agree with transforming the stored snapshots, row 0 included
+    # the step's own coefficients give ||grad phi||^2 and ||grad mu||^2, and
+    # its own potential evaluation int f(phi); they must agree with
+    # evaluating the stored snapshots, row 0 included
     g = Grid(n, n, 1.0)
     tg = TimeGrid(0.01, 40)
     rng = np.random.default_rng(n)
@@ -330,6 +345,83 @@ def test_simulate_diagnostics_match_the_stored_snapshots(n, variant):
     grad_mu = np.sqrt(grad_sq(g, traj.mu))
     assert np.allclose(traj.diagnostics["energy"], energies, rtol=1e-12, atol=0.0)
     assert np.allclose(traj.diagnostics["grad_mu_norm"], grad_mu, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("variant", SINGULAR_DIAGNOSTIC_VARIANTS)
+def test_simulate_evaluates_the_potential_once_per_snapshot(monkeypatch, variant):
+    # each step takes int f(phi) of its input snapshot from the kernel call
+    # that gives beta; f is evaluated on its own for the last row only, and a
+    # solve without diagnostics never evaluates f
+    g = Grid(16, 16, 1.0)
+    tg = TimeGrid(0.01, 20)
+    phi0 = band_limited_field(g, 0.9, 8, np.random.default_rng(4))
+    u = constant_control(g, tg, 0.05)
+    spec = diagnostic_spec(variant)
+    value_rows, kernel_orders = [], []
+    f_value, reg = potentials.f_value_vec, potentials._reg
+
+    def counted_f_value(spec, values):
+        value_rows.append(np.array(values))
+        return f_value(spec, values)
+
+    def counted_reg(spec, r, ks):
+        kernel_orders.append(ks)
+        return reg(spec, r, ks)
+
+    monkeypatch.setattr(potentials, "f_value_vec", counted_f_value)
+    monkeypatch.setattr(potentials, "_reg", counted_reg)
+    simulate(phi0, u, spec, tg, with_diagnostics=False)
+    assert value_rows == []
+    assert not any(0 in ks for ks in kernel_orders)
+    plain, kernel_orders[:] = len(kernel_orders), []
+    traj = simulate(phi0, u, spec, tg)
+    assert len(value_rows) == 1
+    assert np.array_equal(value_rows[0], traj.phi[-1])
+    assert kernel_orders.count((0, 1)) == tg.nt
+    assert len(kernel_orders) == plain + 1
+
+
+def test_constant_control_is_one_read_only_row():
+    g = Grid(128, 128, 1.0)
+    tg = TimeGrid(0.5, 500)
+    tracemalloc.start()
+    try:
+        u = build_control(g, tg, "constant:0.1", 0.2, np.random.default_rng(0))
+        assert u.linf() == 0.1
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a full stack would be 65.7 MB
+    assert peak < 16_000_000
+    assert not u.slices.flags.writeable
+    assert not ControlFunction.constant(g, tg, 0.0).slices.flags.writeable
+    assert u.slices.shape == (tg.nt + 1, g.size)
+    assert np.all(u.slices[::97] == 0.1)
+
+
+@pytest.mark.parametrize("value", [-0.4, 0.0, 0.3])
+def test_linf_matches_the_largest_magnitude(value):
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 6)
+    slices = value + RNG.uniform(-0.05, 0.05, (tg.nt + 1, g.size))
+    u = ControlFunction(g, tg, slices)
+    assert u.linf() == float(np.max(np.abs(slices)))
+    assert constant_control(g, tg, value).linf() == abs(value)
+
+
+def test_simulate_with_a_constant_control_holds_little_beyond_the_trajectory():
+    g = Grid(64, 64, 1.0)
+    tg = TimeGrid(0.2, 200)
+    phi0 = band_limited_field(g, 0.6, 8, np.random.default_rng(5))
+    tracemalloc.start()
+    try:
+        u = constant_control(g, tg, 0.1)
+        traj = simulate(phi0, u, diagnostic_spec("logarithmic"), tg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a full control stack would add half the trajectory's bytes
+    assert peak < 1.2 * (traj.phi.nbytes + traj.mu.nbytes)
 
 
 def count_transforms(monkeypatch):
