@@ -126,7 +126,8 @@ def run_oracle_compare(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "oracle_errors.csv", ("step", "t", "phi_error", "mu_error"), rows)
     print(f"oracle-compare: n = {cfg.oracle_modes}, max relative phi error "
           f"{report.max_phi_error:.3e}, max scaled mu error {report.max_mu_error:.3e} "
-          f"(against max(max_n |mu^n|, |1|))")
+          f"(against max(max_n |mu^n|, |1|)); Newton iterations "
+          f"{oracle.newton_iterations}, Jacobians built {oracle.jacobians}")
     return 0
 
 

@@ -39,6 +39,7 @@ from .state import (
     TimeGrid,
     control_inner,
     default_stabilization,
+    energy_balance_residual,
     mean_closed_form,
     simulate,
 )
@@ -349,6 +350,31 @@ def _continuous_dependence(seed):
         num = dphi + math.sqrt(control_inner(tg, grid, dmu, dmu))
         worst = max(worst, num / max(math.sqrt(control_inner(tg, grid, du, du)), 1e-300))
     return math.isfinite(worst), worst, "max perturbation ratio over 10 control pairs"
+
+
+@_check("state.energy-balance", "state")
+def _energy_balance(seed):
+    grid = _grid8()
+    tg = TimeGrid(0.5, 20)
+    spec = _regular_spec()
+    u = ControlFunction.constant(grid, tg, 1.0)
+    traj = simulate(Field(grid, np.ones(grid.size)), u, spec, tg, with_diagnostics=False)
+    stationary = float(np.max(np.abs(energy_balance_residual(traj, u, spec))))
+    # linear dynamics (obstacle variant inside [-1, 1]) on few, slow modes,
+    # so tau * lambda^2 stays small and the residual is first order in tau
+    spec = PotentialSpec("double_obstacle", c2=0.5, eps=0.5, reg_kind="yosida",
+                         stabilization=0.0)
+    phi0 = band_limited_field(grid, 0.05, 3, _rng(seed, 125))
+
+    def max_res(nt):
+        tgrid = TimeGrid(0.1, nt)
+        zero = ControlFunction.constant(grid, tgrid, 0.0)
+        traj = simulate(phi0, zero, spec, tgrid, with_diagnostics=False)
+        return float(np.max(np.abs(energy_balance_residual(traj, zero, spec))))
+
+    ratio = max_res(100) / max(max_res(200), 1e-300)
+    ok = stationary < 1e-10 and 1.5 <= ratio <= 2.5
+    return ok, ratio, "tau-halving ratio of the energy-balance residual (first order => ~2)"
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from chopt import galerkin
 from chopt.cli import run_oracle_compare
 from chopt.config import parse_config
-from chopt.errors import BadModeCount, ShapeMismatch
+from chopt.errors import BadModeCount, NewtonFailure, ShapeMismatch
 from chopt.galerkin import (
     build_system,
     compare_to_pde,
@@ -277,3 +278,92 @@ def test_oracle_yosida_small_eps_finishes(tmp_path, seed, substeps):
     assert run_oracle_compare(parse_config(path), tmp_path) == 0
     errors = (tmp_path / "oracle_errors.csv").read_text().splitlines()
     assert len(errors) == 52
+
+
+# ---------------------------------------------------------------------------
+# chord Newton against full Newton
+
+def full_newton(system, y0, u, spec, tg, substeps):
+    """The implicit midpoint rule with a fresh Jacobian and solve per iteration."""
+    A = system.lam
+    eye = np.eye(system.n)
+    h = tg.tau / substeps
+
+    def rhs(yv, g):
+        return -yv - A * (A * yv + galerkin._nonlinearity(system, spec, yv)) + g
+
+    y = [np.asarray(y0, dtype=float)]
+    for step_idx in range(tg.nt):
+        g = system.project(u.slices[step_idx])
+        yk = y[-1]
+        for _ in range(substeps):
+            yn = yk + h * rhs(yk, g)
+            for _ in range(galerkin._NEWTON_MAXIT):
+                mid = 0.5 * (yk + yn)
+                res = yn - yk - h * rhs(mid, g)
+                if np.linalg.norm(res) <= galerkin._NEWTON_TOL * (1.0 + np.linalg.norm(yk)):
+                    break
+                jac_f = -eye - np.diag(A * A) - A[:, None] * galerkin._nonlinearity_jac(
+                    system, spec, mid)
+                yn = yn - np.linalg.solve(eye - 0.5 * h * jac_f, res)
+            else:
+                raise NewtonFailure(f"reference Newton stalled at output step {step_idx}")
+            yk = yn
+        y.append(yk)
+    return np.array(y)
+
+
+def oracle_inputs(tmp_path, seed, substeps, eps="1e-3", steps=50):
+    path = tmp_path / "run.cfg"
+    path.write_text(ORACLE_YOSIDA.format(seed=seed, substeps=substeps)
+                    .replace("eps = 1e-3", f"eps = {eps}")
+                    .replace("steps = 50", f"steps = {steps}"))
+    cfg = parse_config(path)
+    system = build_system(cfg.grid, cfg.oracle_modes)
+    return system, project_initial(cfg.phi0, cfg.oracle_modes), cfg
+
+
+def assert_matches_full_newton(system, y0, cfg, substeps):
+    traj = integrate(system, y0, cfg.u0, cfg.spec, cfg.timegrid, substeps=substeps)
+    ref = full_newton(system, y0, cfg.u0, cfg.spec, cfg.timegrid, substeps)
+    scale = 1.0 + np.linalg.norm(ref, axis=1)
+    assert np.all(np.max(np.abs(traj.y - ref), axis=1) <= 1e-11 * scale)
+    return traj
+
+
+# the benchmark's oracle-yosida-16 input (eps = 1e-2, 2 substeps) and the two
+# eps = 1e-3 inputs above
+@pytest.mark.parametrize("seed, substeps, eps", [
+    (3611022795, 2, "1e-2"),
+    (450395673, 2, "1e-3"),
+    (2351394226, 4, "1e-3"),
+])
+def test_chord_newton_matches_full_newton(tmp_path, seed, substeps, eps):
+    system, y0, cfg = oracle_inputs(tmp_path, seed, substeps, eps)
+    assert_matches_full_newton(system, y0, cfg, substeps)
+
+
+def test_chord_newton_builds_few_jacobians(tmp_path):
+    system, y0, cfg = oracle_inputs(tmp_path, 3611022795, 2, "1e-2")
+    traj = integrate(system, y0, cfg.u0, cfg.spec, cfg.timegrid, substeps=2)
+    assert traj.jacobians <= 5
+    assert traj.newton_iterations >= cfg.timegrid.nt * 2
+
+
+def test_chord_newton_rebuilds_a_stale_jacobian(tmp_path):
+    # five coarse steps at eps = 1e-3: phi moves far enough within a run that
+    # the first Jacobian stops contracting and has to be rebuilt
+    system, y0, cfg = oracle_inputs(tmp_path, 450395673, 1, steps=5)
+    traj = assert_matches_full_newton(system, y0, cfg, 1)
+    assert traj.jacobians > 1
+    assert np.all(np.isfinite(traj.y)) and np.all(np.isfinite(traj.z))
+
+
+def test_integrate_raises_newton_failure_when_out_of_iterations(monkeypatch):
+    monkeypatch.setattr(galerkin, "_NEWTON_MAXIT", 1)
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 5)
+    u = ControlFunction.constant(g, tg, 0.2)
+    phi0 = Field(g, 0.3 * basis_modes(g, [1], [1])[0])
+    with pytest.raises(NewtonFailure, match="output step 0"):
+        integrate(build_system(g, 6), project_initial(phi0, 6), u, regular_spec(), tg)

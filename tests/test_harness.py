@@ -321,7 +321,8 @@ EXPECTED_CHECKS = {
                    "pi-derivative-constant", "log-derivative-exp-bound",
                    "young-exp-inequality"},
     "state": {"mean-implicit-euler", "mean-closed-form-consistency",
-              "separation-log-2d", "xi-bound", "continuous-dependence"},
+              "separation-log-2d", "xi-bound", "continuous-dependence",
+              "energy-balance"},
     "galerkin": {"constant-mode-law", "refinement-convergence"},
     "sensitivity": {"adjoint-transpose-identity", "tangent-linearity",
                     "frechet-order", "tangent-continuity", "gradient-fd-match"},
