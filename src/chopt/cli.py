@@ -117,8 +117,7 @@ def run_oracle_compare(cfg: RunConfig, out: Path) -> int:
                    check_compatibility=False, with_diagnostics=False)
     system = build_system(cfg.grid, cfg.oracle_modes)
     y0 = project_initial(cfg.phi0, cfg.oracle_modes)
-    oracle = integrate(system, y0, cfg.u0, cfg.spec, cfg.timegrid,
-                       substeps=cfg.oracle_substeps)
+    oracle = integrate(system, y0, cfg.u0, cfg.spec, substeps=cfg.oracle_substeps)
     report = compare_to_pde(oracle, pde)
     ts = cfg.timegrid.times()
     rows = ((n, ts[n], report.phi_errors[n], report.mu_errors[n])

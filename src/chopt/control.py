@@ -173,7 +173,7 @@ def _evaluate(problem: ControlProblem, u: ControlFunction, cost: CostSpec):
         check_compatibility=False,
         with_diagnostics=False,
     )
-    return traj, cost_J(traj, u, cost)
+    return traj, cost_J(traj, cost)
 
 
 def _bb_step(tg: TimeGrid, grid: Grid, s: np.ndarray, y: np.ndarray, step: float) -> float:
@@ -220,7 +220,7 @@ def optimize(
     stalled = False
     it = 0
     for it in range(1, config.max_iters + 1):
-        g = reduced_gradient(traj, solve_adjoint(traj, cost, problem.spec), u, cost)
+        g = reduced_gradient(traj, solve_adjoint(traj, cost), cost)
         if u_prev is not None:
             step = _bb_step(tg, grid, u.slices - u_prev, g - g_prev, step)
             # released here, so the line search holds no extra control copies

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ShapeMismatch
 from .spectral import Grid
-from .state import ControlFunction, StateTrajectory, TimeGrid, control_inner
+from .state import StateTrajectory, TimeGrid, control_inner
 
 __all__ = ["CostSpec", "cost_J"]
 
@@ -51,12 +51,10 @@ class CostSpec:
             object.__setattr__(self, name, t)
 
 
-def cost_J(traj: StateTrajectory, u: ControlFunction, cost: CostSpec) -> float:
-    """Evaluate the discrete cost; always nonnegative."""
+def cost_J(traj: StateTrajectory, cost: CostSpec) -> float:
+    """Evaluate the discrete cost of the trajectory and its control; always nonnegative."""
     if traj.grid != cost.grid or traj.timegrid != cost.timegrid:
         raise ShapeMismatch("trajectory does not match the cost grids")
-    if u.grid != cost.grid or u.timegrid != cost.timegrid:
-        raise ShapeMismatch("control does not match the cost grids")
     a1, a2, a3, a4 = cost.alpha
     tg, grid = cost.timegrid, cost.grid
     total = 0.0
@@ -70,5 +68,6 @@ def cost_J(traj: StateTrajectory, u: ControlFunction, cost: CostSpec) -> float:
         d = traj.mu - cost.mu_q
         total += 0.5 * a3 * control_inner(tg, grid, d, d)
     if a4 > 0:
-        total += 0.5 * a4 * control_inner(tg, grid, u.slices, u.slices)
+        u = traj.u.slices
+        total += 0.5 * a4 * control_inner(tg, grid, u, u)
     return total

@@ -50,7 +50,6 @@ class GalerkinSystem:
 
     grid: Grid
     n: int
-    modes: tuple
     lam: np.ndarray = field(repr=False)
     basis: np.ndarray = field(repr=False)
 
@@ -70,8 +69,7 @@ def _modes(grid: Grid, n: int):
 
 def build_system(grid: Grid, n: int) -> GalerkinSystem:
     j, k = _modes(grid, n)
-    modes = tuple(zip(j.tolist(), k.tolist()))
-    return GalerkinSystem(grid, n, modes, grid.eigenvalues()[j, k], basis_modes(grid, j, k))
+    return GalerkinSystem(grid, n, grid.eigenvalues()[j, k], basis_modes(grid, j, k))
 
 
 def project_initial(phi0: Field, n: int) -> np.ndarray:
@@ -90,9 +88,7 @@ class GalerkinTrajectory:
 
 
 def _nonlinearity(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
-    phi = system.reconstruct(y)
-    nl = potentials.beta_reg_vec(spec, phi) + potentials.pi_d1(spec) * phi
-    return system.project(nl)
+    return system.project(potentials.f_d1_vec(spec, system.reconstruct(y)))
 
 
 def _nonlinearity_jac(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
@@ -106,10 +102,9 @@ def integrate(
     y0: np.ndarray,
     u: ControlFunction,
     spec: PotentialSpec,
-    timegrid: TimeGrid,
     substeps: int = 1,
 ) -> GalerkinTrajectory:
-    """Integrate the truncated system with the implicit midpoint rule.
+    """Integrate the truncated system with the implicit midpoint rule on u's time grid.
 
     ``substeps`` inner steps are taken per output step; the control is held at
     its left slab value, matching the PDE stepper.  Each step is solved by a
@@ -126,8 +121,9 @@ def integrate(
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (n,):
         raise ShapeMismatch(f"initial coefficients must have shape ({n},)")
-    if u.grid != system.grid or u.timegrid != timegrid:
-        raise ShapeMismatch("control does not match the oracle grids")
+    if u.grid != system.grid:
+        raise ShapeMismatch("control does not match the oracle grid")
+    timegrid = u.timegrid
     nt = timegrid.nt
     h = timegrid.tau / substeps
     A = system.lam

@@ -14,6 +14,12 @@ discrete cost to roundoff, and the adjoint/tangent duality identity holds to
 near machine precision.  In the limit of vanishing step sizes the costate,
 scaled by 1/(tau w_n), approximates the continuous adjoint p, and the
 gradient density approaches p + alpha4 * u.
+
+Every solve here linearizes about one base trajectory, which carries its
+control and potential: ``solve_linearized(base, h)``, ``solve_adjoint(base,
+cost)`` and ``reduced_gradient(base, adj, cost)`` take u and the potential
+from ``base``, so the tangent, the costate and the gradient cannot be built
+about a different control or potential than the one that was solved.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import numpy as np
 from . import potentials
 from .cost import CostSpec
 from .errors import NonFinite, ShapeMismatch
-from .potentials import PotentialSpec
 from .spectral import _dct, _idct
 from .state import (
     ControlFunction,
@@ -83,15 +88,11 @@ def _curvature(base: StateTrajectory, stepper: _Stepper) -> np.ndarray:
     return potentials.f_d2_vec(stepper.spec, base.phi[:-1]) - stepper.S
 
 
-def solve_linearized(
-    base: StateTrajectory,
-    h: ControlFunction,
-    spec: PotentialSpec,
-) -> TangentTrajectory:
+def solve_linearized(base: StateTrajectory, h: ControlFunction) -> TangentTrajectory:
     """Exact linearization of the forward scheme along direction h."""
     if h.grid != base.grid or h.timegrid != base.timegrid:
         raise ShapeMismatch("direction does not match the base trajectory")
-    stepper = _Stepper(base.grid, spec, base.timegrid.tau)
+    stepper = _Stepper(base.grid, base.spec, base.timegrid.tau)
     W = _curvature(base, stepper)
     nt = base.timegrid.nt
     xi = np.zeros((nt + 1, base.grid.size))
@@ -119,11 +120,7 @@ def _cost_sources(base: StateTrajectory, cost: CostSpec):
     return s_phi, s_mu
 
 
-def solve_adjoint(
-    base: StateTrajectory,
-    cost: CostSpec,
-    spec: PotentialSpec,
-) -> AdjointTrajectory:
+def solve_adjoint(base: StateTrajectory, cost: CostSpec) -> AdjointTrajectory:
     """Backward sweep: exact transpose of the linearized one-step map.
 
     The costate P^n is the cotangent of the cost with respect to an
@@ -134,7 +131,7 @@ def solve_adjoint(
     if cost.grid != base.grid or cost.timegrid != base.timegrid:
         raise ShapeMismatch("cost does not match the base trajectory")
     grid = base.grid
-    stepper = _Stepper(grid, spec, base.timegrid.tau)
+    stepper = _Stepper(grid, base.spec, base.timegrid.tau)
     lam, S, denom = stepper.lam, stepper.S, stepper.denom
     W = _curvature(base, stepper)
     nt = base.timegrid.nt
@@ -157,22 +154,17 @@ def _source_cotangent(base: StateTrajectory, adj: AdjointTrajectory) -> np.ndarr
     return _idct(adj.costate[1:] / denom)
 
 
-def reduced_gradient(
-    base: StateTrajectory,
-    adj: AdjointTrajectory,
-    u: ControlFunction,
-    cost: CostSpec,
-) -> np.ndarray:
-    """Gradient density g of the reduced discrete cost, shape (nt+1, size).
+def reduced_gradient(base: StateTrajectory, adj: AdjointTrajectory, cost: CostSpec) -> np.ndarray:
+    """Gradient density g of the reduced discrete cost at base.u, shape (nt+1, size).
 
     With the ``control_inner`` pairing <g, h>_{L2(Q)} = sum_n tau w_n cell
     <g^n, h^n>, the inner product of g with any direction equals the exact
     directional derivative of the discrete cost.
     """
-    if adj.grid != base.grid or u.grid != base.grid:
+    if adj.grid != base.grid:
         raise ShapeMismatch("mismatched grids in gradient assembly")
     w = _trapezoid_weights(base.timegrid.nt)
-    g = cost.alpha[3] * u.slices
+    g = cost.alpha[3] * base.u.slices
     g[:-1] += _source_cotangent(base, adj) / w[:-1, None]
     return g
 

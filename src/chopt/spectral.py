@@ -72,10 +72,6 @@ class Grid:
             raise ValueError("side lengths must be positive and finite")
 
     @property
-    def dimension(self) -> int:
-        return 1 if self.ny == 1 else 2
-
-    @property
     def size(self) -> int:
         return self.nx * self.ny
 

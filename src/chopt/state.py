@@ -139,14 +139,25 @@ def control_inner(timegrid: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) 
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """Snapshots of phi and mu for one forward solve, plus per-step diagnostics."""
+    """One forward solve: its control u and potential, phi and mu snapshots, diagnostics.
 
-    grid: Grid
-    timegrid: TimeGrid
+    ``grid`` and ``timegrid`` are u's, so the snapshots cannot disagree with
+    the control that produced them.
+    """
+
+    u: ControlFunction
     spec: PotentialSpec
     phi: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     diagnostics: dict = field(repr=False, default_factory=dict)
+
+    @property
+    def grid(self) -> Grid:
+        return self.u.grid
+
+    @property
+    def timegrid(self) -> TimeGrid:
+        return self.u.timegrid
 
     def __post_init__(self):
         shape = (self.timegrid.nt + 1, self.grid.size)
@@ -166,9 +177,6 @@ class StateTrajectory:
 class CompatibilityReport:
     passed: bool
     margin: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def validate_compatibility(phi0: Field, M: float, spec: PotentialSpec) -> CompatibilityReport:
@@ -193,8 +201,8 @@ def validate_compatibility(phi0: Field, M: float, spec: PotentialSpec) -> Compat
 def default_stabilization(spec: PotentialSpec, interval: tuple[float, float] | None = None) -> float:
     """Splitting constant S = sup |f''| over the working interval.
 
-    Defaults to [-1.2, 1.2] for the regular variant and to the compatibility
-    interval (clipped into D(beta)) for singular ones.
+    The interval defaults to [-1.2, 1.2]; for singular variants it is
+    clipped to [-(1 - 1e-6), 1 - 1e-6], inside D(beta).
     """
     if interval is None:
         interval = (-1.2, 1.2)
@@ -349,7 +357,7 @@ def simulate(
     diagnostics = (
         _diagnostics(grid, spec, timegrid, phi, mu, grads, potential) if with_diagnostics else {}
     )
-    return StateTrajectory(grid, timegrid, spec, phi, mu, diagnostics)
+    return StateTrajectory(u, spec, phi, mu, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +391,13 @@ def energy(phi: Field, spec: PotentialSpec) -> float:
     return float(_energies(phi.grid, spec, phi.values[None], grad_sq(phi.grid, phi.values))[0])
 
 
-def energy_balance_residual(
-    traj: StateTrajectory, u: ControlFunction, spec: PotentialSpec
-) -> np.ndarray:
+def energy_balance_residual(traj: StateTrajectory) -> np.ndarray:
     """Discrete residual of dE/dt = -||grad mu||^2 + int mu (u - phi).
 
     r^n = (E^{n+1} - E^n)/tau + ||grad mu^{n+1}||^2
           - <mu^{n+1}, u^n - phi^{n+1}>,  expected O(tau) + O(h^2).
     """
     grid = traj.grid
-    en = _energies(grid, spec, traj.phi, grad_sq(grid, traj.phi))
-    source = grid.cell * np.sum(traj.mu[1:] * (u.slices[:-1] - traj.phi[1:]), axis=1)
+    en = _energies(grid, traj.spec, traj.phi, grad_sq(grid, traj.phi))
+    source = grid.cell * np.sum(traj.mu[1:] * (traj.u.slices[:-1] - traj.phi[1:]), axis=1)
     return np.diff(en) / traj.timegrid.tau + grad_sq(grid, traj.mu[1:]) - source

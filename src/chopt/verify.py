@@ -226,8 +226,7 @@ def _log_exp_bound(seed):
     for i, eps in enumerate((0.5, 0.1, 1e-3)):
         spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="piecewise_log")
         samples = _rng(seed, 90 + i).uniform(-2.0, 2.0, 10_000)
-        report = potentials.check_exp_derivative_bound(spec, samples)
-        worst = max(worst, report.max_violation)
+        worst = max(worst, potentials.check_exp_derivative_bound(spec, samples))
     return worst <= 1e-12, worst, "max of beta_eps' - 2 exp(|beta_eps|) over sweeps"
 
 
@@ -359,22 +358,34 @@ def _energy_balance(seed):
     spec = _regular_spec()
     u = ControlFunction.constant(grid, tg, 1.0)
     traj = simulate(Field(grid, np.ones(grid.size)), u, spec, tg, with_diagnostics=False)
-    stationary = float(np.max(np.abs(energy_balance_residual(traj, u, spec))))
+    stationary = float(np.max(np.abs(energy_balance_residual(traj))))
     # linear dynamics (obstacle variant inside [-1, 1]) on few, slow modes,
     # so tau * lambda^2 stays small and the residual is first order in tau
     spec = PotentialSpec("double_obstacle", c2=0.5, eps=0.5, reg_kind="yosida",
                          stabilization=0.0)
-    phi0 = band_limited_field(grid, 0.05, 3, _rng(seed, 125))
+    wave = band_limited_field(grid, 0.05, 3, _rng(seed, 125)).values
 
-    def max_res(nt):
-        tgrid = TimeGrid(0.1, nt)
-        zero = ControlFunction.constant(grid, tgrid, 0.0)
-        traj = simulate(phi0, zero, spec, tgrid, with_diagnostics=False)
-        return float(np.max(np.abs(energy_balance_residual(traj, zero, spec))))
+    def ratio(phi0, value):
+        """max |r| at nt = 100 over max |r| at nt = 200, with the constant control value."""
+        res = []
+        for nt in (100, 200):
+            tgrid = TimeGrid(0.1, nt)
+            u = ControlFunction.constant(grid, tgrid, value)
+            traj = simulate(phi0, u, spec, tgrid, with_diagnostics=False)
+            res.append(float(np.max(np.abs(energy_balance_residual(traj)))))
+        return res[0] / max(res[1], 1e-300)
 
-    ratio = max_res(100) / max(max_res(200), 1e-300)
-    ok = stationary < 1e-10 and 1.5 <= ratio <= 2.5
-    return ok, ratio, "tau-halving ratio of the energy-balance residual (first order => ~2)"
+    unsourced = ratio(Field(grid, wave), 0.0)
+    # u - phi and mu far from zero: without its source term the residual
+    # stops shrinking with tau (ratio ~1.1).  Using mu^n for mu^{n+1} in
+    # ||grad mu||^2 is also first order (ratio ~1.885), so no tau-halving
+    # ratio can tell that slip from the correct residual.
+    sourced = ratio(Field(grid, 0.2 + wave), 0.5)
+    ok = stationary < 1e-10 and all(1.5 <= r <= 2.5 for r in (unsourced, sourced))
+    return ok, sourced, (
+        f"tau-halving ratio of the energy-balance residual with u = 0.5 "
+        f"(first order => ~2); {unsourced:.3f} with u = 0"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +403,7 @@ def _galerkin_mean(seed):
     system = build_system(grid, 1)
     phi0 = Field(grid, np.full(grid.size, 0.3))
     y0 = project_initial(phi0, 1)
-    traj = integrate(system, y0, u, spec, tg, substeps=40)
+    traj = integrate(system, y0, u, spec, substeps=40)
     sqrt_vol = math.sqrt(grid.volume)
     worst = 0.0
     for n in range(tg.nt + 1):
@@ -417,7 +428,7 @@ def _galerkin_refinement(seed):
         pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
         system = build_system(grid, n_modes)
         y0 = project_initial(phi0, n_modes)
-        oracle = integrate(system, y0, u, spec, tg, substeps=5)
+        oracle = integrate(system, y0, u, spec, substeps=5)
         return compare_to_pde(oracle, pde).max_phi_error
 
     e_coarse = error(50, 8)
@@ -466,10 +477,10 @@ def _adjoint_identity(seed):
     worst = 0.0
     for _ in range(3):
         h = _direction(grid, tg, rng)
-        tangent = solve_linearized(traj, h, spec)
-        adj = solve_adjoint(traj, cost, spec)
+        tangent = solve_linearized(traj, h)
+        adj = solve_adjoint(traj, cost)
         res = adjoint_identity_residual(traj, tangent, adj, h, cost)
-        scale = 1.0 + abs(cost_J(traj, u, cost))
+        scale = 1.0 + abs(cost_J(traj, cost))
         worst = max(worst, res / scale)
     return worst <= 1e-10, worst, "max scaled transpose-identity residual"
 
@@ -479,10 +490,10 @@ def _tangent_linearity(seed):
     grid, tg, spec, phi0, u, traj, cost, rng = _sensitivity_setup(seed, 180)
     h1 = _direction(grid, tg, rng)
     h2 = _direction(grid, tg, rng)
-    t1 = solve_linearized(traj, h1, spec)
-    t2 = solve_linearized(traj, h2, spec)
+    t1 = solve_linearized(traj, h1)
+    t2 = solve_linearized(traj, h2)
     h12 = ControlFunction(grid, tg, h1.slices + 2.0 * h2.slices)
-    t12 = solve_linearized(traj, h12, spec)
+    t12 = solve_linearized(traj, h12)
     dev = np.max(np.abs(t12.xi - t1.xi - 2.0 * t2.xi))
     scale = max(np.max(np.abs(t12.xi)), 1e-300)
     rel = float(dev / scale)
@@ -493,7 +504,7 @@ def _tangent_linearity(seed):
 def _frechet_order(seed):
     grid, tg, spec, phi0, u, traj, cost, rng = _sensitivity_setup(seed, 190)
     h = _direction(grid, tg, rng)
-    tangent = solve_linearized(traj, h, spec)
+    tangent = solve_linearized(traj, h)
     rems = []
     for lam in (1e-1, 5e-2, 2.5e-2):
         up = ControlFunction(grid, tg, u.slices + lam * h.slices)
@@ -510,7 +521,7 @@ def _tangent_continuity(seed):
     worst = 0.0
     for _ in range(5):
         h = _direction(grid, tg, rng)
-        tangent = solve_linearized(traj, h, spec)
+        tangent = solve_linearized(traj, h)
         num = _c0_h(tangent.xi, grid) + math.sqrt(control_inner(tg, grid, tangent.eta, tangent.eta))
         den = math.sqrt(control_inner(tg, grid, h.slices, h.slices))
         worst = max(worst, num / max(den, 1e-300))
@@ -520,8 +531,8 @@ def _tangent_continuity(seed):
 @_check("sensitivity.gradient-fd-match", "sensitivity")
 def _gradient_fd(seed):
     grid, tg, spec, phi0, u, traj, cost, rng = _sensitivity_setup(seed, 210)
-    adj = solve_adjoint(traj, cost, spec)
-    g = reduced_gradient(traj, adj, u, cost)
+    adj = solve_adjoint(traj, cost)
+    g = reduced_gradient(traj, adj, cost)
     worst = 0.0
     for _ in range(2):
         h = _direction(grid, tg, rng)
@@ -530,8 +541,8 @@ def _gradient_fd(seed):
         for delta in (1e-3, 1e-4, 1e-5, 1e-6):
             up = ControlFunction(grid, tg, u.slices + delta * h.slices)
             um = ControlFunction(grid, tg, u.slices - delta * h.slices)
-            jp = cost_J(simulate(phi0, up, spec, tg, with_diagnostics=False), up, cost)
-            jm = cost_J(simulate(phi0, um, spec, tg, with_diagnostics=False), um, cost)
+            jp = cost_J(simulate(phi0, up, spec, tg, with_diagnostics=False), cost)
+            jm = cost_J(simulate(phi0, um, spec, tg, with_diagnostics=False), cost)
             fd = (jp - jm) / (2.0 * delta)
             best = min(best, abs(fd - predicted) / max(abs(fd), 1e-300))
         worst = max(worst, best)
@@ -570,11 +581,11 @@ def _cost_nonneg(seed):
             phi_omega=rng.standard_normal(grid.size),
             mu_q=rng.standard_normal((tg.nt + 1, grid.size)),
         )
-        vals.append(cost_J(traj, u0, c))
+        vals.append(cost_J(traj, c))
     perfect = CostSpec(grid, tg, (1.0, 1.0, 1.0, 0.0),
                        phi_q=traj.phi.copy(), phi_omega=traj.phi[-1].copy(),
                        mu_q=traj.mu.copy())
-    zero = cost_J(traj, u0, perfect)
+    zero = cost_J(traj, perfect)
     measured = min(min(vals), -abs(zero))
     return min(vals) >= 0.0 and abs(zero) <= 1e-20, measured, "J >= 0; perfect tracking gives 0"
 
@@ -634,7 +645,7 @@ def _feasible_descent(seed):
     u0_proj = project_Uad(problem.grid, problem.timegrid, u0.slices, problem.M, problem.Mprime)
     traj0 = simulate(problem.phi0, u0_proj, problem.spec, problem.timegrid,
                      with_diagnostics=False)
-    ok = feas <= 1e-9 and cost_J(traj, result.u, cost) <= cost_J(traj0, u0_proj, cost) + 1e-12
+    ok = feas <= 1e-9 and cost_J(traj, cost) <= cost_J(traj0, cost) + 1e-12
     return ok, feas, "returned control feasible with J(u*) <= J(u0)"
 
 
@@ -644,8 +655,7 @@ def _variational_inequality(seed):
     config = OptimizerConfig(max_iters=100, tol=1e-8)
     result = optimize(u0, problem, cost, config)
     traj = simulate(phi0, result.u, spec, tg, with_diagnostics=False)
-    adj = solve_adjoint(traj, cost, spec)
-    g = reduced_gradient(traj, adj, result.u, cost)
+    g = reduced_gradient(traj, solve_adjoint(traj, cost), cost)
     gnorm = math.sqrt(control_inner(tg, grid, g, g))
     res = optimality_residual(result.u, g, problem.M, problem.Mprime, samples=20, rng=rng)
     scale = 1.0 + gnorm

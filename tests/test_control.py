@@ -49,7 +49,7 @@ def test_cost_zero_when_tracking_is_perfect():
     cost = CostSpec(g, tg, (1.0, 1.0, 1.0, 1.0),
                     phi_q=traj.phi.copy(), phi_omega=traj.phi[-1].copy(),
                     mu_q=traj.mu.copy())
-    assert cost_J(traj, u, cost) == pytest.approx(0.0, abs=1e-14)
+    assert cost_J(traj, cost) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cost_control_penalty_value():
@@ -59,7 +59,7 @@ def test_cost_control_penalty_value():
     traj = simulate(problem.phi0, u, spec, tg, check_compatibility=False,
                     with_diagnostics=False)
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
-    assert cost_J(traj, u, cost) == pytest.approx(0.2, rel=1e-12)
+    assert cost_J(traj, cost) == pytest.approx(0.2, rel=1e-12)
 
 
 def test_cost_terminal_mismatch_value():
@@ -69,7 +69,7 @@ def test_cost_terminal_mismatch_value():
     cost = CostSpec(g, tg, (0.0, 1.0, 0.0, 0.0),
                     phi_omega=traj.phi[-1] - 2.0)
     # terminal misfit is the constant 2, so J = 1/2 * 4 * |Omega| = 2
-    assert cost_J(traj, u, cost) == pytest.approx(2.0, rel=1e-12)
+    assert cost_J(traj, cost) == pytest.approx(2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ def test_optimize_monotone_descent_and_inverse_crime():
     result = optimize(u0, problem, cost, OptimizerConfig(max_iters=60, tol=1e-8))
     Js = [row["J"] for row in result.history]
     assert all(b <= a + 1e-14 for a, b in zip(Js, Js[1:]))
-    traj_true, J_true = (target, cost_J(target, u_true, cost))
+    traj_true, J_true = (target, cost_J(target, cost))
     assert result.J <= J_true + 1e-12
     assert result.history[-1]["stationarity"] < result.history[0]["stationarity"]
 
@@ -307,7 +307,7 @@ def test_optimize_keeps_last_step_without_curvature(monkeypatch):
     u0 = ControlFunction.constant(g, tg, 0.4)
     levels = iter([0.4, 0.6])
     monkeypatch.setattr(control, "reduced_gradient",
-                        lambda traj, adj, u, cost: np.full(u.slices.shape, next(levels)))
+                        lambda traj, adj, cost: np.full(traj.u.slices.shape, next(levels)))
     monkeypatch.setattr(control, "MAX_BACKTRACKS", 3)
     config = OptimizerConfig(initial_step=2.0, max_iters=2)
     result = optimize(u0, problem, cost, config)
@@ -338,8 +338,8 @@ def test_optimality_residual_at_minimizer():
     u0 = ControlFunction.constant(g, tg, 0.3)
     result = optimize(u0, problem, cost, OptimizerConfig(tol=1e-12, max_iters=200))
     traj = simulate(problem.phi0, result.u, spec, tg, with_diagnostics=False)
-    adj = solve_adjoint(traj, cost, spec)
-    grad = reduced_gradient(traj, adj, result.u, cost)
+    adj = solve_adjoint(traj, cost)
+    grad = reduced_gradient(traj, adj, cost)
     res = optimality_residual(result.u, grad, problem.M, problem.Mprime,
                               samples=20, rng=np.random.default_rng(1))
     assert res >= -1e-8
@@ -350,8 +350,8 @@ def test_optimality_residual_detects_non_minimizer():
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
     u = ControlFunction.constant(g, tg, 0.4)
     traj = simulate(problem.phi0, u, spec, tg, with_diagnostics=False)
-    adj = solve_adjoint(traj, cost, spec)
-    grad = reduced_gradient(traj, adj, u, cost)
+    adj = solve_adjoint(traj, cost)
+    grad = reduced_gradient(traj, adj, cost)
     res = optimality_residual(u, grad, problem.M, problem.Mprime,
                               samples=20, rng=np.random.default_rng(1))
     assert res < -1e-3
@@ -364,7 +364,7 @@ def test_optimality_residual_accepts_unbounded_box():
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
     u = ControlFunction.constant(g, tg, 0.4)
     traj = simulate(problem.phi0, u, spec, tg, with_diagnostics=False)
-    grad = reduced_gradient(traj, solve_adjoint(traj, cost, spec), u, cost)
+    grad = reduced_gradient(traj, solve_adjoint(traj, cost), cost)
     res = optimality_residual(u, grad, problem.M, problem.Mprime,
                               samples=20, rng=np.random.default_rng(1))
     assert np.isfinite(res)

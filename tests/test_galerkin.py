@@ -20,6 +20,7 @@ from chopt.spectral import (
     SpectralField,
     basis_modes,
     from_spectral,
+    lowest_modes,
     norm_H,
     to_spectral,
 )
@@ -47,9 +48,10 @@ def test_build_system_ordering():
     system = build_system(g, 10)
     assert system.lam[0] == 0.0
     assert np.all(np.diff(system.lam) >= 0)
-    assert system.modes[0] == (0, 0)
+    modes = list(zip(*(m.tolist() for m in lowest_modes(g, 10))))
+    assert modes[0] == (0, 0)
     # lexicographic tie-break within equal eigenvalues
-    assert system.modes[1] == (0, 1) and system.modes[2] == (1, 0)
+    assert modes[1] == (0, 1) and modes[2] == (1, 0)
 
 
 def test_build_system_mode_count():
@@ -79,7 +81,8 @@ def test_build_system_equals_per_mode_reference(grid, n):
         unit[j, k] = 1.0
         basis.append(from_spectral(SpectralField(grid, unit)).values)
     system = build_system(grid, n)
-    assert system.modes == tuple((j, k) for _, j, k in order)
+    modes = list(zip(*(m.tolist() for m in lowest_modes(grid, n))))
+    assert modes == [(j, k) for _, j, k in order]
     assert np.array_equal(system.lam, [l for l, _, _ in order])
     assert np.array_equal(system.basis, basis)
     phi0 = Field(grid, np.random.default_rng(7).standard_normal(grid.size))
@@ -133,7 +136,7 @@ def test_integrate_n1_matches_mean_closed_form():
     u = ControlFunction(g, tg, np.repeat(ubars[:, None], g.size, axis=1))
     system = build_system(g, 1)
     y0 = project_initial(Field(g, np.full(g.size, 0.3)), 1)
-    traj = integrate(system, y0, u, spec, tg, substeps=1000)
+    traj = integrate(system, y0, u, spec, substeps=1000)
     sqrt_vol = math.sqrt(g.volume)
     for n in range(tg.nt + 1):
         exact = mean_closed_form(0.3, ubars, tg.tau, n * tg.tau)
@@ -147,7 +150,7 @@ def test_integrate_n1_mean_bound():
     u = ControlFunction.constant(g, tg, 0.4)
     system = build_system(g, 1)
     y0 = project_initial(Field(g, np.full(g.size, 0.2)), 1)
-    traj = integrate(system, y0, u, spec, tg, substeps=10)
+    traj = integrate(system, y0, u, spec, substeps=10)
     means = traj.y[:, 0] / math.sqrt(g.volume)
     assert np.all(means >= 0.2 - 0.4 - 1e-10)
     assert np.all(means <= 0.2 + 0.4 + 1e-10)
@@ -162,7 +165,7 @@ def test_integrate_linear_mode_exponential_decay():
     lam = system.lam[2]  # the (1, 0) mode
     y0 = np.zeros(4)
     y0[2] = 0.01
-    traj = integrate(system, y0, u, spec, tg, substeps=200)
+    traj = integrate(system, y0, u, spec, substeps=200)
     # y' = -(1 + lam^2 - 2 c2 lam) y with c2 = 0.5
     rate = 1.0 + lam**2 - lam
     for n in range(tg.nt + 1):
@@ -178,11 +181,11 @@ def test_integrate_shape_checks():
     system = build_system(g, 3)
     u = ControlFunction.constant(g, tg, 0.0)
     with pytest.raises(ShapeMismatch):
-        integrate(system, np.zeros(4), u, regular_spec(), tg)
+        integrate(system, np.zeros(4), u, regular_spec())
     g2 = Grid(4, 4, 1.0)
     u2 = ControlFunction.constant(g2, tg, 0.0)
     with pytest.raises(ShapeMismatch):
-        integrate(system, np.zeros(3), u2, regular_spec(), tg)
+        integrate(system, np.zeros(3), u2, regular_spec())
 
 
 @pytest.mark.parametrize("substeps", [0, -1])
@@ -191,7 +194,7 @@ def test_integrate_rejects_nonpositive_substeps(substeps):
     tg = TimeGrid(0.1, 5)
     u = ControlFunction.constant(g, tg, 0.0)
     with pytest.raises(ValueError, match="substeps"):
-        integrate(build_system(g, 3), np.zeros(3), u, regular_spec(), tg, substeps=substeps)
+        integrate(build_system(g, 3), np.zeros(3), u, regular_spec(), substeps=substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +211,7 @@ def test_compare_linear_band_limited():
     pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
     system = build_system(g, 4)
     y0 = project_initial(phi0, 4)
-    oracle = integrate(system, y0, u, spec, tg, substeps=2)
+    oracle = integrate(system, y0, u, spec, substeps=2)
     report = compare_to_pde(oracle, pde)
     assert report.max_phi_error <= 1e-6
 
@@ -221,7 +224,7 @@ def test_compare_stationary():
     u = ControlFunction.constant(g, tg, 1.0)
     pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
     system = build_system(g, 4)
-    oracle = integrate(system, project_initial(phi0, 4), u, spec, tg, substeps=5)
+    oracle = integrate(system, project_initial(phi0, 4), u, spec, substeps=5)
     report = compare_to_pde(oracle, pde)
     # mu vanishes at this fixed point, so only the phi comparison is meaningful
     assert report.max_phi_error <= 1e-10
@@ -236,7 +239,7 @@ def test_compare_mismatched_grids():
     u2 = ControlFunction.constant(g2, tg, 0.0)
     pde = simulate(Field(g2, np.zeros(g2.size)), u2, spec, tg, with_diagnostics=False)
     system = build_system(g, 3)
-    oracle = integrate(system, np.zeros(3), u, spec, tg)
+    oracle = integrate(system, np.zeros(3), u, spec)
     with pytest.raises(ShapeMismatch):
         compare_to_pde(oracle, pde)
 
@@ -324,7 +327,7 @@ def oracle_inputs(tmp_path, seed, substeps, eps="1e-3", steps=50):
 
 
 def assert_matches_full_newton(system, y0, cfg, substeps):
-    traj = integrate(system, y0, cfg.u0, cfg.spec, cfg.timegrid, substeps=substeps)
+    traj = integrate(system, y0, cfg.u0, cfg.spec, substeps=substeps)
     ref = full_newton(system, y0, cfg.u0, cfg.spec, cfg.timegrid, substeps)
     scale = 1.0 + np.linalg.norm(ref, axis=1)
     assert np.all(np.max(np.abs(traj.y - ref), axis=1) <= 1e-11 * scale)
@@ -345,7 +348,7 @@ def test_chord_newton_matches_full_newton(tmp_path, seed, substeps, eps):
 
 def test_chord_newton_builds_few_jacobians(tmp_path):
     system, y0, cfg = oracle_inputs(tmp_path, 3611022795, 2, "1e-2")
-    traj = integrate(system, y0, cfg.u0, cfg.spec, cfg.timegrid, substeps=2)
+    traj = integrate(system, y0, cfg.u0, cfg.spec, substeps=2)
     assert traj.jacobians <= 5
     assert traj.newton_iterations >= cfg.timegrid.nt * 2
 
@@ -366,4 +369,4 @@ def test_integrate_raises_newton_failure_when_out_of_iterations(monkeypatch):
     u = ControlFunction.constant(g, tg, 0.2)
     phi0 = Field(g, 0.3 * basis_modes(g, [1], [1])[0])
     with pytest.raises(NewtonFailure, match="output step 0"):
-        integrate(build_system(g, 6), project_initial(phi0, 6), u, regular_spec(), tg)
+        integrate(build_system(g, 6), project_initial(phi0, 6), u, regular_spec())

@@ -59,7 +59,7 @@ def tracking_cost(g, tg, traj, seed=2, alpha=(1.0, 1.0, 1.0, 1.0)):
 def test_zero_direction_gives_zero_tangent():
     g, tg, spec, u, traj = make_setup()
     h = ControlFunction.constant(g, tg, 0.0)
-    tan = solve_linearized(traj, h, spec)
+    tan = solve_linearized(traj, h)
     assert np.max(np.abs(tan.xi)) == 0.0
     assert np.max(np.abs(tan.eta)) == 0.0
 
@@ -69,9 +69,9 @@ def test_tangent_is_linear_in_direction():
     h1 = random_direction(g, tg, seed=10)
     h2 = random_direction(g, tg, seed=11)
     combo = ControlFunction(g, tg, 2.0 * h1.slices - 0.5 * h2.slices)
-    t1 = solve_linearized(traj, h1, spec)
-    t2 = solve_linearized(traj, h2, spec)
-    tc = solve_linearized(traj, combo, spec)
+    t1 = solve_linearized(traj, h1)
+    t2 = solve_linearized(traj, h2)
+    tc = solve_linearized(traj, combo)
     assert np.allclose(tc.xi, 2.0 * t1.xi - 0.5 * t2.xi, atol=1e-12)
     assert np.allclose(tc.eta, 2.0 * t1.eta - 0.5 * t2.eta, atol=1e-12)
 
@@ -79,7 +79,7 @@ def test_tangent_is_linear_in_direction():
 def test_tangent_matches_state_difference_to_second_order():
     g, tg, spec, u, traj = make_setup()
     h = random_direction(g, tg, seed=12)
-    tan = solve_linearized(traj, h, spec)
+    tan = solve_linearized(traj, h)
     errs = []
     for lam in (1e-1, 5e-2, 2.5e-2):
         up = ControlFunction(g, tg, u.slices + lam * h.slices)
@@ -105,14 +105,14 @@ def test_tangent_requires_zero_initial_condition():
 def test_adjoint_vanishes_without_tracking_terms():
     g, tg, spec, u, traj = make_setup()
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, 1.0))
-    adj = solve_adjoint(traj, cost, spec)
+    adj = solve_adjoint(traj, cost)
     assert np.max(np.abs(adj.costate)) == 0.0
 
 
 def test_adjoint_vanishes_when_terminal_target_is_met():
     g, tg, spec, u, traj = make_setup()
     cost = CostSpec(g, tg, (0.0, 1.0, 0.0, 0.0), phi_omega=traj.phi[-1].copy())
-    adj = solve_adjoint(traj, cost, spec)
+    adj = solve_adjoint(traj, cost)
     assert np.max(np.abs(adj.costate)) < 1e-14
 
 
@@ -120,7 +120,7 @@ def test_terminal_costate_snapshot():
     g, tg, spec, u, traj = make_setup()
     # with only the terminal term, the sweep starts from its source alone
     cost = tracking_cost(g, tg, traj, alpha=(0.0, 2.0, 0.0, 1.0))
-    adj = solve_adjoint(traj, cost, spec)
+    adj = solve_adjoint(traj, cost)
     expected = 2.0 * (traj.phi[-1] - cost.phi_omega)
     assert np.allclose(_idct(adj.costate[-1]), expected, atol=1e-14)
 
@@ -128,11 +128,11 @@ def test_terminal_costate_snapshot():
 def test_adjoint_identity_machine_precision():
     g, tg, spec, u, traj = make_setup()
     cost = tracking_cost(g, tg, traj)
-    adj = solve_adjoint(traj, cost, spec)
+    adj = solve_adjoint(traj, cost)
     scale = np.max(np.abs(adj.costate)) + 1.0
     for seed in range(5):
         h = random_direction(g, tg, seed=seed)
-        tan = solve_linearized(traj, h, spec)
+        tan = solve_linearized(traj, h)
         res = adjoint_identity_residual(traj, tan, adj, h, cost)
         assert res <= 1e-10 * scale
 
@@ -143,9 +143,9 @@ def test_cost_sources_are_the_derivative_of_cost_J():
     rng = np.random.default_rng(9)
     g, tg = Grid(8, 8, 1.0, 0.7), TimeGrid(0.3, 20)
     shape = (tg.nt + 1, g.size)
-    traj = StateTrajectory(g, tg, PotentialSpec("regular"),
-                           rng.standard_normal(shape), rng.standard_normal(shape))
+    phi, mu = rng.standard_normal(shape), rng.standard_normal(shape)
     u = ControlFunction(g, tg, rng.standard_normal(shape))
+    traj = StateTrajectory(u, PotentialSpec("regular"), phi, mu)
     cost = CostSpec(g, tg, (0.7, 1.3, 0.4, 0.9), phi_q=rng.standard_normal(shape),
                     phi_omega=rng.standard_normal(g.size), mu_q=rng.standard_normal(shape))
     s_phi, s_mu = _cost_sources(traj, cost)
@@ -156,8 +156,8 @@ def test_cost_sources_are_the_derivative_of_cost_J():
         def J(sign):
             fields = {"phi": traj.phi, "mu": traj.mu}
             fields[name] = fields[name] + sign * step * delta
-            moved = StateTrajectory(g, tg, traj.spec, fields["phi"], fields["mu"])
-            return cost_J(moved, u, cost)
+            moved = StateTrajectory(u, traj.spec, fields["phi"], fields["mu"])
+            return cost_J(moved, cost)
 
         fd = (J(1.0) - J(-1.0)) / (2.0 * step)
         exact = g.cell * float(np.sum(source * delta))
@@ -171,25 +171,25 @@ def test_gradient_without_tracking_is_penalty_term():
     g, tg, spec, u, traj = make_setup()
     a4 = 0.7
     cost = CostSpec(g, tg, (0.0, 0.0, 0.0, a4))
-    adj = solve_adjoint(traj, cost, spec)
-    grad = reduced_gradient(traj, adj, u, cost)
+    adj = solve_adjoint(traj, cost)
+    grad = reduced_gradient(traj, adj, cost)
     assert np.allclose(grad, a4 * u.slices, atol=1e-14)
 
 
 def test_gradient_matches_finite_differences():
     g, tg, spec, u, traj = make_setup()
     cost = tracking_cost(g, tg, traj)
-    adj = solve_adjoint(traj, cost, spec)
-    grad = reduced_gradient(traj, adj, u, cost)
-    J0 = cost_J(traj, u, cost)
+    adj = solve_adjoint(traj, cost)
+    grad = reduced_gradient(traj, adj, cost)
+    J0 = cost_J(traj, cost)
     for seed in range(3):
         h = random_direction(g, tg, seed=100 + seed)
         predicted = control_inner(tg, g, grad, h.slices)
         eps = 1e-6
         up = ControlFunction(g, tg, u.slices + eps * h.slices)
         um = ControlFunction(g, tg, u.slices - eps * h.slices)
-        Jp = cost_J(simulate(Field(g, traj.phi[0].copy()), up, spec, tg, with_diagnostics=False), up, cost)
-        Jm = cost_J(simulate(Field(g, traj.phi[0].copy()), um, spec, tg, with_diagnostics=False), um, cost)
+        Jp = cost_J(simulate(Field(g, traj.phi[0].copy()), up, spec, tg, with_diagnostics=False), cost)
+        Jm = cost_J(simulate(Field(g, traj.phi[0].copy()), um, spec, tg, with_diagnostics=False), cost)
         fd = (Jp - Jm) / (2 * eps)
         assert abs(predicted - fd) <= 1e-6 * (1 + abs(fd))
     assert J0 > 0
@@ -199,8 +199,8 @@ def test_gradient_scales_with_cost():
     g, tg, spec, u, traj = make_setup()
     cost1 = tracking_cost(g, tg, traj, alpha=(1.0, 1.0, 1.0, 1.0))
     cost2 = tracking_cost(g, tg, traj, alpha=(2.0, 2.0, 2.0, 2.0))
-    g1 = reduced_gradient(traj, solve_adjoint(traj, cost1, spec), u, cost1)
-    g2 = reduced_gradient(traj, solve_adjoint(traj, cost2, spec), u, cost2)
+    g1 = reduced_gradient(traj, solve_adjoint(traj, cost1), cost1)
+    g2 = reduced_gradient(traj, solve_adjoint(traj, cost2), cost2)
     assert np.allclose(g2, 2.0 * g1, atol=1e-12)
 
 

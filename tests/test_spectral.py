@@ -51,9 +51,6 @@ def test_grid_validation():
         Grid(8, 0, 1.0)
     with pytest.raises(ValueError):
         Grid(8, 8, -1.0)
-    g = Grid(8, 1, 2.0)
-    assert g.dimension == 1
-    assert Grid(8, 8, 1.0).dimension == 2
 
 
 def test_grid_cell_and_volume():

@@ -469,7 +469,7 @@ def test_energy_balance_stationary():
     tg = TimeGrid(0.5, 20)
     spec = regular_spec()
     traj = simulate(Field(g, np.ones(g.size)), constant_control(g, tg, 1.0), spec, tg)
-    res = energy_balance_residual(traj, constant_control(g, tg, 1.0), spec)
+    res = energy_balance_residual(traj)
     assert np.max(np.abs(res)) < 1e-10
 
 
@@ -485,7 +485,7 @@ def test_energy_balance_first_order_in_tau():
         tg = TimeGrid(0.1, nt)
         u = constant_control(g, tg, 0.0)
         traj = simulate(phi0, u, spec, tg)
-        return np.max(np.abs(energy_balance_residual(traj, u, spec)))
+        return np.max(np.abs(energy_balance_residual(traj)))
 
     r1, r2 = max_res(100), max_res(200)
     assert 1.5 <= r1 / r2 <= 2.5
