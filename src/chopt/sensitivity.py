@@ -35,6 +35,7 @@ from .spectral import _dct, _idct
 from .state import (
     ControlFunction,
     StateTrajectory,
+    _finite,
     _Stepper,
     _trapezoid_weights,
 )
@@ -61,7 +62,7 @@ class TangentTrajectory:
     def __post_init__(self):
         if not np.allclose(self.xi[0], 0.0):
             raise ValueError("tangent initial condition must vanish")
-        if not (np.all(np.isfinite(self.xi)) and np.all(np.isfinite(self.eta))):
+        if not _finite(self.xi, self.eta):
             raise ValueError("tangent trajectory contains non-finite values")
 
 
@@ -79,7 +80,7 @@ class AdjointTrajectory:
     costate: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.costate)):
+        if not _finite(self.costate):
             raise NonFinite("adjoint sweep produced non-finite values")
 
 
@@ -97,9 +98,10 @@ def solve_linearized(base: StateTrajectory, h: ControlFunction) -> TangentTrajec
     nt = base.timegrid.nt
     xi = np.zeros((nt + 1, base.grid.size))
     eta = np.zeros_like(xi)
-    for n in range(nt):
-        xi[n + 1], eta[n + 1] = stepper.linear(xi[n], h.slices[n], W[n] * xi[n])
-    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(eta))):
+    xi_hat = np.zeros(stepper.lam.shape)
+    for n, h_hat in enumerate(stepper.source_coeffs(h.slices)):
+        xi_hat, xi[n + 1], eta[n + 1] = stepper.linear(xi_hat, h_hat, W[n] * xi[n])
+    if not _finite(xi, eta):
         raise NonFinite("tangent solve produced non-finite values")
     return TangentTrajectory(base.grid, base.timegrid, xi, eta)
 

@@ -16,10 +16,18 @@ nonlinearity g = beta_reg(phi) + pi(phi) - S*phi explicitly.  Per cosine mode
 and mu^{n+1} = -Delta phi^{n+1} + S phi^{n+1} + g^n.  The constant mode
 decouples and reproduces the implicit-Euler iterates of the scalar mean ODE
 d/dt phibar + phibar = ubar exactly.
+
+The step carries phi_hat^n from the previous step instead of transforming
+phi^n again, so it makes three transforms: g^n forward, phi_hat^{n+1} and
+(lam + S) phi_hat^{n+1} back.  The control adds its own: a constant control
+(one broadcast row) is transformed once per solve, any other control one
+row per step, four transforms a step in all.  The tangent solve runs on the
+same step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -116,6 +124,15 @@ def _dt_norm(grid: Grid, timegrid: TimeGrid, d: np.ndarray) -> float:
     return float(np.sqrt(grid.cell * np.sum(d * d) / timegrid.tau))
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of the arrays is finite, read from their extrema.
+
+    np.min and np.max propagate NaN and an infinity is always an extremum, so
+    this is np.all(np.isfinite(a)) without a boolean mask of a's size.
+    """
+    return all(np.isfinite(np.min(a)) and np.isfinite(np.max(a)) for a in arrays)
+
+
 def _trapezoid_weights(nt: int) -> np.ndarray:
     w = np.ones(nt + 1)
     w[0] = w[-1] = 0.5
@@ -163,7 +180,7 @@ class StateTrajectory:
         shape = (self.timegrid.nt + 1, self.grid.size)
         if self.phi.shape != shape or self.mu.shape != shape:
             raise ShapeMismatch(f"trajectory arrays must have shape {shape}")
-        if not (np.all(np.isfinite(self.phi)) and np.all(np.isfinite(self.mu))):
+        if not _finite(self.phi, self.mu):
             raise ValueError("trajectory contains non-finite values")
 
     def means(self) -> np.ndarray:
@@ -219,7 +236,10 @@ def default_stabilization(spec: PotentialSpec, interval: tuple[float, float] | N
 # time stepping
 
 class _Stepper:
-    """The semi-implicit update: eigenvalues, splitting constant S, denominator."""
+    """The semi-implicit update: eigenvalues, splitting constant S, denominator.
+
+    It carries the state's cosine coefficients from step to step.
+    """
 
     def __init__(self, grid: Grid, spec: PotentialSpec, tau: float):
         if not tau > 0:
@@ -232,30 +252,42 @@ class _Stepper:
         self.S = S
         self.denom = 1.0 + tau + tau * self.lam**2 + tau * self.lam * S
 
-    def linear(self, x: np.ndarray, s: np.ndarray, g: np.ndarray, grads=None):
-        """The implicit update with explicit term g and source s.
+    def source_coeffs(self, s: np.ndarray):
+        """Cosine coefficients of the source rows s[0], ..., s[nt-1], one per step.
+
+        A broadcast row (time stride 0, as ``ControlFunction.constant`` holds
+        it) is transformed once for all steps; any other series one row per
+        step, as the steps take them.
+        """
+        if s.strides[0] == 0:
+            return itertools.repeat(_dct(self.grid, s[0]), len(s) - 1)
+        return (_dct(self.grid, row) for row in s[:-1])
+
+    def linear(self, xhat: np.ndarray, shat: np.ndarray, g: np.ndarray, grads=None):
+        """The implicit update with explicit term g and source coefficients shat.
 
         x_hat' = (x_hat + tau s_hat - tau lam g_hat) / denom and
-        y' = idct((lam + S) x_hat') + g; returns (x', y') nodal arrays.  The
-        forward step takes g = f'(phi) - S phi, the tangent g = W xi.  The
-        transform is linear, so x + tau s is transformed as one field.  A length-2
-        ``grads`` receives ||grad x'||^2, ||grad y'||^2 = cell * sum lam * coeff^2.
+        y' = idct((lam + S) x_hat') + g; takes x's coefficients x_hat and
+        returns (x_hat', x', y') with nodal x', y'.  The forward step takes
+        g = f'(phi) - S phi, the tangent g = W xi.  A length-2 ``grads``
+        receives ||grad x'||^2, ||grad y'||^2 = cell * sum lam * coeff^2.
         """
         grid = self.grid
         ghat = _dct(grid, g)
-        xhat = (_dct(grid, x + self.tau * s) - self.tau * self.lam * ghat) / self.denom
+        xhat = (xhat + self.tau * shat - self.tau * self.lam * ghat) / self.denom
         yhat = (self.lam + self.S) * xhat
         if grads is not None:
             grads[0] = grid.cell * np.sum(self.lam * xhat**2)
             grads[1] = grid.cell * np.sum(self.lam * (yhat + ghat) ** 2)
-        return _idct(xhat), _idct(yhat) + g
+        return xhat, _idct(xhat), _idct(yhat) + g
 
-    def advance(self, phi: np.ndarray, u: np.ndarray, grads=None):
-        """One step; returns (phi_next, mu_next, F) with nodal arrays phi_next, mu_next.
+    def advance(self, phihat: np.ndarray, phi: np.ndarray, uhat: np.ndarray, grads=None):
+        """One step from phi with coefficients phihat and control coefficients uhat.
 
-        The explicit term is g = f'(phi) - S phi.  With ``grads`` (as in
-        linear) F is the potential energy cell * sum f(phi) of the input
-        snapshot, from the kernel call that gives beta(phi); else None.
+        Returns (phihat_next, phi_next, mu_next, F) with nodal phi_next,
+        mu_next.  The explicit term is g = f'(phi) - S phi.  With ``grads``
+        (as in linear) F is the potential energy cell * sum f(phi) of the
+        input snapshot, from the kernel call that gives beta(phi); else None.
         Overflow propagates as inf/nan without a warning: the callers check
         the result and report a blow-up as NonFinite.
         """
@@ -266,13 +298,12 @@ class _Stepper:
                 f, beta = potentials.f_and_beta_reg_vec(self.spec, phi)
                 energy = self.grid.cell * np.sum(f)
             g = beta + potentials.pi_d1(self.spec) * phi - self.S * phi
-            phi_next, mu_next = self.linear(phi, u, g, grads)
-        return phi_next, mu_next, energy
+            return (*self.linear(phihat, uhat, g, grads), energy)
 
-    def mu_of(self, phi: np.ndarray) -> np.ndarray:
-        """Chemical potential -Delta phi + f'(phi) for a snapshot (used at t=0)."""
+    def mu_of(self, phihat: np.ndarray, phi: np.ndarray) -> np.ndarray:
+        """Chemical potential -Delta phi + f'(phi) of a snapshot phi with coefficients phihat."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return _idct(self.lam * _dct(self.grid, phi)) + potentials.f_d1_vec(self.spec, phi)
+            return _idct(self.lam * phihat) + potentials.f_d1_vec(self.spec, phi)
 
 
 def _potential_energy(grid: Grid, spec: PotentialSpec, p: np.ndarray) -> float:
@@ -345,13 +376,16 @@ def simulate(
     phi = np.empty((nt + 1, grid.size))
     mu = np.empty((nt + 1, grid.size))
     phi[0] = phi0.values
-    mu[0] = stepper.mu_of(phi[0])
+    phihat = _dct(grid, phi[0])
+    mu[0] = stepper.mu_of(phihat, phi[0])
     if not np.all(np.isfinite(mu[0])):
         raise NonFinite("initial chemical potential is not finite", step=0)
     grads = np.empty((nt + 1, 2)) if with_diagnostics else [None] * (nt + 1)
     potential = np.empty(nt + 1) if with_diagnostics else [None] * (nt + 1)
-    for n in range(nt):
-        phi[n + 1], mu[n + 1], potential[n] = stepper.advance(phi[n], u.slices[n], grads[n + 1])
+    for n, uhat in enumerate(stepper.source_coeffs(u.slices)):
+        phihat, phi[n + 1], mu[n + 1], potential[n] = stepper.advance(
+            phihat, phi[n], uhat, grads[n + 1]
+        )
         if not (np.all(np.isfinite(phi[n + 1])) and np.all(np.isfinite(mu[n + 1]))):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
     diagnostics = (

@@ -4,13 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chopt import potentials, spectral, state
+from chopt import potentials, sensitivity, spectral, state
 from chopt.config import band_limited_field, build_control
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
 from chopt.spectral import Field, Grid, basis_modes, grad_sq
 from chopt.state import (
     ControlFunction,
+    StateTrajectory,
     TimeGrid,
     _energies,
     control_inner,
@@ -425,7 +426,7 @@ def test_simulate_with_a_constant_control_holds_little_beyond_the_trajectory():
 
 
 def count_transforms(monkeypatch):
-    """Count the fields transformed through the state and spectral bindings."""
+    """Count the fields transformed through the state, sensitivity and spectral bindings."""
     count = [0]
     dct, idct = spectral._dct, spectral._idct
 
@@ -437,15 +438,16 @@ def count_transforms(monkeypatch):
         count[0] += int(np.prod(np.shape(coeffs)[:-2]))
         return idct(coeffs)
 
-    for module in (spectral, state):
+    for module in (spectral, state, sensitivity):
         monkeypatch.setattr(module, "_dct", counted_dct)
         monkeypatch.setattr(module, "_idct", counted_idct)
     return count
 
 
 def test_simulate_diagnostics_transform_no_snapshot(monkeypatch):
-    # a step makes four transforms; the diagnostics take their gradient norms
-    # from the steps' coefficients and transform row 0 only, so they add O(1)
+    # a step carries phi_hat and makes three transforms; a constant control's
+    # row is transformed once per solve, and the diagnostics take their
+    # gradient norms from the steps' coefficients and transform row 0 only
     g = Grid(16, 16, 1.0)
     tg = TimeGrid(0.05, 50)
     phi0 = band_limited_field(g, 0.5, 6, np.random.default_rng(3))
@@ -454,8 +456,85 @@ def test_simulate_diagnostics_transform_no_snapshot(monkeypatch):
     simulate(phi0, u, regular_spec(), tg, with_diagnostics=False)
     plain, count[0] = count[0], 0
     simulate(phi0, u, regular_spec(), tg)
-    assert plain <= 4 * tg.nt + 4
+    assert plain <= 3 * tg.nt + 3
     assert count[0] <= plain + 4
+
+
+def test_simulate_transforms_a_varying_control_row_per_step(monkeypatch):
+    g = Grid(16, 16, 1.0)
+    tg = TimeGrid(0.05, 50)
+    rng = np.random.default_rng(3)
+    phi0 = band_limited_field(g, 0.5, 6, rng)
+    u = ControlFunction(g, tg, rng.uniform(-0.1, 0.1, (tg.nt + 1, g.size)))
+    count = count_transforms(monkeypatch)
+    simulate(phi0, u, regular_spec(), tg, with_diagnostics=False)
+    assert count[0] <= 4 * tg.nt + 3
+
+
+def test_solve_linearized_transforms_four_fields_per_step(monkeypatch):
+    g = Grid(16, 16, 1.0)
+    tg = TimeGrid(0.05, 50)
+    rng = np.random.default_rng(3)
+    phi0 = band_limited_field(g, 0.5, 6, rng)
+    base = simulate(phi0, constant_control(g, tg, 0.1), regular_spec(), tg, with_diagnostics=False)
+    h = ControlFunction(g, tg, rng.standard_normal((tg.nt + 1, g.size)))
+    count = count_transforms(monkeypatch)
+    sensitivity.solve_linearized(base, h)
+    assert count[0] <= 4 * tg.nt + 2
+
+
+@pytest.mark.parametrize("n, variant, nt", [(32, "logarithmic", 300), (16, "regular", 50)])
+def test_constant_control_matches_the_same_values_held_in_full(n, variant, nt):
+    # the broadcast row is transformed once per solve, a full array row by
+    # row; both must give the same trajectory and diagnostics
+    g = Grid(n, n, 1.0)
+    tg = TimeGrid(0.3, nt)
+    phi0 = band_limited_field(g, 0.6, 8, np.random.default_rng(n))
+    spec = diagnostic_spec(variant)
+    held = simulate(phi0, constant_control(g, tg, 0.1), spec, tg)
+    full = ControlFunction(g, tg, np.full((tg.nt + 1, g.size), 0.1))
+    assert full.slices.flags.writeable and full.slices.strides[0] != 0
+    stepped = simulate(phi0, full, spec, tg)
+    pairs = [(held.phi, stepped.phi), (held.mu, stepped.mu)]
+    pairs += [(held.diagnostics[k], stepped.diagnostics[k]) for k in held.diagnostics]
+    for a, b in pairs:
+        assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(a)))
+
+
+def test_constant_control_mean_follows_implicit_euler_over_a_long_horizon():
+    # the constant mode is carried in coefficients over every step; its
+    # nodal means must still be the implicit-Euler iterates of the mean ODE
+    g = Grid(64, 64, 1.0)
+    tg = TimeGrid(0.5, 500)
+    phi0 = band_limited_field(g, 0.6, 8, np.random.default_rng(6))
+    ubar = 0.1
+    traj = simulate(phi0, constant_control(g, tg, ubar), diagnostic_spec("logarithmic"), tg,
+                    with_diagnostics=False)
+    means = traj.means()
+    m = means[0]
+    for n in range(tg.nt):
+        m = (m + tg.tau * ubar) / (1.0 + tg.tau)
+        assert abs(means[n + 1] - m) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("name", ["phi", "mu"])
+def test_trajectory_refuses_one_non_finite_entry(bad, where, name):
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 4)
+    arrays = {"phi": np.zeros((tg.nt + 1, g.size)), "mu": np.zeros((tg.nt + 1, g.size))}
+    flat = arrays[name].reshape(-1)
+    flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = bad
+    u = constant_control(g, tg, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        StateTrajectory(u, regular_spec(), arrays["phi"], arrays["mu"])
+    xi, eta = arrays["phi"], arrays["mu"]
+    if name == "phi" and where == "first":
+        xi, eta = np.zeros_like(eta), xi  # xi^0 must vanish; put the entry in eta^0
+    with pytest.raises(ValueError, match="non-finite"):
+        sensitivity.TangentTrajectory(g, tg, xi, eta)
+
 
 def test_energy_of_pure_phase():
     g = Grid(8, 8, 1.0)
