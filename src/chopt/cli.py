@@ -2,8 +2,14 @@
 
 Each subcommand reads one config file (or a named packaged preset), writes
 its artifacts into the output directory, and exits 0 on success.  Failures
-leave a machine-readable ``failure.json`` in the output directory and exit
-nonzero.
+leave a machine-readable ``failure.json`` in the output directory (``--out``,
+else the config's ``[run] out``; ``--out`` or the working directory when the
+config itself could not be read) and exit nonzero.
+
+``simulate`` writes phi.bin and mu.bin as the forward steps produce their
+rows, so its memory does not grow with the number of steps.  The files
+appear, replacing any earlier ones, only when the run succeeds; a failed run
+leaves the output directory's earlier artifacts as they were.
 """
 
 from __future__ import annotations
@@ -20,13 +26,11 @@ from .control import ControlProblem, optimize
 from .cost import CostSpec
 from .errors import ChoptError, ValidationError
 from .galerkin import build_system, compare_to_pde, integrate, project_initial
-from .runio import write_csv, write_snapshots
-from .state import simulate
+from .runio import SnapshotWriter, write_csv, write_snapshots
+from .state import _DIAG_COLUMNS, _forward_rows, simulate
 from .verify import run_checks
 
 __all__ = ["main", "run_simulate", "run_optimize", "run_verify", "run_oracle_compare"]
-
-_DIAG_COLUMNS = ("t", "mean", "energy", "min_phi", "max_phi", "grad_mu_norm")
 
 
 def _resolve_config(name_or_path: str) -> Path:
@@ -65,12 +69,19 @@ def _build_cost(cfg: RunConfig) -> CostSpec:
 
 
 def run_simulate(cfg: RunConfig, out: Path) -> int:
-    # parse_config has checked (phi0, max(M, ||u0||_inf)) unless overridden
-    traj = simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid, check_compatibility=False)
-    _write_diagnostics(out, traj.diagnostics)
-    write_snapshots(out / "phi.bin", cfg.grid, traj.phi)
-    write_snapshots(out / "mu.bin", cfg.grid, traj.mu)
-    print(f"simulate: {cfg.timegrid.nt} steps, final mean {traj.means()[-1]:.6g}, "
+    count = cfg.timegrid.nt + 1
+    rows = []
+    with (SnapshotWriter(out / "phi.bin", cfg.grid, count) as phi,
+          SnapshotWriter(out / "mu.bin", cfg.grid, count) as mu):
+        # parse_config has checked (phi0, max(M, ||u0||_inf)) unless overridden
+        for phi_n, mu_n, row in _forward_rows(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid,
+                                              check_compatibility=False):
+            phi.write(phi_n)
+            mu.write(mu_n)
+            rows.append(row)
+    write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, rows)
+    final_mean = rows[-1][_DIAG_COLUMNS.index("mean")]
+    print(f"simulate: {cfg.timegrid.nt} steps, final mean {final_mean:.6g}, "
           f"artifacts in {out}")
     return 0
 
@@ -154,7 +165,7 @@ def main(argv=None) -> int:
             override_compatibility=args.override_compatibility,
             seed=args.seed,
         )
-        out = _out_dir(cfg, args.out)
+        out = out_for_failure = _out_dir(cfg, args.out)
         if args.command == "simulate":
             return run_simulate(cfg, out)
         if args.command == "optimize":

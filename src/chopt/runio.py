@@ -2,6 +2,10 @@
 
 Snapshot format: magic bytes "CHO1", then little-endian u32 nx, ny, count,
 then count frames of nx*ny float64 values, row-major, little-endian.
+``SnapshotWriter`` is the one writer of this format.  It takes frames as
+they are computed and puts the file in place only once all count frames
+are in, so a run that fails part way leaves the target as it was and no
+temporary file.  ``write_snapshots`` gives it a whole stack.
 
 CSV files use a header row, "." decimal, LF line endings and repr-exact
 float formatting, so identical inputs produce byte-identical files.
@@ -18,22 +22,75 @@ import numpy as np
 from .errors import ParseError, ShapeMismatch
 from .spectral import Grid
 
-__all__ = ["write_snapshots", "read_snapshots", "write_csv", "format_value"]
+__all__ = ["SnapshotWriter", "write_snapshots", "read_snapshots", "write_csv", "format_value"]
 
 _MAGIC = b"CHO1"
 
 
+class SnapshotWriter:
+    """A snapshot file written frame by frame and committed only when complete.
+
+    The header, with its frame ``count``, is written at once; each ``write``
+    appends frames.  They go to a temporary file beside ``path``.  ``close``
+    checks that ``count`` frames arrived and renames the file over ``path``;
+    ``abort`` removes it.  As a context manager it closes on success and
+    aborts on an exception.
+    """
+
+    def __init__(self, path, grid: Grid, count: int):
+        self.path = Path(path)
+        self.grid = grid
+        self.count = count
+        self._written = 0
+        self._tmp = self.path.with_name(f"{self.path.name}.{os.getpid()}.tmp")
+        self._fh = open(self._tmp, "wb")
+        try:
+            self._fh.write(_MAGIC + struct.pack("<III", grid.nx, grid.ny, count))
+        except BaseException:
+            self.abort()
+            raise
+
+    def write(self, frames: np.ndarray) -> None:
+        """Append one field, shape (nx*ny,), or a stack (m, nx*ny); a C-contiguous "<f8" input is not copied."""
+        frames = np.ascontiguousarray(frames, dtype="<f8")
+        if frames.ndim == 1:
+            frames = frames[None, :]
+        if frames.shape[1] != self.grid.size:
+            raise ShapeMismatch(f"frames have {frames.shape[1]} values, grid has {self.grid.size}")
+        if self._written + frames.shape[0] > self.count:
+            raise ShapeMismatch(f"{self.path}: more than the {self.count} frames of the header")
+        self._fh.write(frames.data)
+        self._written += frames.shape[0]
+
+    def close(self) -> None:
+        try:
+            if self._written != self.count:
+                raise ShapeMismatch(
+                    f"{self.path}: {self._written} frames written, the header has {self.count}")
+            self._fh.close()
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        self._fh.close()
+        self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self.abort()
+
+
 def write_snapshots(path, grid: Grid, frames: np.ndarray) -> None:
-    """Dump a stack of fields, shape (count, nx*ny); a C-contiguous "<f8" stack is not copied."""
-    frames = np.ascontiguousarray(frames, dtype="<f8")
-    if frames.ndim == 1:
-        frames = frames[None, :]
-    if frames.shape[1] != grid.size:
-        raise ShapeMismatch(f"frames have {frames.shape[1]} values, grid has {grid.size}")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<III", grid.nx, grid.ny, frames.shape[0]))
-        fh.write(frames.data)
+    """Dump a stack of fields, shape (count, nx*ny), or one field; a C-contiguous "<f8" stack is not copied."""
+    with SnapshotWriter(path, grid, 1 if np.ndim(frames) == 1 else len(frames)) as writer:
+        writer.write(frames)
 
 
 def read_snapshots(path):

@@ -23,6 +23,12 @@ phi^n again, so it makes three transforms: g^n forward, phi_hat^{n+1} and
 (one broadcast row) is transformed once per solve, any other control one
 row per step, four transforms a step in all.  The tangent solve runs on the
 same step.
+
+One generator runs the step sequence and yields each snapshot pair
+(phi^n, mu^n) with its diagnostics row as soon as the step after it has
+been found finite.  ``simulate`` copies the rows into a trajectory; the
+command-line forward run writes them to disk as they come, so it holds a
+few snapshots instead of the whole (nt+1) x nx*ny history of phi and mu.
 """
 
 from __future__ import annotations
@@ -316,33 +322,79 @@ def _energies(grid: Grid, spec: PotentialSpec, phi: np.ndarray, g2s: np.ndarray)
     return np.array([0.5 * g2 + _potential_energy(grid, spec, p) for g2, p in zip(g2s, phi)])
 
 
-def _diagnostics(
-    grid: Grid, spec: PotentialSpec, timegrid: TimeGrid, phi: np.ndarray, mu: np.ndarray,
-    grads: np.ndarray, potential: np.ndarray,
-) -> dict:
-    """Per-step diagnostics of a finite trajectory; raises NonFinite on overflow.
+# The diagnostics' columns; the forward run gives one row of them per snapshot.
+_DIAG_COLUMNS = ("t", "mean", "energy", "min_phi", "max_phi", "grad_mu_norm")
 
-    Rows 1.. of ``grads`` hold the steps' ||grad phi||^2, ||grad mu||^2, and
-    rows ..nt-1 of ``potential`` their input snapshots' int f(phi); row 0 of
-    ``grads`` and the last of ``potential`` are set here.
+
+def _forward_rows(
+    phi0: Field,
+    u: ControlFunction,
+    spec: PotentialSpec,
+    timegrid: TimeGrid,
+    check_compatibility: bool = True,
+    with_diagnostics: bool = True,
+):
+    """Yield (phi^n, mu^n, diagnostics row n) for n = 0..nt: the one step loop.
+
+    Row n comes once step n+1 has been taken and found finite; its
+    diagnostics row is None without diagnostics.  Checks and errors are
+    those of ``simulate``.  A non-finite diagnostic is raised after the last
+    row, at the first row that has one, so a later blow-up of phi or mu
+    takes precedence, and a consumer commits nothing before the generator
+    is exhausted.
     """
-    # a finite trajectory can still overflow its energy or ||grad mu||
-    with np.errstate(over="ignore", invalid="ignore"):
-        grads[0] = grad_sq(grid, (phi[0], mu[0]))
-        potential[-1] = _potential_energy(grid, spec, phi[-1])
-        diagnostics = {
-            "t": timegrid.times(),
-            "mean": phi.mean(axis=1),
-            "energy": 0.5 * grads[:, 0] + potential,
-            "min_phi": phi.min(axis=1),
-            "max_phi": phi.max(axis=1),
-            "grad_mu_norm": np.sqrt(grads[:, 1]),
-        }
-    finite = np.all([np.isfinite(v) for v in diagnostics.values()], axis=0)
-    if not np.all(finite):
-        n = int(np.argmin(finite))
-        raise NonFinite(f"diagnostics not finite at step {n}", step=n)
-    return diagnostics
+    grid = phi0.grid
+    if u.grid != grid or u.timegrid != timegrid:
+        raise ShapeMismatch("control does not match the state grids")
+    if check_compatibility:
+        report = validate_compatibility(phi0, u.linf(), spec)
+        if not report.passed:
+            raise ValueError(
+                f"initial data incompatible with the potential domain "
+                f"(margin {report.margin:g} < {COMPATIBILITY_MARGIN:g}); "
+                "pass check_compatibility=False to override"
+            )
+    stepper = _Stepper(grid, spec, timegrid.tau)
+    ts = timegrid.times()
+    bad = []  # rows whose diagnostics are not finite
+
+    def diagnostics(n, phi, grads, potential=None):
+        """Row n, in _DIAG_COLUMNS order, from ||grad phi||^2, ||grad mu||^2 and int f(phi).
+
+        Without ``potential`` (the last row, which no step takes) f is
+        evaluated here.  A finite snapshot can still overflow its energy or
+        ||grad mu||: that gives inf or nan without a warning, noted in ``bad``.
+        """
+        if not with_diagnostics:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            if potential is None:
+                potential = _potential_energy(grid, spec, phi)
+            row = (ts[n], phi.mean(), 0.5 * grads[0] + potential, phi.min(), phi.max(),
+                   np.sqrt(grads[1]))
+        if not all(math.isfinite(v) for v in row):
+            bad.append(n)
+        return row
+
+    phi = phi0.values
+    phihat = _dct(grid, phi)
+    mu = stepper.mu_of(phihat, phi)
+    if not np.all(np.isfinite(mu)):
+        raise NonFinite("initial chemical potential is not finite", step=0)
+    grads = None
+    if with_diagnostics:
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = grad_sq(grid, (phi, mu))
+    for n, uhat in enumerate(stepper.source_coeffs(u.slices)):
+        grads_next = np.empty(2) if with_diagnostics else None
+        phihat, phi_next, mu_next, potential = stepper.advance(phihat, phi, uhat, grads_next)
+        if not (np.all(np.isfinite(phi_next)) and np.all(np.isfinite(mu_next))):
+            raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
+        yield phi, mu, diagnostics(n, phi, grads, potential)
+        phi, mu, grads = phi_next, mu_next, grads_next
+    yield phi, mu, diagnostics(timegrid.nt, phi, grads)
+    if bad:
+        raise NonFinite(f"diagnostics not finite at step {bad[0]}", step=bad[0])
 
 
 def simulate(
@@ -360,37 +412,14 @@ def simulate(
     NonFinite, with the step index, if phi, mu or a diagnostic stops being
     finite.
     """
-    grid = phi0.grid
-    if u.grid != grid or u.timegrid != timegrid:
-        raise ShapeMismatch("control does not match the state grids")
-    if check_compatibility:
-        report = validate_compatibility(phi0, u.linf(), spec)
-        if not report.passed:
-            raise ValueError(
-                f"initial data incompatible with the potential domain "
-                f"(margin {report.margin:g} < {COMPATIBILITY_MARGIN:g}); "
-                "pass check_compatibility=False to override"
-            )
-    nt = timegrid.nt
-    stepper = _Stepper(grid, spec, timegrid.tau)
-    phi = np.empty((nt + 1, grid.size))
-    mu = np.empty((nt + 1, grid.size))
-    phi[0] = phi0.values
-    phihat = _dct(grid, phi[0])
-    mu[0] = stepper.mu_of(phihat, phi[0])
-    if not np.all(np.isfinite(mu[0])):
-        raise NonFinite("initial chemical potential is not finite", step=0)
-    grads = np.empty((nt + 1, 2)) if with_diagnostics else [None] * (nt + 1)
-    potential = np.empty(nt + 1) if with_diagnostics else [None] * (nt + 1)
-    for n, uhat in enumerate(stepper.source_coeffs(u.slices)):
-        phihat, phi[n + 1], mu[n + 1], potential[n] = stepper.advance(
-            phihat, phi[n], uhat, grads[n + 1]
-        )
-        if not (np.all(np.isfinite(phi[n + 1])) and np.all(np.isfinite(mu[n + 1]))):
-            raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
-    diagnostics = (
-        _diagnostics(grid, spec, timegrid, phi, mu, grads, potential) if with_diagnostics else {}
-    )
+    shape = (timegrid.nt + 1, phi0.grid.size)
+    phi, mu, rows = np.empty(shape), np.empty(shape), []
+    for n, (phi_n, mu_n, row) in enumerate(
+        _forward_rows(phi0, u, spec, timegrid, check_compatibility, with_diagnostics)
+    ):
+        phi[n], mu[n] = phi_n, mu_n
+        rows.append(row)
+    diagnostics = dict(zip(_DIAG_COLUMNS, map(np.array, zip(*rows)))) if with_diagnostics else {}
     return StateTrajectory(u, spec, phi, mu, diagnostics)
 
 

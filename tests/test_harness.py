@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from chopt import state
-from chopt.cli import _write_diagnostics, main
+from chopt.cli import _write_diagnostics, main, run_simulate
 from chopt.config import build_field, parse_config
-from chopt.errors import ParseError, ValidationError
-from chopt.runio import format_value, read_snapshots, write_csv, write_snapshots
+from chopt.errors import ParseError, ShapeMismatch, ValidationError
+from chopt.runio import SnapshotWriter, format_value, read_snapshots, write_csv, write_snapshots
 from chopt.spectral import Grid
 from chopt.verify import REGISTRY, registered_checks, run_checks
 
@@ -239,7 +239,8 @@ def test_snapshot_write_does_not_copy_a_contiguous_stack(tmp_path):
     assert peak < 1_000_000
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "strided", "float32", "big-endian", "1-d", "empty"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "float32", "big-endian", "1-d", "empty",
+                                    "streamed", "streamed-1-d", "streamed-empty"])
 def test_snapshot_bytes_match_the_little_endian_buffer(tmp_path, layout):
     g = Grid(6, 4, 1.0)
     base = RNG.standard_normal((10, 2 * g.size))
@@ -250,10 +251,37 @@ def test_snapshot_bytes_match_the_little_endian_buffer(tmp_path, layout):
         "big-endian": base[:, :g.size].astype(">f8"),
         "1-d": base[0, :g.size],
         "empty": base[:0, :g.size],
+        "streamed": base[::3, ::2],
+        "streamed-1-d": base[0, :g.size],
+        "streamed-empty": base[:0, :g.size],
     }[layout]
     path = tmp_path / "phi.bin"
-    write_snapshots(path, g, frames)
-    assert path.read_bytes()[16:] == np.ascontiguousarray(frames, "<f8").tobytes()
+    if layout.startswith("streamed"):
+        # one write per frame, as the forward run makes them
+        rows = np.atleast_2d(frames)
+        with SnapshotWriter(path, g, len(rows)) as writer:
+            for row in rows:
+                writer.write(row)
+    else:
+        write_snapshots(path, g, frames)
+    raw = path.read_bytes()
+    assert struct.unpack("<III", raw[4:16]) == (6, 4, np.atleast_2d(frames).shape[0])
+    assert raw[16:] == np.ascontiguousarray(frames, "<f8").tobytes()
+
+
+@pytest.mark.parametrize("frames", [2, 4])
+def test_snapshot_writer_refuses_a_wrong_frame_count(tmp_path, frames):
+    # too few frames fail at close, too many at the write that exceeds the
+    # header; either way the target keeps its old bytes and no temporary stays
+    g = Grid(4, 4, 1.0)
+    path = tmp_path / "phi.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(ShapeMismatch):
+        with SnapshotWriter(path, g, 3) as writer:
+            for _ in range(frames):
+                writer.write(np.ones(g.size))
+    assert path.read_bytes() == b"old"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["phi.bin"]
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):
@@ -412,6 +440,86 @@ def test_cli_bad_config_writes_failure(tmp_path, command, section):
     assert not (out / "oracle_errors.csv").exists()
     assert not (out / "verification.csv").exists()
     assert not (out / "phi.bin").exists()
+
+
+# phi blows up at step 2 after row 1's energy has already overflowed
+BLOW_UP = MINIMAL + """
+[control]
+M = 1e300
+initial = constant:1e300
+
+[run]
+out = results
+"""
+
+
+def test_cli_failure_lands_in_the_configured_output_directory(tmp_path, monkeypatch):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    cfg = write_cfg(tmp_path, BLOW_UP)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    failure = json.loads((cwd / "results" / "failure.json").read_text())
+    assert failure["error"] == "NonFinite"
+    assert sorted(p.name for p in cwd.iterdir()) == ["results"]
+
+
+def test_cli_simulate_failure_leaves_no_partial_snapshots(tmp_path):
+    cfg = write_cfg(tmp_path, BLOW_UP)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": "NonFinite", "message": "blow-up at step 2"}
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
+    # an earlier run's artifacts stay as they were
+    assert main(["simulate", "--config", "stationary", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    after = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "failure.json"}
+    assert after == {name: data for name, data in before.items() if name != "failure.json"}
+    assert set(after) == {"phi.bin", "mu.bin", "diagnostics.csv"}
+
+
+@pytest.mark.parametrize("body", [
+    "[grid]\nnx = 32\nny = 32\n[time]\nfinal = 0.3\nsteps = 60\n"
+    "[potential]\nvariant = logarithmic\nc1 = 2.0\neps = 1e-4\nreg_kind = piecewise_log\n"
+    "stabilization = 17.0\n[control]\nM = 0.2\ninitial = constant:0.1\n"
+    "[initial]\nphi0 = smooth:-0.6:0.6\n",
+    "[grid]\nnx = 16\nny = 16\n[time]\nfinal = 0.5\nsteps = 50\n"
+    "[control]\nM = 0.5\ninitial = random:0.15\n[initial]\nphi0 = band_limited:0.4:6\n",
+    "[grid]\nnx = 8\nny = 8\n[time]\nfinal = 0.1\nsteps = 1\n"
+    "[control]\ninitial = constant:0.3\n[initial]\nphi0 = band_limited:0.4:4\n",
+], ids=["piecewise-log-32", "regular-random-16", "one-step"])
+def test_cli_simulate_streams_the_bytes_of_an_in_memory_run(tmp_path, body):
+    cfg = parse_config(write_cfg(tmp_path, body))
+    streamed, held = tmp_path / "streamed", tmp_path / "held"
+    streamed.mkdir()
+    held.mkdir()
+    assert run_simulate(cfg, streamed) == 0
+    traj = state.simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid, check_compatibility=False)
+    write_snapshots(held / "phi.bin", cfg.grid, traj.phi)
+    write_snapshots(held / "mu.bin", cfg.grid, traj.mu)
+    _write_diagnostics(held, traj.diagnostics)
+    for name in ("phi.bin", "mu.bin", "diagnostics.csv"):
+        assert (streamed / name).read_bytes() == (held / name).read_bytes()
+    assert sorted(p.name for p in streamed.iterdir()) == ["diagnostics.csv", "mu.bin", "phi.bin"]
+
+
+def test_cli_simulate_holds_a_few_snapshots_not_the_trajectory(tmp_path):
+    body = ("[grid]\nnx = 64\nny = 64\n[time]\nfinal = 0.2\nsteps = 200\n"
+            "[potential]\nvariant = logarithmic\nc1 = 2.0\neps = 1e-2\n"
+            "reg_kind = piecewise_log\nstabilization = 17.0\n"
+            "[control]\nM = 0.2\ninitial = constant:0.1\n"
+            "[initial]\nphi0 = band_limited:0.6:8\n")
+    cfg = parse_config(write_cfg(tmp_path, body))
+    trajectory = 2 * (cfg.timegrid.nt + 1) * cfg.grid.size * 8  # phi and mu, 13.2 MB
+    tracemalloc.start()
+    try:
+        run_simulate(cfg, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * trajectory
 
 
 def test_cli_verify_gradient_preset(tmp_path):

@@ -348,6 +348,23 @@ def test_simulate_diagnostics_match_the_stored_snapshots(n, variant):
     assert np.allclose(traj.diagnostics["grad_mu_norm"], grad_mu, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("n, nt", [(16, 50), (64, 100), (13, 10)])
+def test_simulate_diagnostic_rows_equal_the_stack_reductions(n, nt):
+    # the diagnostics reduce one snapshot at a time; the written artifacts
+    # stay byte-stable only if that equals reducing the stack along axis 1
+    g = Grid(n, 17, 1.0)
+    tg = TimeGrid(0.1, nt)
+    rng = np.random.default_rng(n)
+    phi0 = band_limited_field(g, 0.6, 8, rng)
+    u = ControlFunction(g, tg, rng.uniform(-0.1, 0.1, (tg.nt + 1, g.size)))
+    traj = simulate(phi0, u, diagnostic_spec("logarithmic"), tg)
+    d = traj.diagnostics
+    assert np.array_equal(d["t"], tg.times())
+    assert np.array_equal(d["mean"], traj.phi.mean(axis=1))
+    assert np.array_equal(d["min_phi"], traj.phi.min(axis=1))
+    assert np.array_equal(d["max_phi"], traj.phi.max(axis=1))
+
+
 @pytest.mark.parametrize("variant", SINGULAR_DIAGNOSTIC_VARIANTS)
 def test_simulate_evaluates_the_potential_once_per_snapshot(monkeypatch, variant):
     # each step takes int f(phi) of its input snapshot from the kernel call
