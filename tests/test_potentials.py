@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import bisect
 
+from chopt import potentials
 from chopt.errors import ConvergenceFailure, DomainViolation, WrongVariant
 from chopt.potentials import (
     PotentialSpec,
@@ -137,7 +139,7 @@ def test_yosida_logarithmic_defined_on_the_whole_line(eps):
     # beyond |r| ~ 1 + 38*eps the logarithmic resolvent point rounds to 1
     # unless it is kept below it; every derivative must stay finite there
     rs = np.linspace(-5.0, 5.0, 2001)
-    for variant in ("logarithmic", "regular"):
+    for variant in ("logarithmic", "regular", "double_obstacle"):
         spec = PotentialSpec(variant, c1=2.0, eps=eps, reg_kind="yosida")
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -149,6 +151,66 @@ def test_yosida_logarithmic_defined_on_the_whole_line(eps):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConvergenceFailure):
                 beta_reg_vec(spec, bad)
+
+
+# Largest errors of (beta_eps, beta_eps') relative to max(|ref|, 1) allowed on
+# the points below: twice those of the plain Newton climb from the lower bound
+# max(|r|/(1 + 2 eps), (|r| - 1)/(2 eps)), (5.9e-15, 1.1e-14), (6.2e-14,
+# 1.1e-13) and (1.2e-12, 1.1e-12), rounded down.
+_LOG_YOSIDA_50_DIGIT_BOUNDS = {
+    1e-2: (1.17e-14, 2.2e-14),
+    1e-3: (1.23e-13, 2.2e-13),
+    1e-4: (2.4e-12, 2.2e-12),
+}
+
+
+@pytest.mark.parametrize("eps", sorted(_LOG_YOSIDA_50_DIGIT_BOUNDS))
+def test_yosida_logarithmic_matches_a_50_digit_reference(eps):
+    # beta_eps(r) = beta°(t) = 2 sign(r) s and beta_eps'(r) = 1/(sech^2(s)/2 + eps)
+    # at the root s of tanh(s) + 2 eps s = |r|, solved at 50 digits by Newton
+    # steps kept above the lower bound, from the double-precision s, and
+    # accepted once a step falls below 1e-45
+    spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="yosida")
+    rs = np.concatenate([np.linspace(-5.0, 5.0, 501), np.linspace(0.99, 1.01, 501)])
+    beta, d1 = _reg(spec, rs, (1, 2))
+    beta_err = d1_err = 0.0
+    with mpmath.workdps(50):
+        e = mpmath.mpf(eps)
+        tol = mpmath.mpf(10) ** -45
+        for r, b, d in zip(rs.tolist(), beta.tolist(), d1.tolist()):
+            x = abs(mpmath.mpf(r))
+            lower = max(x / (1 + 2 * e), (x - 1) / (2 * e))
+            s = max(mpmath.mpf(abs(b)) / 2, lower)
+            for _ in range(64):
+                q = mpmath.exp(-2 * s)  # tanh s = (1 - q)/(1 + q), sech^2 s = 4q/(1 + q)^2
+                step = ((1 - q) / (1 + q) + 2 * e * s - x) / (4 * q / (1 + q) ** 2 + 2 * e)
+                s = max(s - step, lower)
+                if abs(step) <= tol * max(s, 1):
+                    break
+            else:
+                raise AssertionError(f"50-digit Newton did not settle at r = {r!r}")
+            q = mpmath.exp(-2 * s)
+            b_ref = mpmath.sign(r) * 2 * s
+            d_ref = 1 / (2 * q / (1 + q) ** 2 + e)
+            beta_err = max(beta_err, float(abs(b - b_ref) / max(abs(b_ref), 1)))
+            d1_err = max(d1_err, float(abs(d - d_ref) / max(abs(d_ref), 1)))
+    beta_bound, d1_bound = _LOG_YOSIDA_50_DIGIT_BOUNDS[eps]
+    assert beta_err <= beta_bound
+    assert d1_err <= d1_bound
+
+
+@pytest.mark.parametrize("eps", [0.5, 0.1, 1e-2, 1e-3, 1e-4, 1e-8])
+def test_yosida_logarithmic_settles_in_twelve_sweeps(monkeypatch, eps):
+    # |r| from 1e-300 to 1e6 and a dense stretch of [0, 3], both signs; they
+    # take 6, 7, 9, 10, 11 and 3 sweeps, where a plain climb from the lower
+    # bound max(|r|/(1 + 2 eps), (|r| - 1)/(2 eps)) took 7, 7, 9, 11, 12 and 17
+    monkeypatch.setattr(potentials, "_SWEEPS", 12)
+    rng = np.random.default_rng(12)
+    mags = np.concatenate([np.logspace(-300.0, 6.0, 400_000), rng.uniform(0.0, 3.0, 100_000)])
+    rs = np.concatenate([mags, -mags])
+    spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="yosida")
+    t = potentials._resolvent(spec, rs)
+    assert np.all(np.abs(t) < 1.0)
 
 
 def test_yosida_sandwich():
