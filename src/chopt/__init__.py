@@ -28,7 +28,7 @@ from .sensitivity import (
     solve_adjoint,
     solve_linearized,
 )
-from .spectral import Field, Grid, SpectralField, from_spectral, solve_N, to_spectral
+from .spectral import Field, Grid, SpectralField, from_spectral, to_spectral
 from .state import (
     ControlFunction,
     StateTrajectory,

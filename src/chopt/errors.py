@@ -5,10 +5,6 @@ class ChoptError(Exception):
     """Base class for all package-specific errors."""
 
 
-class NonzeroMean(ChoptError):
-    """Raised when the inverse Laplacian is applied to a field with nonzero mean."""
-
-
 class DomainViolation(ChoptError):
     """Raised when a singular potential is evaluated outside its domain."""
 

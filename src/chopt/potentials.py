@@ -43,8 +43,6 @@ __all__ = [
     "f_and_beta_reg_vec",
     "f_d1_vec",
     "f_d2_vec",
-    "check_exp_derivative_bound",
-    "young_exp_constants",
     "pi_d1",
 ]
 
@@ -333,35 +331,3 @@ def f_d1_vec(spec: PotentialSpec, values) -> np.ndarray:
 def f_d2_vec(spec: PotentialSpec, values) -> np.ndarray:
     v = np.asarray(values, dtype=float)
     return beta_reg_d1_vec(spec, v) + pi_d1(spec)
-
-
-# ---------------------------------------------------------------------------
-# inequality checks
-
-def check_exp_derivative_bound(spec: PotentialSpec, samples) -> float:
-    """Largest violation max(beta_eps'(r) - 2 exp(|beta_eps(r)|)) over the samples.
-
-    The bound beta_eps' <= 2 exp(|beta_eps|) holds where the result is <= 0.
-    Only meaningful for the piecewise C^1 logarithmic regularization.
-    """
-    if spec.reg_kind != "piecewise_log":
-        raise WrongVariant("the exponential derivative bound targets piecewise_log")
-    samples = np.asarray(samples, dtype=float).reshape(-1)
-    lhs, beta = _piecewise_log(spec, samples, (2, 1))
-    # exponent capped to stay finite; the bound holds trivially beyond
-    rhs = 2.0 * np.exp(np.minimum(np.abs(beta), 700.0))
-    return float(np.max(lhs - rhs))
-
-
-def young_exp_constants(p: float) -> tuple[float, float]:
-    """Constants (kappa, kappa') with r*s*e^{ps} <= s^2 e^{ps}/2 + e^{kappa r} + kappa'.
-
-    Built from the delta > 0 solving delta*(1 + p + delta) = 1/2, with
-    kappa = 1/delta and kappa' = (p + delta)^2 / (4 delta).
-    """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    delta = 0.5 * (-(1.0 + p) + math.sqrt((1.0 + p) ** 2 + 2.0))
-    kappa = 1.0 / delta
-    kappa_prime = (p + delta) ** 2 / (4.0 * delta)
-    return kappa, kappa_prime

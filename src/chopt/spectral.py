@@ -1,4 +1,4 @@
-"""Rectangle grid, Neumann cosine eigenbasis, transforms and norms.
+"""Rectangle grid, Neumann cosine eigenbasis and transforms.
 
 The domain is an axis-aligned rectangle (0,lx) x (0,ly) sampled at cell
 midpoints.  The Neumann Laplacian eigenfunctions on such a rectangle are the
@@ -12,8 +12,9 @@ grid the sampled modes are exactly orthonormal in the discrete inner product,
 so the DCT-II realizes the eigen-expansion without quadrature error.
 
 Transforms use the unitary normalization: the coefficient array of a field f
-satisfies sum(coeffs**2) == norm_H(f)**2 (Parseval), and diagonal spectral
-multipliers are self-adjoint in the discrete L^2 inner product.
+satisfies sum(coeffs**2) == cell * sum(f**2), the squared discrete L^2 norm
+(Parseval), and diagonal spectral multipliers are self-adjoint in the
+discrete L^2 inner product.
 
 The transforms are dense products with the orthonormal DCT-II matrices of
 the two axes, coeffs = Cx @ X @ Cy.T, applied to one field or to a stack of
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonzeroMean, ShapeMismatch
+from .errors import ShapeMismatch
 
 __all__ = [
     "Grid",
@@ -39,12 +40,6 @@ __all__ = [
     "SpectralField",
     "to_spectral",
     "from_spectral",
-    "laplacian",
-    "mean",
-    "solve_N",
-    "norm_H",
-    "norm_Vstar",
-    "inner",
     "grad_sq",
     "basis_modes",
     "lowest_modes",
@@ -172,28 +167,6 @@ def from_spectral(s: SpectralField) -> Field:
     return Field(g, _idct(s.coeffs / np.sqrt(g.cell)))
 
 
-def laplacian(s: SpectralField) -> SpectralField:
-    """Apply the Neumann Laplacian: coefficient (j,k) is multiplied by -lambda_{jk}."""
-    return SpectralField(s.grid, -s.grid.eigenvalues() * s.coeffs)
-
-
-def mean(f: Field) -> float:
-    """Cell-measure-weighted average of the field."""
-    return float(f.values.mean())
-
-
-def inner(f: Field, g: Field) -> float:
-    """Discrete L^2 inner product (midpoint quadrature)."""
-    if f.grid != g.grid:
-        raise ShapeMismatch("fields live on different grids")
-    return float(f.grid.cell * np.dot(f.values, g.values))
-
-
-def norm_H(f: Field) -> float:
-    """Discrete L^2 norm."""
-    return float(np.sqrt(f.grid.cell) * np.linalg.norm(f.values))
-
-
 def grad_sq(grid: Grid, snapshots) -> np.ndarray:
     """||grad f||^2 = sum lambda * coeff^2 (Parseval) for each row of nodal values.
 
@@ -205,36 +178,6 @@ def grad_sq(grid: Grid, snapshots) -> np.ndarray:
     scale = np.sqrt(grid.cell)
     rows = np.reshape(snapshots, (-1, grid.size))
     return np.array([np.sum(lam * (_dct(grid, v) * scale) ** 2) for v in rows])
-
-
-def solve_N(f: Field) -> Field:
-    """Inverse Neumann Laplacian on zero-mean fields.
-
-    Returns the unique zero-mean w with -Delta w = f.  Requires mean(f) = 0
-    (the operator's domain); raises NonzeroMean otherwise.
-    """
-    m = mean(f)
-    scale = norm_H(f)
-    if abs(m) * np.sqrt(f.grid.volume) > 1e-10 * max(scale, 1e-300):
-        raise NonzeroMean(f"mean {m:g} is not negligible against ||f|| = {scale:g}")
-    s = to_spectral(f)
-    lam = f.grid.eigenvalues()
-    c = np.zeros_like(s.coeffs)
-    nz = lam > 0
-    c[nz] = s.coeffs[nz] / lam[nz]
-    return from_spectral(SpectralField(f.grid, c))
-
-
-def norm_Vstar(f: Field) -> float:
-    """Dual norm ||f||_*^2 = ||grad N(f - fbar)||^2 + |fbar|^2.
-
-    The gradient term is sum over nonzero modes of coeff^2 / lambda.
-    """
-    s = to_spectral(f)
-    lam = f.grid.eigenvalues()
-    m = mean(f)
-    nz = lam > 0
-    return float(np.sqrt(np.sum(s.coeffs[nz] ** 2 / lam[nz]) + m * m))
 
 
 def basis_modes(grid: Grid, j, k) -> np.ndarray:

@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 
-from chopt import potentials
 from chopt.cli import main
 from chopt.config import band_limited_field
 from chopt.control import (
@@ -27,14 +26,7 @@ from chopt.sensitivity import (
     solve_adjoint,
     solve_linearized,
 )
-from chopt.spectral import (
-    Field,
-    Grid,
-    SpectralField,
-    from_spectral,
-    laplacian,
-    to_spectral,
-)
+from chopt.spectral import Field, Grid, SpectralField, from_spectral
 from chopt.state import (
     ControlFunction,
     TimeGrid,
@@ -42,7 +34,7 @@ from chopt.state import (
     default_stabilization,
     simulate,
 )
-from chopt.verify import _c0_h
+from chopt.verify import _c0_h, _xi_defect, registered_checks, run_checks
 
 SEED = 20240824
 
@@ -205,20 +197,7 @@ def test_criterion_6_separation_and_xi_bound():
     u = ControlFunction.constant(grid, tg, 0.1)
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     peak = float(np.max(np.abs(traj.phi)))
-    xi_defect = -math.inf
-    for n in range(tg.nt + 1):
-        # evaluate mu at the same snapshot as phi; the stored mu mixes the
-        # explicit and implicit time levels of the stepping scheme
-        f = Field(grid, traj.phi[n])
-        mu = (
-            -from_spectral(laplacian(to_spectral(f))).values
-            + potentials.f_d1_vec(spec, traj.phi[n])
-        )
-        xi = potentials.beta_reg_vec(spec, traj.phi[n])
-        bound = traj.phi[n] + mu - potentials.pi_d1(spec) * traj.phi[n]
-        xi_defect = max(
-            xi_defect, float(np.max(np.abs(xi)) - np.max(np.abs(bound)))
-        )
+    xi_defect = _xi_defect(traj)
     ok = peak <= 1.0 - 1e-3 and xi_defect <= 1e-8
     report(6, "separation from the singular endpoints", ok,
            f"max |phi| = {peak:.6f}, xi-bound defect = {xi_defect:.3e}")
@@ -255,38 +234,14 @@ def test_criterion_7_continuous_dependence():
 
 
 def test_criterion_8_regularization_sweeps():
-    rng = np.random.default_rng(SEED)
-    worst = -math.inf
-    yosida_specs = (
-        PotentialSpec("regular", eps=0.1, reg_kind="yosida"),
-        PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="yosida"),
-        PotentialSpec("double_obstacle", c2=1.0, eps=0.25, reg_kind="yosida"),
-    )
-    for spec in yosida_specs:
-        r1 = np.sort(rng.uniform(-2.0, 2.0, 10_000))
-        b1 = potentials.beta_reg_vec(spec, r1)
-        # monotone, zero at zero, 1/eps-Lipschitz
-        worst = max(worst, float(np.max(-np.diff(b1), initial=-math.inf)))
-        worst = max(worst, abs(float(potentials.beta_reg_vec(spec, 0.0))))
-        lip = np.abs(np.diff(b1)) * spec.eps - np.abs(np.diff(r1))
-        worst = max(worst, float(np.max(lip)))
-        # dominated by the exact minimal section inside the domain
-        inside = r1[np.abs(r1) < 0.99]
-        (exact,) = potentials._exact(spec, inside, (1,))
-        sandwich = np.abs(potentials.beta_reg_vec(spec, inside)) - np.abs(exact)
-        worst = max(worst, float(np.max(sandwich)))
-    for eps in (0.5, 0.1, 1e-3):
-        spec = PotentialSpec("logarithmic", c1=2.0, eps=eps, reg_kind="piecewise_log")
-        samples = rng.uniform(-2.0, 2.0, 10_000)
-        worst = max(worst, potentials.check_exp_derivative_bound(spec, samples))
-    for p in (1.0, 3.0):
-        kappa, kappa_prime = potentials.young_exp_constants(p)
-        r = rng.uniform(0.0, 6.0, 10_000)
-        s = rng.uniform(0.0, 6.0, 10_000)
-        lhs = r * s * np.exp(p * s)
-        rhs = 0.5 * s * s * np.exp(p * s) + np.exp(kappa * r) + kappa_prime
-        worst = max(worst, float(np.max(lhs - rhs)))
-    report(8, "regularization property sweeps", worst <= 1e-12,
+    # the registry's potentials checks: 1e4-point sweeps of monotonicity and
+    # beta_eps(0) = 0, the Yosida Lipschitz and sandwich bounds, the constant
+    # pi', the exponential derivative bound and the Young inequality
+    names = [n for n in registered_checks() if n.startswith("potentials.")]
+    results = run_checks(names, SEED)
+    worst = max(r.measured for r in results)
+    ok = all(r.passed for r in results) and worst <= 1e-12
+    report(8, "regularization property sweeps", ok,
            f"max violation over all 1e4-point sweeps = {worst:.3e}")
 
 

@@ -21,7 +21,6 @@ from chopt.spectral import (
     basis_modes,
     from_spectral,
     lowest_modes,
-    norm_H,
     to_spectral,
 )
 from chopt.state import ControlFunction, TimeGrid, default_stabilization, mean_closed_form, simulate
@@ -122,7 +121,7 @@ def test_project_initial_contracts_norm():
     phi0 = Field(g, RNG.standard_normal(g.size))
     for n in (1, 4, 16):
         y0 = project_initial(phi0, n)
-        assert np.linalg.norm(y0) <= norm_H(phi0) + 1e-12
+        assert np.linalg.norm(y0) <= np.sqrt(g.cell) * np.linalg.norm(phi0.values) + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,13 @@ from chopt.potentials import (
     _reg,
     beta_reg_d1_vec,
     beta_reg_vec,
-    check_exp_derivative_bound,
     f_and_beta_reg_vec,
     f_d1_vec,
     f_d2_vec,
     f_value_vec,
     pi_d1,
-    young_exp_constants,
 )
+from chopt.verify import _exp_derivative_excess, _young_exp_constants
 
 RNG = np.random.default_rng(77)
 
@@ -276,8 +275,6 @@ def test_piecewise_log_odd():
 def test_piecewise_log_wrong_variant():
     with pytest.raises(WrongVariant):
         PotentialSpec("regular", reg_kind="piecewise_log")
-    with pytest.raises(WrongVariant):
-        check_exp_derivative_bound(PotentialSpec("regular"), [0.5])
 
 
 def test_piecewise_log_c1_at_knee():
@@ -321,7 +318,8 @@ def test_pi_derivative_is_constant():
 
 
 # ---------------------------------------------------------------------------
-# the exponential derivative bound and the Young-type inequality
+# the exponential derivative bound and the Young-type inequality (helpers of
+# the verify checks of the same names)
 
 def test_exp_bound_equality_at_zero():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.2, reg_kind="piecewise_log")
@@ -333,18 +331,12 @@ def test_exp_bound_equality_at_zero():
 def test_exp_bound_sweep():
     spec = PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="piecewise_log")
     samples = RNG.uniform(-2.0, 2.0, 10_000)
-    violation = check_exp_derivative_bound(spec, samples)
+    violation = _exp_derivative_excess(spec, samples)
     assert violation <= 1e-12, f"violation {violation}"
 
 
-def test_exp_bound_wrong_kind():
-    spec = PotentialSpec("logarithmic", c1=2.0, eps=0.1, reg_kind="yosida")
-    with pytest.raises(WrongVariant):
-        check_exp_derivative_bound(spec, [0.0])
-
-
 def test_young_constants_p3():
-    kappa, kappa_prime = young_exp_constants(3.0)
+    kappa, kappa_prime = _young_exp_constants(3.0)
     delta = 1.0 / kappa
     assert delta == pytest.approx(0.121320, abs=1e-6)
     assert delta * (1.0 + 3.0 + delta) == pytest.approx(0.5, rel=1e-12)
@@ -353,14 +345,14 @@ def test_young_constants_p3():
 
 
 def test_young_constants_p1():
-    kappa, _ = young_exp_constants(1.0)
+    kappa, _ = _young_exp_constants(1.0)
     assert 1.0 / kappa == pytest.approx(0.224745, abs=1e-6)
     assert kappa == pytest.approx(4.449490, abs=1e-6)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
 def test_young_inequality_sweep(p):
-    kappa, kappa_prime = young_exp_constants(p)
+    kappa, kappa_prime = _young_exp_constants(p)
     r = RNG.uniform(0.0, 6.0, 5000)
     s = RNG.uniform(0.0, 6.0, 5000)
     lhs = r * s * np.exp(p * s)
@@ -370,7 +362,7 @@ def test_young_inequality_sweep(p):
 
 def test_young_rejects_small_p():
     with pytest.raises(ValueError):
-        young_exp_constants(0.5)
+        _young_exp_constants(0.5)
 
 
 # ---------------------------------------------------------------------------

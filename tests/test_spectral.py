@@ -8,7 +8,8 @@ import pytest
 from scipy.fft import dctn
 
 import chopt
-from chopt.errors import NonzeroMean, ShapeMismatch
+from chopt.errors import ShapeMismatch
+from chopt.potentials import PotentialSpec
 from chopt.spectral import (
     Field,
     Grid,
@@ -18,14 +19,10 @@ from chopt.spectral import (
     basis_modes,
     from_spectral,
     grad_sq,
-    inner,
-    laplacian,
-    mean,
-    norm_H,
-    norm_Vstar,
-    solve_N,
+    lowest_modes,
     to_spectral,
 )
+from chopt.state import _Stepper
 
 RNG = np.random.default_rng(1234)
 
@@ -39,6 +36,11 @@ def random_field(grid, zero_mean=False):
     if zero_mean:
         v -= v.mean()
     return Field(grid, v)
+
+
+def l2(grid, values):
+    """Discrete L^2 norm sqrt(cell) * ||values||."""
+    return np.sqrt(grid.cell) * np.linalg.norm(values)
 
 
 # ---------------------------------------------------------------------------
@@ -145,64 +147,48 @@ def test_basis_orthonormality():
     modes = [(0, 0), (1, 0), (0, 1), (2, 3)]
     for a in modes:
         for b in modes:
-            ip = inner(mode(g, *a), mode(g, *b))
+            ip = g.cell * mode(g, *a).values @ mode(g, *b).values
             assert ip == pytest.approx(1.0 if a == b else 0.0, abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
-# laplacian
+# the Laplacian multiplier -lambda that the stepper applies
+
+def minus_lambda(grid, values):
+    return _idct(-grid.eigenvalues() * _dct(grid, values))
+
 
 def test_laplacian_constant_is_zero():
     g = Grid(8, 8, 1.0)
-    s = to_spectral(Field(g, np.ones(g.size)))
-    out = from_spectral(laplacian(s))
-    assert np.max(np.abs(out.values)) < 1e-12
+    assert np.max(np.abs(minus_lambda(g, np.ones(g.size)))) < 1e-12
 
 
 def test_laplacian_eigenmode_pi_domain():
     g = Grid(16, 16, np.pi, np.pi)
-    e10 = mode(g, 1, 0)
-    out = from_spectral(laplacian(to_spectral(e10)))
-    assert np.allclose(out.values, -1.0 * e10.values, atol=1e-12)
-    e11 = mode(g, 1, 1)
-    out2 = from_spectral(laplacian(to_spectral(e11)))
-    assert np.allclose(out2.values, -2.0 * e11.values, atol=1e-12)
+    lam = g.eigenvalues()
+    assert lam[1, 0] == pytest.approx(1.0, rel=1e-15)
+    assert lam[1, 1] == pytest.approx(2.0, rel=1e-15)
+    e10 = mode(g, 1, 0).values
+    assert np.allclose(minus_lambda(g, e10), -1.0 * e10, atol=1e-12)
+    e11 = mode(g, 1, 1).values
+    assert np.allclose(minus_lambda(g, e11), -2.0 * e11, atol=1e-12)
+    assert grad_sq(g, e10)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# mean
+# mean: the constant-mode coefficient over sqrt(|Omega|), as the oracle reads it
 
 def test_mean_examples():
-    g = Grid(8, 8, 1.0)
-    assert mean(Field(g, np.full(g.size, 3.5))) == pytest.approx(3.5)
-    assert mean(mode(g, 1, 0)) == pytest.approx(0.0, abs=1e-14)
-    f = Field(g, 1.0 + mode(g, 1, 0).values)
-    assert mean(f) == pytest.approx(1.0, abs=1e-14)
+    g = Grid(8, 8, 1.0, 2.0)
 
+    def constant_mode_mean(values):
+        return to_spectral(Field(g, values)).coeffs[0, 0] / np.sqrt(g.volume)
 
-# ---------------------------------------------------------------------------
-# inverse Laplacian
-
-def test_solve_N_eigenmodes():
-    g = Grid(16, 16, np.pi, np.pi)
-    e10 = mode(g, 1, 0)
-    assert np.allclose(solve_N(e10).values, e10.values, atol=1e-12)
-    e11 = mode(g, 1, 1)
-    assert np.allclose(solve_N(e11).values, e11.values / 2.0, atol=1e-12)
-
-
-def test_solve_N_rejects_nonzero_mean():
-    g = Grid(8, 8, 1.0)
-    with pytest.raises(NonzeroMean):
-        solve_N(Field(g, np.ones(g.size)))
-
-
-def test_laplacian_inverts_solve_N():
-    g = Grid(8, 8, 1.3, 0.9)
-    f = random_field(g, zero_mean=True)
-    w = solve_N(f)
-    back = from_spectral(laplacian(to_spectral(w)))
-    assert np.max(np.abs(back.values + f.values)) <= 1e-10 * np.max(np.abs(f.values))
+    assert constant_mode_mean(np.full(g.size, 3.5)) == pytest.approx(3.5, rel=1e-14)
+    assert constant_mode_mean(mode(g, 1, 0).values) == pytest.approx(0.0, abs=1e-14)
+    f = 1.0 + mode(g, 1, 0).values
+    assert constant_mode_mean(f) == pytest.approx(1.0, abs=1e-14)
+    assert constant_mode_mean(f) == pytest.approx(f.mean(), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +196,23 @@ def test_laplacian_inverts_solve_N():
 
 def test_norms_zero_field():
     g = Grid(8, 8, 1.0)
-    z = Field(g, np.zeros(g.size))
-    assert norm_H(z) == 0.0
-    assert norm_Vstar(z) == 0.0
+    z = np.zeros(g.size)
+    assert l2(g, z) == 0.0
+    assert grad_sq(g, z)[0] == 0.0
 
 
 def test_norms_constant_on_pi_square():
     g = Grid(16, 16, np.pi, np.pi)
-    one = Field(g, np.ones(g.size))
-    assert norm_H(one) == pytest.approx(np.pi, rel=1e-12)
-    assert norm_Vstar(one) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_dual_norm_of_first_mode():
-    # lam = 1 on the pi x pi square, so ||e|| / sqrt(lam) = 1
-    g = Grid(16, 16, np.pi, np.pi)
-    assert norm_Vstar(mode(g, 1, 0)) == pytest.approx(1.0, rel=1e-12)
+    one = np.ones(g.size)
+    assert l2(g, one) ** 2 == pytest.approx(np.pi**2, rel=1e-12)
+    assert grad_sq(g, one)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_parseval():
     g = Grid(8, 8, 1.4, 0.6)
     f = random_field(g)
     s = to_spectral(f)
-    assert np.sum(s.coeffs**2) == pytest.approx(norm_H(f) ** 2, rel=1e-12)
+    assert np.sum(s.coeffs**2) == pytest.approx(l2(g, f.values) ** 2, rel=1e-12)
 
 
 def test_grad_norm_of_eigenmode():
@@ -242,19 +222,24 @@ def test_grad_norm_of_eigenmode():
 
 
 def test_inverse_laplacian_symmetry():
+    # the step's inverse 1/(1 + tau + tau lam^2 + tau lam S) is self-adjoint
     g = Grid(8, 8, 1.0)
-    f = random_field(g, zero_mean=True)
-    h = random_field(g, zero_mean=True)
-    a = inner(f, solve_N(h))
-    b = inner(h, solve_N(f))
-    assert a == pytest.approx(b, rel=1e-12)
+    stepper = _Stepper(g, PotentialSpec("regular", stabilization=2.0), 0.01)
+    f, h = random_field(g).values, random_field(g).values
+
+    def solve(x):
+        return _idct(_dct(g, x) / stepper.denom)
+
+    assert f @ solve(h) == pytest.approx(h @ solve(f), rel=1e-12)
 
 
-def test_dual_norm_poincare_bound():
+def test_poincare_bound():
     g = Grid(8, 8, 1.0)
     lam = g.eigenvalues()
     lam_min = np.min(lam[lam > 0])
     for _ in range(5):
-        f = random_field(g, zero_mean=True)
-        assert norm_Vstar(f) <= norm_H(f) / np.sqrt(lam_min) * (1 + 1e-12)
-
+        f = random_field(g, zero_mean=True).values
+        assert lam_min * l2(g, f) ** 2 <= grad_sq(g, f)[0] * (1 + 1e-12)
+    j, k = lowest_modes(g, 2)
+    e = basis_modes(g, j[1:], k[1:])[0]
+    assert lam_min * l2(g, e) ** 2 == pytest.approx(grad_sq(g, e)[0], rel=1e-12)
