@@ -7,7 +7,8 @@ else the config's ``[run] out``; ``--out`` or the working directory when the
 config itself could not be read) and exit nonzero.
 
 ``simulate`` writes phi.bin and mu.bin as the forward steps produce their
-rows, so its memory does not grow with the number of steps.  The files
+rows, so its memory does not grow with the number of steps; ``optimize``
+writes the phi.bin and diagnostics.csv of u* the same way.  The files
 appear, replacing any earlier ones, only when the run succeeds; a failed run
 leaves the output directory's earlier artifacts as they were.
 """
@@ -17,9 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from importlib import resources
 from pathlib import Path
-
 
 from .config import RunConfig, parse_config
 from .control import ControlProblem, optimize
@@ -51,11 +52,6 @@ def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
-def _write_diagnostics(out: Path, diagnostics: dict) -> None:
-    rows = zip(*(diagnostics[c] for c in _DIAG_COLUMNS))
-    write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, rows)
-
-
 def _build_cost(cfg: RunConfig) -> CostSpec:
     phi_q = phi_omega = mu_q = None
     if cfg.cost_target == "inverse_crime":
@@ -68,18 +64,26 @@ def _build_cost(cfg: RunConfig) -> CostSpec:
     return CostSpec(cfg.grid, cfg.timegrid, cfg.alpha, phi_q, phi_omega, mu_q)
 
 
-def run_simulate(cfg: RunConfig, out: Path) -> int:
+def _write_forward(out: Path, cfg: RunConfig, u, with_mu: bool) -> list:
+    """Stream the forward run of u to phi.bin (and mu.bin) step by step, then diagnostics.csv; return its rows."""
     count = cfg.timegrid.nt + 1
     rows = []
     with (SnapshotWriter(out / "phi.bin", cfg.grid, count) as phi,
-          SnapshotWriter(out / "mu.bin", cfg.grid, count) as mu):
-        # parse_config has checked (phi0, max(M, ||u0||_inf)) unless overridden
-        for phi_n, mu_n, row in _forward_rows(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid,
+          SnapshotWriter(out / "mu.bin", cfg.grid, count) if with_mu else nullcontext() as mu):
+        # parse_config has checked (phi0, max(M, ||u0||_inf)) unless overridden,
+        # and optimize has checked (phi0, M) and returns an admissible u*
+        for phi_n, mu_n, row in _forward_rows(cfg.phi0, u, cfg.spec, cfg.timegrid,
                                               check_compatibility=False):
             phi.write(phi_n)
-            mu.write(mu_n)
+            if mu is not None:
+                mu.write(mu_n)
             rows.append(row)
     write_csv(out / "diagnostics.csv", _DIAG_COLUMNS, rows)
+    return rows
+
+
+def run_simulate(cfg: RunConfig, out: Path) -> int:
+    rows = _write_forward(out, cfg, cfg.u0, with_mu=True)
     final_mean = rows[-1][_DIAG_COLUMNS.index("mean")]
     print(f"simulate: {cfg.timegrid.nt} steps, final mean {final_mean:.6g}, "
           f"artifacts in {out}")
@@ -94,9 +98,7 @@ def run_optimize(cfg: RunConfig, out: Path) -> int:
     write_csv(out / "history.csv", header,
               ([row[c] for c in header] for row in result.history))
     write_snapshots(out / "u_star.bin", cfg.grid, result.u.slices)
-    traj = simulate(cfg.phi0, result.u, cfg.spec, cfg.timegrid)
-    _write_diagnostics(out, traj.diagnostics)
-    write_snapshots(out / "phi.bin", cfg.grid, traj.phi)
+    _write_forward(out, cfg, result.u, with_mu=False)
     summary = {
         "converged": result.converged,
         "stalled": result.stalled,

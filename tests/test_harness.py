@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from chopt import state
-from chopt.cli import _write_diagnostics, main, run_simulate
+from chopt.cli import main, run_simulate
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ShapeMismatch, ValidationError
 from chopt.runio import SnapshotWriter, format_value, read_snapshots, write_csv, write_snapshots
@@ -508,7 +508,8 @@ def test_cli_simulate_streams_the_bytes_of_an_in_memory_run(tmp_path, body):
     traj = state.simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid, check_compatibility=False)
     write_snapshots(held / "phi.bin", cfg.grid, traj.phi)
     write_snapshots(held / "mu.bin", cfg.grid, traj.mu)
-    _write_diagnostics(held, traj.diagnostics)
+    write_csv(held / "diagnostics.csv", state._DIAG_COLUMNS,
+              zip(*(traj.diagnostics[c] for c in state._DIAG_COLUMNS)))
     for name in ("phi.bin", "mu.bin", "diagnostics.csv"):
         assert (streamed / name).read_bytes() == (held / name).read_bytes()
     assert sorted(p.name for p in streamed.iterdir()) == ["diagnostics.csv", "mu.bin", "phi.bin"]
@@ -570,7 +571,8 @@ def test_cli_optimize_artifacts_match_a_fresh_forward_run(tmp_path):
     _, _, u_star = read_snapshots(out / "u_star.bin")
     u = state.ControlFunction(cfg.grid, cfg.timegrid, u_star)
     traj = state.simulate(cfg.phi0, u, cfg.spec, cfg.timegrid, check_compatibility=False)
-    _write_diagnostics(fresh, traj.diagnostics)
+    write_csv(fresh / "diagnostics.csv", state._DIAG_COLUMNS,
+              zip(*(traj.diagnostics[c] for c in state._DIAG_COLUMNS)))
     write_snapshots(fresh / "phi.bin", cfg.grid, traj.phi)
     for name in ("phi.bin", "diagnostics.csv"):
         assert (out / name).read_bytes() == (fresh / name).read_bytes()

@@ -6,7 +6,6 @@ from chopt.potentials import PotentialSpec
 from chopt.sensitivity import (
     TangentTrajectory,
     _cost_sources,
-    adjoint_identity_residual,
     reduced_gradient,
     solve_adjoint,
     solve_linearized,
@@ -21,9 +20,6 @@ from chopt.state import (
     simulate,
 )
 
-RNG = np.random.default_rng(77)
-
-
 def make_setup(nx=8, nt=20, T=0.1, seed=0):
     rng = np.random.default_rng(seed)
     g = Grid(nx, nx, 1.0)
@@ -34,11 +30,6 @@ def make_setup(nx=8, nt=20, T=0.1, seed=0):
     u = ControlFunction(g, tg, 0.2 * rng.standard_normal((nt + 1, g.size)))
     traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
     return g, tg, spec, u, traj
-
-
-def random_direction(g, tg, seed=1, scale=1.0):
-    rng = np.random.default_rng(seed)
-    return ControlFunction(g, tg, scale * rng.standard_normal((tg.nt + 1, g.size)))
 
 
 def tracking_cost(g, tg, traj, seed=2, alpha=(1.0, 1.0, 1.0, 1.0)):
@@ -62,32 +53,6 @@ def test_zero_direction_gives_zero_tangent():
     tan = solve_linearized(traj, h)
     assert np.max(np.abs(tan.xi)) == 0.0
     assert np.max(np.abs(tan.eta)) == 0.0
-
-
-def test_tangent_is_linear_in_direction():
-    g, tg, spec, u, traj = make_setup()
-    h1 = random_direction(g, tg, seed=10)
-    h2 = random_direction(g, tg, seed=11)
-    combo = ControlFunction(g, tg, 2.0 * h1.slices - 0.5 * h2.slices)
-    t1 = solve_linearized(traj, h1)
-    t2 = solve_linearized(traj, h2)
-    tc = solve_linearized(traj, combo)
-    assert np.allclose(tc.xi, 2.0 * t1.xi - 0.5 * t2.xi, atol=1e-12)
-    assert np.allclose(tc.eta, 2.0 * t1.eta - 0.5 * t2.eta, atol=1e-12)
-
-
-def test_tangent_matches_state_difference_to_second_order():
-    g, tg, spec, u, traj = make_setup()
-    h = random_direction(g, tg, seed=12)
-    tan = solve_linearized(traj, h)
-    errs = []
-    for lam in (1e-1, 5e-2, 2.5e-2):
-        up = ControlFunction(g, tg, u.slices + lam * h.slices)
-        pert = simulate(Field(g, traj.phi[0].copy()), up, spec, tg, with_diagnostics=False)
-        diff = pert.phi - traj.phi - lam * tan.xi
-        errs.append(np.max(np.abs(diff)))
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(np.abs(orders - 2.0) < 0.2)
 
 
 def test_tangent_requires_zero_initial_condition():
@@ -123,18 +88,6 @@ def test_terminal_costate_snapshot():
     adj = solve_adjoint(traj, cost)
     expected = 2.0 * (traj.phi[-1] - cost.phi_omega)
     assert np.allclose(_idct(adj.costate[-1]), expected, atol=1e-14)
-
-
-def test_adjoint_identity_machine_precision():
-    g, tg, spec, u, traj = make_setup()
-    cost = tracking_cost(g, tg, traj)
-    adj = solve_adjoint(traj, cost)
-    scale = np.max(np.abs(adj.costate)) + 1.0
-    for seed in range(5):
-        h = random_direction(g, tg, seed=seed)
-        tan = solve_linearized(traj, h)
-        res = adjoint_identity_residual(traj, tan, adj, h, cost)
-        assert res <= 1e-10 * scale
 
 
 def test_cost_sources_are_the_derivative_of_cost_J():
@@ -174,25 +127,6 @@ def test_gradient_without_tracking_is_penalty_term():
     adj = solve_adjoint(traj, cost)
     grad = reduced_gradient(traj, adj, cost)
     assert np.allclose(grad, a4 * u.slices, atol=1e-14)
-
-
-def test_gradient_matches_finite_differences():
-    g, tg, spec, u, traj = make_setup()
-    cost = tracking_cost(g, tg, traj)
-    adj = solve_adjoint(traj, cost)
-    grad = reduced_gradient(traj, adj, cost)
-    J0 = cost_J(traj, cost)
-    for seed in range(3):
-        h = random_direction(g, tg, seed=100 + seed)
-        predicted = control_inner(tg, g, grad, h.slices)
-        eps = 1e-6
-        up = ControlFunction(g, tg, u.slices + eps * h.slices)
-        um = ControlFunction(g, tg, u.slices - eps * h.slices)
-        Jp = cost_J(simulate(Field(g, traj.phi[0].copy()), up, spec, tg, with_diagnostics=False), cost)
-        Jm = cost_J(simulate(Field(g, traj.phi[0].copy()), um, spec, tg, with_diagnostics=False), cost)
-        fd = (Jp - Jm) / (2 * eps)
-        assert abs(predicted - fd) <= 1e-6 * (1 + abs(fd))
-    assert J0 > 0
 
 
 def test_gradient_scales_with_cost():
