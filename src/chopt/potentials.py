@@ -257,10 +257,15 @@ def _piecewise_log(spec: PotentialSpec, r: np.ndarray, ks: tuple) -> list:
     its second-order Taylor polynomial at the knee, so beta is affine with the
     matched slope 2/(eps(2-eps)) and beta'' vanishes.  The resulting beta is
     odd and C^1.  Logarithmic variant only, which PotentialSpec enforces.
-    Evaluated at t = clip(r, +-knee) plus the remainder d = r - t.
+    Evaluated at t = clip(r, +-knee) plus the remainder d = r - t.  When the
+    whole array lies within +-knee, d is zero and the continuation terms add
+    exact zeros, so the exact formulas are returned directly: the same values
+    bit for bit, except that beta(-0.0) keeps the sign of zero.
     """
     eps = spec.eps
     knee = 1.0 - eps
+    if r.size and -knee <= np.min(r) and np.max(r) <= knee:
+        return _formula(spec, r, ks)
     slope = 2.0 / (eps * (2.0 - eps))
     t = np.clip(r, -knee, knee)
     d = r - t

@@ -134,7 +134,7 @@ def solve_adjoint(base: StateTrajectory, cost: CostSpec) -> AdjointTrajectory:
         raise ShapeMismatch("cost does not match the base trajectory")
     grid = base.grid
     stepper = _Stepper(grid, base.spec, base.timegrid.tau)
-    lam, S, denom = stepper.lam, stepper.S, stepper.denom
+    lam, denom = stepper.lam, stepper.denom
     W = _curvature(base, stepper)
     nt = base.timegrid.nt
     tau = stepper.tau
@@ -142,7 +142,7 @@ def solve_adjoint(base: StateTrajectory, cost: CostSpec) -> AdjointTrajectory:
 
     # the cost sources of every snapshot, transformed in three stacked calls
     costate = _dct(grid, s_phi)
-    costate[1:] += (lam + S) * _dct(grid, s_mu[1:])
+    costate[1:] += stepper.lam_S * _dct(grid, s_mu[1:])
     costate[:-1] += _dct(grid, W * s_mu[1:])
     for n in range(nt - 1, -1, -1):
         a = costate[n + 1] / denom

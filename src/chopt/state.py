@@ -256,18 +256,23 @@ class _Stepper:
         self.lam = grid.eigenvalues()
         S = spec.stabilization
         self.S = S
-        self.denom = 1.0 + tau + tau * self.lam**2 + tau * self.lam * S
+        self.tau_lam = tau * self.lam
+        self.lam_S = self.lam + S
+        self.denom = 1.0 + tau + tau * self.lam**2 + self.tau_lam * S
 
     def source_coeffs(self, s: np.ndarray):
         """Cosine coefficients of the source rows s[0], ..., s[nt-1], one per step.
 
         A broadcast row (time stride 0, as ``ControlFunction.constant`` holds
         it) is transformed once for all steps; any other series one row per
-        step, as the steps take them.
+        step, as the steps take them.  Nothing is transformed before the
+        first item is drawn, so ``advance`` draws each inside its errstate.
         """
         if s.strides[0] == 0:
-            return itertools.repeat(_dct(self.grid, s[0]), len(s) - 1)
-        return (_dct(self.grid, row) for row in s[:-1])
+            yield from itertools.repeat(_dct(self.grid, s[0]), len(s) - 1)
+        else:
+            for row in s[:-1]:
+                yield _dct(self.grid, row)
 
     def linear(self, xhat: np.ndarray, shat: np.ndarray, g: np.ndarray, grads=None):
         """The implicit update with explicit term g and source coefficients shat.
@@ -280,24 +285,27 @@ class _Stepper:
         """
         grid = self.grid
         ghat = _dct(grid, g)
-        xhat = (xhat + self.tau * shat - self.tau * self.lam * ghat) / self.denom
-        yhat = (self.lam + self.S) * xhat
+        xhat = (xhat + self.tau * shat - self.tau_lam * ghat) / self.denom
+        yhat = self.lam_S * xhat
         if grads is not None:
             grads[0] = grid.cell * np.sum(self.lam * xhat**2)
             grads[1] = grid.cell * np.sum(self.lam * (yhat + ghat) ** 2)
         return xhat, _idct(xhat), _idct(yhat) + g
 
-    def advance(self, phihat: np.ndarray, phi: np.ndarray, uhat: np.ndarray, grads=None):
-        """One step from phi with coefficients phihat and control coefficients uhat.
+    def advance(self, phihat: np.ndarray, phi: np.ndarray, sources, grads=None):
+        """One step from phi with coefficients phihat; the control's are next(sources).
 
-        Returns (phihat_next, phi_next, mu_next, F) with nodal phi_next,
-        mu_next.  The explicit term is g = f'(phi) - S phi.  With ``grads``
-        (as in linear) F is the potential energy cell * sum f(phi) of the
-        input snapshot, from the kernel call that gives beta(phi); else None.
-        Overflow propagates as inf/nan without a warning: the callers check
-        the result and report a blow-up as NonFinite.
+        ``sources`` is the iterator of :meth:`source_coeffs`.  Returns
+        (phihat_next, phi_next, mu_next, F) with nodal phi_next, mu_next.
+        The explicit term is g = f'(phi) - S phi.  With ``grads`` (as in
+        linear) F is the potential energy cell * sum f(phi) of the input
+        snapshot, from the kernel call that gives beta(phi); else None.
+        Overflow, also in the control's transform, propagates as inf/nan
+        without a warning: the callers check the result and report a blow-up
+        as NonFinite.
         """
         with np.errstate(over="ignore", invalid="ignore"):
+            uhat = next(sources)
             if grads is None:
                 beta, energy = potentials.beta_reg_vec(self.spec, phi), None
             else:
@@ -385,9 +393,10 @@ def _forward_rows(
     if with_diagnostics:
         with np.errstate(over="ignore", invalid="ignore"):
             grads = grad_sq(grid, (phi, mu))
-    for n, uhat in enumerate(stepper.source_coeffs(u.slices)):
+    sources = stepper.source_coeffs(u.slices)
+    for n in range(timegrid.nt):
         grads_next = np.empty(2) if with_diagnostics else None
-        phihat, phi_next, mu_next, potential = stepper.advance(phihat, phi, uhat, grads_next)
+        phihat, phi_next, mu_next, potential = stepper.advance(phihat, phi, sources, grads_next)
         if not (np.all(np.isfinite(phi_next)) and np.all(np.isfinite(mu_next))):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
         yield phi, mu, diagnostics(n, phi, grads, potential)

@@ -462,6 +462,28 @@ out = results
 """
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_source_transform_overflow_is_a_blow_up_without_a_warning(tmp_path):
+    # the constant control's one transform overflows before the first step
+    cfg = write_cfg(tmp_path, MINIMAL + "\n[control]\ninitial = constant:1e308\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure == {"error": "NonFinite", "message": "blow-up at step 1"}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key", ["lx", "ly"])
+def test_cli_refuses_side_lengths_whose_eigenvalues_overflow(tmp_path, key):
+    cfg = write_cfg_with(tmp_path, "grid", key, "1e-300")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "ValidationError"
+    assert f"{key} = 1e-300" in failure["message"]
+    assert not (out / "phi.bin").exists()
+
+
 def test_cli_failure_lands_in_the_configured_output_directory(tmp_path, monkeypatch):
     cwd = tmp_path / "cwd"
     cwd.mkdir()

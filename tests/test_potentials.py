@@ -476,3 +476,17 @@ def test_piecewise_log_continuous_across_the_knee(spec, side):
     pairs = zip(_reg(spec, below, (0, 1, 2)), _reg(spec, beyond, (0, 1, 2)))
     for k, (v_in, v_out) in enumerate(pairs):
         assert abs(v_out - v_in) <= 1e-12 * abs(v_in), (k, v_in, v_out)
+
+
+@piecewise_log_specs
+@pytest.mark.parametrize("beyond", [1.5, -1.5])
+def test_piecewise_log_within_the_knee_equals_the_clipped_path(spec, beyond):
+    # an array within +-knee skips the clip and the continuation terms; its
+    # values are those of the same points in an array that reaches beyond
+    knee = 1.0 - spec.eps
+    inside = np.concatenate([[knee, -knee, 0.0, -0.0], RNG.uniform(-knee, knee, 64)])
+    mixed = np.append(inside, beyond * knee)
+    for fn in (beta_reg_vec, beta_reg_d1_vec, f_value_vec, f_d1_vec, f_d2_vec):
+        assert np.array_equal(fn(spec, inside), fn(spec, mixed)[:-1]), fn.__name__
+    for alone, within in zip(f_and_beta_reg_vec(spec, inside), f_and_beta_reg_vec(spec, mixed)):
+        assert np.array_equal(alone, within[:-1])

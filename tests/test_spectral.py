@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.fft import dctn
+from scipy.fft import dctn, idctn
 
 import chopt
 from chopt.errors import ShapeMismatch
@@ -15,6 +15,7 @@ from chopt.spectral import (
     Grid,
     _cos_matrix,
     _dct,
+    _fold_halves,
     _idct,
     basis_modes,
     from_spectral,
@@ -98,14 +99,40 @@ def test_round_trip():
         assert np.max(np.abs(back.values - f.values)) <= 1e-12 * np.max(np.abs(f.values))
 
 
+# axes of 128 and more points, if even, take the fold; 127 stays dense
 @pytest.mark.parametrize("nx, ny", [(2, 1), (3, 1), (16, 1), (17, 1), (64, 1), (128, 1),
                                     (2, 2), (3, 3), (16, 16), (17, 17), (64, 64), (128, 128),
-                                    (16, 3), (17, 64), (128, 2)])
+                                    (16, 3), (17, 64), (128, 2), (2, 128), (127, 128),
+                                    (128, 127), (130, 128), (256, 130), (129, 129)])
 def test_dct_matches_fft_reference(nx, ny):
     g = Grid(nx, ny, 1.0)
     x = RNG.standard_normal(g.size)
     ref = dctn(x.reshape(nx, ny), type=2, norm="ortho")
     assert np.max(np.abs(_dct(g, x) - ref)) <= 1e-14 * np.max(np.abs(x))
+    back = idctn(ref, type=2, norm="ortho").reshape(-1)
+    assert np.max(np.abs(_idct(ref) - back)) <= 1e-14 * np.max(np.abs(back))
+
+
+# odd axes of 129 and 255 points take the per-axis path, but densely
+@pytest.mark.parametrize("nx, ny", [(16, 16), (64, 64), (127, 3), (17, 127), (126, 1),
+                                    (129, 129), (255, 3)])
+def test_unfolded_axes_take_the_dense_product_bit_for_bit(nx, ny):
+    g = Grid(nx, ny, 1.0)
+    x = RNG.standard_normal((2, g.size))
+    cx, cy = _cos_matrix(nx), _cos_matrix(ny)
+    coeffs = _dct(g, x)
+    assert np.array_equal(coeffs, cx @ x.reshape(2, nx, ny) @ cy.T)
+    assert np.array_equal(_idct(coeffs), (cx.T @ coeffs @ cy).reshape(2, -1))
+
+
+@pytest.mark.parametrize("n", [128, 130, 256])
+def test_fold_halves_are_the_even_and_odd_rows(n):
+    ce, co, ce_t, co_t = _fold_halves(n)
+    c = _cos_matrix(n)
+    assert np.array_equal(ce, c[0::2, : n // 2]) and np.array_equal(co, c[1::2, : n // 2])
+    assert np.array_equal(ce_t, ce.T) and np.array_equal(co_t, co.T)
+    assert not any(h.flags.writeable for h in (ce, co, ce_t, co_t))
+    assert _fold_halves(n) is _fold_halves(n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 17, 64, 128])
@@ -115,7 +142,9 @@ def test_cos_matrix_is_orthogonal(n):
     assert not c.flags.writeable
 
 
-@pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(17, 1, 2.0), Grid(6, 10, 1.5, 0.7)])
+@pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(17, 1, 2.0), Grid(6, 10, 1.5, 0.7),
+                                  Grid(128, 3, 1.3, 0.4), Grid(5, 130, 1.0),
+                                  Grid(128, 128, 1.0)])
 def test_stacked_transforms_equal_per_slice_calls(grid):
     x = RNG.standard_normal((5, grid.size))
     coeffs = _dct(grid, x)
