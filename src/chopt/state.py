@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potentials
-from .errors import NonFinite, ShapeMismatch
+from .errors import ConfigurationError, NonFinite, ShapeMismatch
 from .potentials import PotentialSpec
 from .spectral import Field, Grid, _dct, _idct, grad_sq
 
@@ -255,6 +255,13 @@ class _Stepper:
         self.tau = tau
         self.lam = grid.eigenvalues()
         S = spec.stabilization
+        # the largest denominator, in Python floats, which overflow to inf without a warning
+        lam_max = float(self.lam[-1, -1])
+        if not math.isfinite(1.0 + tau + tau * lam_max**2 + tau * lam_max * S):
+            raise ConfigurationError(
+                f"tau = {tau:g} is too long a step for a {grid.nx}x{grid.ny} grid: "
+                "tau * lambda^2 overflows; lower [time] final or raise [time] steps"
+            )
         self.S = S
         self.tau_lam = tau * self.lam
         self.lam_S = self.lam + S

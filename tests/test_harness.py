@@ -381,9 +381,12 @@ def test_registered_check_passes(name):
 
 @pytest.mark.parametrize(
     "name", [n for n in registered_checks() if n.split(".")[0] in ("spectral", "potentials")]
+    + ["state.mean-implicit-euler", "sensitivity.tangent-linearity",
+       "sensitivity.adjoint-transpose-identity", "control.projection-idempotent"]
 )
 def test_roundoff_check_passes_at_twelve_seeds(name):
-    # these bounds sit a few thousand ulps above roundoff, so one seed says little
+    # these bounds sit a few thousand ulps above roundoff and the scenarios
+    # draw from the seed, so one seed says little
     failed = [r for seed in range(12) for r in run_checks([name], seed) if not r.passed]
     assert not failed, [(r.measured, r.details) for r in failed]
 
@@ -481,6 +484,19 @@ def test_cli_refuses_side_lengths_whose_eigenvalues_overflow(tmp_path, key):
     failure = json.loads((out / "failure.json").read_text())
     assert failure["error"] == "ValidationError"
     assert f"{key} = 1e-300" in failure["message"]
+    assert not (out / "phi.bin").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+@pytest.mark.parametrize("n, steps", [(64, 1), (128, 100)])
+def test_cli_refuses_a_step_whose_tau_lambda_squared_overflows(tmp_path, command, n, steps):
+    cfg = write_cfg(tmp_path, f"[grid]\nnx = {n}\nny = {n}\n[time]\nfinal = 1e300\nsteps = {steps}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    failure = json.loads((out / "failure.json").read_text())
+    assert failure["error"] == "ConfigurationError"
+    assert "[time] final" in failure["message"] and "[time] steps" in failure["message"]
     assert not (out / "phi.bin").exists()
 
 

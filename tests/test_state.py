@@ -17,7 +17,6 @@ from chopt.state import (
     control_inner,
     default_stabilization,
     energy,
-    energy_balance_residual,
     mean_closed_form,
     simulate,
     validate_compatibility,
@@ -204,21 +203,6 @@ def test_simulate_mean_tracks_closed_form():
     assert np.max(np.abs(means - exact)) < 5e-3  # O(tau) bias
     crossing = ts[np.argmax(means > 1.0)]
     assert abs(crossing - math.log(2.0)) < 0.02
-
-
-def test_simulate_mean_exactly_implicit_euler():
-    g = Grid(8, 8, 1.0)
-    tg = TimeGrid(0.5, 50)
-    spec = regular_spec()
-    phi0 = band_limited_field(g, 0.4, 6, RNG)
-    u = ControlFunction(g, tg, RNG.uniform(-0.5, 0.5, (tg.nt + 1, g.size)))
-    traj = simulate(phi0, u, spec, tg)
-    means = traj.means()
-    ubar = u.means()
-    m = means[0]
-    for n in range(tg.nt):
-        m = (m + tg.tau * ubar[n]) / (1.0 + tg.tau)
-        assert abs(means[n + 1] - m) < 1e-12
 
 
 def test_simulate_refuses_incompatible_data():
@@ -558,30 +542,3 @@ def test_energy_of_pure_phase():
     assert energy(Field(g, np.ones(g.size)), PotentialSpec("regular")) == pytest.approx(
         0.0, abs=1e-14
     )
-
-
-def test_energy_balance_stationary():
-    g = Grid(8, 8, 1.0)
-    tg = TimeGrid(0.5, 20)
-    spec = regular_spec()
-    traj = simulate(Field(g, np.ones(g.size)), constant_control(g, tg, 1.0), spec, tg)
-    res = energy_balance_residual(traj)
-    assert np.max(np.abs(res)) < 1e-10
-
-
-def test_energy_balance_first_order_in_tau():
-    # linear dynamics (obstacle variant inside [-1,1]): residual ~ O(tau)
-    g = Grid(8, 8, 1.0)
-    spec = PotentialSpec("double_obstacle", c2=0.5, eps=0.5, reg_kind="yosida",
-                         stabilization=0.0)
-    # few, slow modes keep tau * lambda^2 small so the O(tau) regime is visible
-    phi0 = band_limited_field(g, 0.05, 3, RNG)
-
-    def max_res(nt):
-        tg = TimeGrid(0.1, nt)
-        u = constant_control(g, tg, 0.0)
-        traj = simulate(phi0, u, spec, tg)
-        return np.max(np.abs(energy_balance_residual(traj)))
-
-    r1, r2 = max_res(100), max_res(200)
-    assert 1.5 <= r1 / r2 <= 2.5
