@@ -231,11 +231,14 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
     alpha = tuple(number("cost", f"alpha{i}") for i in (1, 2, 3, 4))
     oracle_modes = number("oracle", "modes", int)
     oracle_substeps = number("oracle", "substeps", int)
+    max_iters = number("optimizer", "max_iters", int)
+    initial_step = number("optimizer", "initial_step")
+    tol = number("optimizer", "tol")
     seed_val = seed if seed is not None else number("run", "seed", int)
     if errors:
         raise ValidationError(errors)
 
-    grid = timegrid = spec = None
+    grid = timegrid = spec = opt = None
     try:
         grid = Grid(nx, ny, lx, ly)
     except ValueError as exc:
@@ -270,6 +273,10 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
             errors.append(f"oracle: {key} = {value} must be at least 1")
     if seed_val < 0:
         errors.append(f"[run] seed = {seed_val} must be nonnegative")
+    try:
+        opt = OptimizerConfig(max_iters, initial_step, tol)
+    except ValueError as exc:
+        errors.append(f"optimizer: {exc}")
     target = _get(cp, "cost", "target").strip()
     if target not in ("zero", "inverse_crime"):
         errors.append(f"cost: unknown target {target!r}")
@@ -299,15 +306,6 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
             )
     if errors:
         raise ValidationError(errors)
-
-    try:
-        opt = OptimizerConfig(
-            max_iters=int(_get(cp, "optimizer", "max_iters")),
-            initial_step=float(_get(cp, "optimizer", "initial_step")),
-            tol=float(_get(cp, "optimizer", "tol")),
-        )
-    except ValueError as exc:
-        raise ValidationError([f"optimizer: {exc}"])
 
     checks_s = _get(cp, "verify", "checks").strip()
     checks = ("all",) if checks_s == "all" else tuple(

@@ -81,8 +81,9 @@ class PotentialSpec:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.reg_kind not in _REG_KINDS:
             raise ValueError(f"unknown reg_kind {self.reg_kind!r}")
-        if not (0.0 < self.eps < 1.0):
-            raise ValueError("eps must lie in (0, 1)")
+        if not (1e-8 <= self.eps < 1.0):
+            # below 1e-8 beta_eps = (r - J_eps r)/eps loses its digits to cancellation
+            raise ValueError(f"eps = {self.eps:g} must lie in [1e-8, 1)")
         if self.variant == LOGARITHMIC and not 1.0 < self.c1 < math.inf:
             raise ValueError("c1 must be finite and exceed 1 for the logarithmic variant")
         if self.variant == DOUBLE_OBSTACLE and not 0.0 < self.c2 < math.inf:

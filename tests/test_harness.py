@@ -7,12 +7,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from chopt import state
+from chopt import state, verify
 from chopt.cli import main, run_simulate
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ShapeMismatch, ValidationError
 from chopt.runio import SnapshotWriter, format_value, read_snapshots, write_csv, write_snapshots
-from chopt.spectral import Grid
+from chopt.spectral import Grid, grad_sq
 from chopt.verify import REGISTRY, registered_checks, run_checks
 
 RNG = np.random.default_rng(2024)
@@ -141,6 +141,20 @@ def test_parse_rejects_nan_and_inf(tmp_path, section, key, value, fragment):
     with pytest.raises(ValidationError) as err:
         parse_config(p)
     assert any(fragment in m for m in err.value.messages)
+
+
+def test_parse_reports_bad_optimizer_keys_with_the_rest(tmp_path):
+    body = MINIMAL.replace("nx = 8", "nx = abc") + "\n[optimizer]\nmax_iters = 1e3\ntol = nan\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, body))
+    assert err.value.messages == ["[grid] nx = 'abc' is not a number",
+                                  "[optimizer] max_iters = '1e3' is not a number"]
+    # once every key reads as a number, the optimizer's values are checked with the others
+    body = MINIMAL + "\n[control]\nM = -1\n[optimizer]\ntol = nan\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, body))
+    assert err.value.messages == ["control: M = -1.0 must be nonnegative",
+                                  "optimizer: tol must be positive and finite"]
 
 
 @pytest.mark.parametrize("variant, reg_kind, key", [
@@ -381,7 +395,7 @@ def test_registered_check_passes(name):
 
 @pytest.mark.parametrize(
     "name", [n for n in registered_checks() if n.split(".")[0] in ("spectral", "potentials")]
-    + ["state.mean-implicit-euler", "sensitivity.tangent-linearity",
+    + ["state.mean-implicit-euler", "state.energy-balance", "sensitivity.tangent-linearity",
        "sensitivity.adjoint-transpose-identity", "control.projection-idempotent"]
 )
 def test_roundoff_check_passes_at_twelve_seeds(name):
@@ -389,6 +403,20 @@ def test_roundoff_check_passes_at_twelve_seeds(name):
     # draw from the seed, so one seed says little
     failed = [r for seed in range(12) for r in run_checks([name], seed) if not r.passed]
     assert not failed, [(r.measured, r.details) for r in failed]
+
+
+@pytest.mark.parametrize("slip", ["mu^n in ||grad mu||^2", "no source term"])
+def test_energy_balance_fails_on_a_slipped_residual(monkeypatch, slip):
+    def slipped(traj):
+        grid, phi, mu = traj.grid, traj.phi, traj.mu
+        r = state.energy_balance_residual(traj)
+        if slip == "no source term":
+            return r + grid.cell * np.sum(mu[1:] * (traj.u.slices[:-1] - phi[1:]), axis=1)
+        return r - grad_sq(grid, mu[1:]) + grad_sq(grid, mu[:-1])
+
+    monkeypatch.setattr(verify, "energy_balance_residual", slipped)
+    passed = [seed for seed in range(12) if run_checks(["state.energy-balance"], seed)[0].passed]
+    assert not passed
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +461,7 @@ def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
     ("simulate", "[run]\nseed = -1"),
     ("simulate", "[control]\nM = nan"),
     ("simulate", "[potential]\nstabilization = nan"),
+    ("simulate", "[potential]\nreg_kind = yosida\neps = 1e-9"),
     ("simulate", "[control]\nM = 0.2\n[potential]\nvariant = logarithmic\n"
                  "stabilization = 17\nc1 = inf"),
     ("simulate", "[control]\nM = 0.2\n[potential]\nvariant = double_obstacle\n"
@@ -440,7 +469,7 @@ def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
     ("optimize", "[optimizer]\ntol = nan"),
     ("optimize", "[cost]\nalpha1 = nan"),
 ], ids=["substeps-zero", "substeps-negative", "modes-fraction", "unknown-check",
-        "seed-negative", "M-nan", "stabilization-nan", "c1-inf", "c2-inf", "tol-nan",
+        "seed-negative", "M-nan", "stabilization-nan", "eps-below-1e-8", "c1-inf", "c2-inf", "tol-nan",
         "alpha1-nan"])
 def test_cli_bad_config_writes_failure(tmp_path, command, section):
     cfg = write_cfg(tmp_path, MINIMAL + "\n" + section + "\n")
