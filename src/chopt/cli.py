@@ -4,7 +4,7 @@ Each subcommand reads one config file (or a named packaged preset), writes
 its artifacts into the output directory, and exits 0 on success.  Failures
 leave a machine-readable ``failure.json`` in the output directory (``--out``,
 else the config's ``[run] out``; ``--out`` or the working directory when the
-config itself could not be read) and exit nonzero.
+config cannot be read or the directory cannot be made) and exit nonzero.
 
 ``simulate`` writes phi.bin and mu.bin as the forward steps produce their
 rows, so its memory does not grow with the number of steps; ``optimize``
@@ -25,7 +25,7 @@ from pathlib import Path
 from .config import RunConfig, parse_config
 from .control import ControlProblem, optimize
 from .cost import CostSpec
-from .errors import ChoptError, ValidationError
+from .errors import ChoptError, ConfigurationError, ValidationError
 from .galerkin import build_system, compare_to_pde, integrate, project_initial
 from .runio import SnapshotWriter, write_csv, write_snapshots
 from .state import _DIAG_COLUMNS, _forward_rows, simulate
@@ -48,7 +48,10 @@ def _resolve_config(name_or_path: str) -> Path:
 
 def _out_dir(cfg: RunConfig, override: str | None) -> Path:
     out = Path(override) if override else Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"output directory {str(out)!r} cannot be created: {exc}") from exc
     return out
 
 

@@ -18,7 +18,8 @@ sections.  Recognized sections and keys (all optional unless noted):
 
 Field descriptors:
     zero | constant:V | band_limited:AMP:NMODES | smooth:LO:HI | file:PATH
-Control descriptors additionally accept random:AMP (smooth random slices).
+Control descriptors:
+    zero | constant:V | random[:AMP] (smooth random slices) | file:PATH
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from .cost import CostSpec, cost_J
 from .errors import ConfigurationError, ShapeMismatch
-from .potentials import DOUBLE_OBSTACLE, PotentialSpec
+from .potentials import PotentialSpec
 from .sensitivity import reduced_gradient, solve_adjoint
 from .spectral import Field, Grid
 from .state import (
@@ -84,12 +84,6 @@ class ControlProblem:
 # ---------------------------------------------------------------------------
 # projection onto the admissible set
 
-def _diff_decompose(slices: np.ndarray):
-    m = slices.mean(axis=0)
-    d = np.diff(slices, axis=0)
-    return m, d
-
-
 def _diff_reintegrate(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     nt1 = d.shape[0] + 1
     prefix = np.zeros((nt1, d.shape[1]))
@@ -98,7 +92,7 @@ def _diff_reintegrate(m: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _project_ball(grid: Grid, timegrid: TimeGrid, slices: np.ndarray, Mprime: float):
-    m, d = _diff_decompose(slices)
+    m, d = slices.mean(axis=0), np.diff(slices, axis=0)
     norm = _dt_norm(grid, timegrid, d)
     if norm <= Mprime:
         return slices.copy()
@@ -199,11 +193,6 @@ def optimize(
     gradient residual ||u - P(u - g)|| falls below tol * (1 + ||g||), or when
     the line search stalls (best iterate returned with the stalled flag).
     """
-    if cost.alpha[2] > 0 and problem.spec.variant == DOUBLE_OBSTACLE and problem.spec.reg_kind is None:
-        raise ConfigurationError(
-            "mu-tracking (alpha3 > 0) requires a single-valued potential; "
-            "regularize the obstacle variant"
-        )
     report = validate_compatibility(problem.phi0, problem.M, problem.spec)
     if not report.passed:
         raise ConfigurationError(

@@ -38,7 +38,7 @@ class ShapeMismatch(ChoptError):
 
 
 class ConfigurationError(ChoptError):
-    """Raised for invalid option combinations (e.g. mu-tracking with an obstacle potential)."""
+    """Raised for invalid option combinations or an output directory that cannot be created."""
 
 
 class ParseError(ChoptError):

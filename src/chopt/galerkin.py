@@ -97,6 +97,7 @@ def _nonlinearity_jac(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray
     return (system.basis * w) @ system.basis.T
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a NewtonFailure
 def integrate(
     system: GalerkinSystem,
     y0: np.ndarray,
@@ -113,7 +114,7 @@ def integrate(
     is rebuilt at the current midpoint only when an iteration shrinks the
     residual by less than the factor ``_CHORD_RATE`` (at worst this is full
     Newton).  The trajectory counts the corrections and the Jacobians.
-    Raises NewtonFailure if the inner solve stalls (reduce the step).
+    Raises NewtonFailure if the inner solve stalls or overflows (reduce the step).
     """
     if substeps < 1:
         raise ValueError(f"substeps = {substeps} must be at least 1")
@@ -159,6 +160,8 @@ def integrate(
                 norm = np.linalg.norm(res)
                 if norm <= tol:
                     break
+                if not np.isfinite(norm):  # the explicit predictor overflowed
+                    raise NewtonFailure(f"implicit midpoint Newton overflowed at output step {step_idx}")
                 if inv_jac is None or norm > _CHORD_RATE * last:
                     inv_jac = inverse_jacobian(mid)
                     jacobians += 1

@@ -19,9 +19,9 @@ Every formula is written once, in numpy, and evaluated over whole arrays.
 The array kernels (``_formula`` and its domain-checked front ``_exact``,
 ``_yosida``, ``_piecewise_log`` and the dispatcher ``_reg``) take ``ks``, a
 tuple of orders of the derivative of betahat, and return one array per
-order: 0 for betahat, 1 for beta, 2 for beta', 3 for beta''.  Orders asked
-for together share their intermediate: the log1p pair of the logarithmic
-formulas, the clipped point of piecewise-log, the resolvent point of Yosida.
+order: 0 for betahat, 1 for beta, 2 for beta'.  Orders asked for together
+share their intermediate: the log1p pair of the logarithmic formulas, the
+clipped point of piecewise-log, the resolvent point of Yosida.
 The ``*_vec`` functions are the public API: they take a scalar or an array
 and return numpy values of the same shape (shape () for a scalar).
 """
@@ -62,8 +62,8 @@ _SWEEPS = 64
 class PotentialSpec:
     """Potential variant plus regularization and stabilization parameters.
 
-    ``reg_kind`` is None for the unregularized potential (the obstacle graph
-    is not single-valued, so its variant needs a regularization), "yosida" for the
+    ``reg_kind`` is None for the unregularized potential (refused for the
+    obstacle variant, whose graph is not single-valued), "yosida" for the
     Moreau-Yosida approximation, or "piecewise_log" for the C^1 logarithmic
     continuation (logarithmic variant only).  ``stabilization`` is the
     splitting constant S used by the semi-implicit scheme.
@@ -88,6 +88,8 @@ class PotentialSpec:
             raise ValueError("c1 must be finite and exceed 1 for the logarithmic variant")
         if self.variant == DOUBLE_OBSTACLE and not 0.0 < self.c2 < math.inf:
             raise ValueError("c2 must be positive and finite for the obstacle variant")
+        if self.variant == DOUBLE_OBSTACLE and self.reg_kind is None:
+            raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
         if self.reg_kind == "piecewise_log" and self.variant != LOGARITHMIC:
             raise WrongVariant("piecewise_log applies to the logarithmic variant only")
         if not 0.0 <= self.stabilization < math.inf:
@@ -157,9 +159,7 @@ def _regular(t: np.ndarray, k: int) -> np.ndarray:
         return t * t * t * t / 4.0
     if k == 1:
         return t * t * t
-    if k == 2:
-        return 3.0 * t * t
-    return 6.0 * t
+    return 3.0 * t * t
 
 
 def _logarithmic(t: np.ndarray, k: int, lp: np.ndarray, lm: np.ndarray) -> np.ndarray:
@@ -168,9 +168,7 @@ def _logarithmic(t: np.ndarray, k: int, lp: np.ndarray, lm: np.ndarray) -> np.nd
         return (1.0 + t) * lp + (1.0 - t) * lm
     if k == 1:
         return lp - lm
-    if k == 2:
-        return 2.0 / (1.0 - t * t)
-    return 4.0 * t / (1.0 - t * t) ** 2
+    return 2.0 / (1.0 - t * t)
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +235,11 @@ def _yosida(spec: PotentialSpec, r: np.ndarray, ks: tuple) -> list:
             return s
         if k == 0:
             return 0.5 * eps * s * s + _formula(spec, t, (0,))[0]
-        if k == 2 and spec.variant == DOUBLE_OBSTACLE:
+        if spec.variant == DOUBLE_OBSTACLE:
             # J_eps = clip has slope 0 outside [-1, 1], which beta° = 0 does not see
             return np.where(np.abs(r) <= 1.0, 0.0, 1.0 / eps)
         (bp,) = _formula(spec, t, (2,))
-        if k == 2:
-            return bp / (1.0 + eps * bp)
-        return _formula(spec, t, (3,))[0] / (1.0 + eps * bp) ** 3
+        return bp / (1.0 + eps * bp)
 
     return [order(k) for k in ks]
 
@@ -277,7 +273,7 @@ def _piecewise_log(spec: PotentialSpec, r: np.ndarray, ks: tuple) -> list:
             return inside + bk * np.abs(d) + 0.5 * slope * d * d
         if k == 1:
             return inside + slope * d
-        return np.where(d == 0.0, inside, slope if k == 2 else 0.0)
+        return np.where(d == 0.0, inside, slope)
 
     return [order(k, inside) for k, inside in zip(ks, _formula(spec, t, ks))]
 
@@ -292,8 +288,6 @@ def _reg(spec: PotentialSpec, r, ks: tuple) -> list:
         return _yosida(spec, r, ks)
     if spec.reg_kind == "piecewise_log":
         return _piecewise_log(spec, r, ks)
-    if spec.variant == DOUBLE_OBSTACLE:
-        raise WrongVariant("the obstacle graph is exposed only through its Yosida regularization")
     return _exact(spec, r, ks)
 
 

@@ -410,17 +410,23 @@ def _energy_balance(seed):
     # r = energy_balance_residual pairs the step with mu^{n+1}, so tau r^n + D^n = 0
     # to roundoff, with d = phi^{n+1} - phi^n, F = int f and the numerical dissipation
     # D^n = 0.5 ||grad d||^2 + S ||d||^2 - (F^{n+1} - F^n - <f'(phi^n), d>), which is
-    # >= 0 once S >= sup |f''| / 2.  Both are measured relative to max(|F|, ||grad phi||^2)
+    # >= 0 once S >= sup |f''| / 2.  Both are measured relative to max(|F|, ||grad phi||^2).
+    # Piecewise-log's knee 1 - eps = 0.1 lies inside the range of phi at every step.  The
+    # last run sits near +1, where f is stiff, so D < 0 there once S falls short of f''; its
+    # phibar0 + ||u||_inf leaves (-1, 1), which the regularizations, defined on the whole line, allow
     grid, tg = _grid8(), TimeGrid(0.5, 20)
     specs = (PotentialSpec("regular"), *_reg_specs(),
-             PotentialSpec("logarithmic", c1=2.0, eps=0.6, reg_kind="piecewise_log"))
+             PotentialSpec("logarithmic", c1=2.0, eps=0.9, reg_kind="piecewise_log"))
+    # (spec, stream, centre of phi0 and of u, amplitude of phi0 and of u)
+    runs = [(spec, 260 + i, 0.0, 0.0, 0.5) for i, spec in enumerate(specs)]
+    runs.append((PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="piecewise_log"), 300, 0.85, 0.9, 0.05))
     worst, least = 0.0, math.inf
-    for i, spec in enumerate(specs):
+    for spec, stream, phi_c, u_c, amp in runs:
         spec = _stabilized(spec, (-0.95, 0.95) if spec.singular else None)
-        rng = _rng(seed, 260 + i)
-        phi0 = band_limited_field(grid, 0.5, 6, rng)
-        u = ControlFunction(grid, tg, rng.uniform(-0.5, 0.5, (tg.nt + 1, grid.size)))
-        traj = simulate(phi0, u, spec, tg, with_diagnostics=False)
+        rng = _rng(seed, stream)
+        phi0 = Field(grid, phi_c + band_limited_field(grid, amp, 6, rng).values)
+        u = ControlFunction(grid, tg, u_c + rng.uniform(-amp, amp, (tg.nt + 1, grid.size)))
+        traj = simulate(phi0, u, spec, tg, check_compatibility=False, with_diagnostics=False)
         phi, d = traj.phi, np.diff(traj.phi, axis=0)
         F = grid.cell * np.sum(potentials.f_value_vec(spec, phi), axis=1)
         slope = grid.cell * np.sum(potentials.f_d1_vec(spec, phi[:-1]) * d, axis=1)
@@ -430,7 +436,7 @@ def _energy_balance(seed):
         worst = max(worst, float(np.max(np.abs(tg.tau * energy_balance_residual(traj) + D))) / scale)
         least = min(least, float(np.min(D)) / scale)
     return max(worst, -least) <= 1e-12, worst, (
-        f"max |tau r + D| of the discrete energy identity over six potentials; least D {least:.3e}"
+        f"max |tau r + D| of the discrete energy identity over seven runs; least D {least:.3e}"
     )
 
 

@@ -176,18 +176,6 @@ def test_optimize_projects_infeasible_start():
         assert row["feasibility_h1"] <= 1e-9
 
 
-def test_optimize_rejects_mu_tracking_with_bare_obstacle():
-    g = Grid(8, 8, 1.0)
-    tg = TimeGrid(0.1, 10)
-    spec = PotentialSpec("double_obstacle", c2=0.5, stabilization=1.0)
-    problem = ControlProblem(Field(g, np.zeros(g.size)), spec, tg, 0.5, 10.0)
-    cost = CostSpec(g, tg, (0.0, 0.0, 1.0, 1.0),
-                    mu_q=np.zeros((tg.nt + 1, g.size)))
-    u0 = ControlFunction.constant(g, tg, 0.0)
-    with pytest.raises(ConfigurationError):
-        optimize(u0, problem, cost)
-
-
 def test_optimize_rejects_incompatible_initial_data():
     g = Grid(8, 8, 1.0)
     tg = TimeGrid(0.1, 10)

@@ -1,13 +1,23 @@
 import configparser
+import contextlib
+import dataclasses
+import io
 import json
+import os
+import re
 import struct
+import tempfile
 import tracemalloc
+import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from chopt import state, verify
+from chopt import config, errors, state, verify
 from chopt.cli import main, run_simulate
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ShapeMismatch, ValidationError
@@ -405,7 +415,7 @@ def test_roundoff_check_passes_at_twelve_seeds(name):
     assert not failed, [(r.measured, r.details) for r in failed]
 
 
-@pytest.mark.parametrize("slip", ["mu^n in ||grad mu||^2", "no source term"])
+@pytest.mark.parametrize("slip", ["mu^n in ||grad mu||^2", "no source term", "S = 0"])
 def test_energy_balance_fails_on_a_slipped_residual(monkeypatch, slip):
     def slipped(traj):
         grid, phi, mu = traj.grid, traj.phi, traj.mu
@@ -414,7 +424,12 @@ def test_energy_balance_fails_on_a_slipped_residual(monkeypatch, slip):
             return r + grid.cell * np.sum(mu[1:] * (traj.u.slices[:-1] - phi[1:]), axis=1)
         return r - grad_sq(grid, mu[1:]) + grad_sq(grid, mu[:-1])
 
-    monkeypatch.setattr(verify, "energy_balance_residual", slipped)
+    if slip == "S = 0":
+        # the identity still holds; the dissipation D turns negative near +1
+        monkeypatch.setattr(verify, "_stabilized", lambda spec, interval=None:
+                            dataclasses.replace(spec, stabilization=0.0))
+    else:
+        monkeypatch.setattr(verify, "energy_balance_residual", slipped)
     passed = [seed for seed in range(12) if run_checks(["state.energy-balance"], seed)[0].passed]
     assert not passed
 
@@ -466,11 +481,15 @@ def test_cli_optimize_refuses_incompatible_preset_despite_override(tmp_path):
                  "stabilization = 17\nc1 = inf"),
     ("simulate", "[control]\nM = 0.2\n[potential]\nvariant = double_obstacle\n"
                  "reg_kind = yosida\nstabilization = 17\nc2 = inf"),
+    ("simulate", "[control]\nM = 0.2\n[potential]\nvariant = double_obstacle\n"
+                 "reg_kind = none\nstabilization = 17"),
+    ("optimize", "[control]\nM = 0.2\n[potential]\nvariant = double_obstacle\n"
+                 "reg_kind = none\nstabilization = auto"),
     ("optimize", "[optimizer]\ntol = nan"),
     ("optimize", "[cost]\nalpha1 = nan"),
 ], ids=["substeps-zero", "substeps-negative", "modes-fraction", "unknown-check",
-        "seed-negative", "M-nan", "stabilization-nan", "eps-below-1e-8", "c1-inf", "c2-inf", "tol-nan",
-        "alpha1-nan"])
+        "seed-negative", "M-nan", "stabilization-nan", "eps-below-1e-8", "c1-inf", "c2-inf",
+        "bare-obstacle", "bare-obstacle-auto", "tol-nan", "alpha1-nan"])
 def test_cli_bad_config_writes_failure(tmp_path, command, section):
     cfg = write_cfg(tmp_path, MINIMAL + "\n" + section + "\n")
     out = tmp_path / "out"
@@ -478,9 +497,7 @@ def test_cli_bad_config_writes_failure(tmp_path, command, section):
     assert code == 2
     failure = json.loads((out / "failure.json").read_text())
     assert failure["error"] == "ValidationError"
-    assert not (out / "oracle_errors.csv").exists()
-    assert not (out / "verification.csv").exists()
-    assert not (out / "phi.bin").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["failure.json"]
 
 
 # phi blows up at step 2 after row 1's energy has already overflowed
@@ -538,6 +555,28 @@ def test_cli_failure_lands_in_the_configured_output_directory(tmp_path, monkeypa
     failure = json.loads((cwd / "results" / "failure.json").read_text())
     assert failure["error"] == "NonFinite"
     assert sorted(p.name for p in cwd.iterdir()) == ["results"]
+
+
+@pytest.mark.parametrize("spelling", ["run-out", "--out"])
+def test_cli_output_directory_that_cannot_be_created(tmp_path, monkeypatch, capsys, spelling):
+    # a path under a regular file: mkdir raises NotADirectoryError
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    bad = tmp_path / "blocker" / "out"
+    bad.parent.write_text("")
+    if spelling == "run-out":
+        argv = ["simulate", "--config", str(write_cfg_with(tmp_path, "run", "out", str(bad)))]
+    else:
+        argv = ["simulate", "--config", str(write_cfg(tmp_path, MINIMAL)), "--out", str(bad)]
+    assert main(argv) == 2
+    assert f"error (ConfigurationError): output directory {str(bad)!r}" in capsys.readouterr().err
+    # failure.json goes where an unreadable config's would: --out (which
+    # cannot take it, so nothing is written) or the working directory
+    written = sorted(p.name for p in cwd.iterdir())
+    assert written == (["failure.json"] if spelling == "run-out" else [])
+    if written:
+        assert json.loads((cwd / "failure.json").read_text())["error"] == "ConfigurationError"
 
 
 def test_cli_simulate_failure_leaves_no_partial_snapshots(tmp_path):
@@ -654,3 +693,74 @@ def test_cli_optimize_smoke(tmp_path):
     assert result["J"] >= 0.0
     history = (out / "history.csv").read_text().splitlines()
     assert history[0].startswith("iter,J,step,stationarity")
+
+
+# ---------------------------------------------------------------------------
+# the command-line contract over drawn configs: exit 0, or exit 2 with a
+# typed error, and never a traceback or a numpy warning
+
+CONTRACT_BASE = ("[grid]\nnx = 3\nny = 3\n[time]\nfinal = 0.03\nsteps = 3\n"
+                 "[optimizer]\nmax_iters = 3\n[oracle]\nmodes = 4\nsubsteps = 2\n"
+                 "[verify]\nchecks = spectral.poincare-bound\n")
+# values that mean something for the key, then values hostile to any key
+CONTRACT_VALUES = {
+    "nx": ["2", "4"], "ny": ["1", "2", "4"], "lx": ["0.5", "1e3"], "ly": ["0.5", "1e3"],
+    "final": ["0.01", "1", "100"], "steps": ["1", "5"],
+    "variant": ["regular", "logarithmic", "double_obstacle"], "c1": ["1.5", "3"],
+    "c2": ["0.5", "2"], "eps": ["0.5", "1e-8", "1e-4"], "reg_kind": ["none", "yosida", "piecewise_log"],
+    "stabilization": ["auto", "17", "1e6"], "M": ["0.2", "1e3"], "Mprime": ["0.1", "1e-300"],
+    "initial": ["zero", "constant:0.3", "random:0.5", "random"],
+    "phi0": ["constant:0.5", "constant:0.999", "band_limited:0.4:3", "smooth:-0.9:0.9"],
+    "alpha1": ["1e3"], "alpha2": ["1"], "alpha3": ["1"], "alpha4": ["1"],
+    "target": ["inverse_crime"], "u_true": ["constant:0.3", "random:0.5"],
+    "max_iters": ["1", "5"], "tol": ["1e-12", "1"], "initial_step": ["1e-6", "1e3"],
+    "checks": ["potentials.pi-derivative-constant, spectral.poincare-bound"],
+    "modes": ["1", "9", "10"], "substeps": ["1", "3"], "seed": ["7"],
+    "out": ["sub/dir", "blocker/out"],  # the second under a regular file
+}
+HOSTILE = [
+    "0", "-1", "2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300", "abc", "",
+    "constant:", "constant:abc", "constant:nan", "constant:inf", "constant:1e300",
+    "band_limited:", "band_limited:1:", "band_limited:1:2.5", "band_limited:1:-1",
+    "band_limited:inf:2", "smooth:1", "smooth:nan:1", "smooth:-1e300:1e300",
+    "random:", "random:abc", "random:nan", "random:1e300", "file:", "file:missing.bin",
+]
+CONTRACT_ENTRY = st.sampled_from([(section, key) for section, keys in config._DEFAULTS.items()
+                                  for key in keys]).flatmap(
+    lambda sk: st.tuples(st.just(sk), st.sampled_from(CONTRACT_VALUES[sk[1]]) | st.sampled_from(HOSTILE)))
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(entries=st.lists(CONTRACT_ENTRY, min_size=1, max_size=4, unique_by=lambda e: e[0]),
+       command=st.sampled_from(["simulate", "optimize", "verify", "oracle-compare"]),
+       out=st.sampled_from([None, "out", "blocker/out"]))
+# the oracle's explicit predictor overflows on a step of 3e299
+@example(entries=[(("time", "final"), "1e300"), (("control", "initial"), "constant:0.3")],
+         command="oracle-compare", out=None)
+def test_cli_contract_over_drawn_configs(entries, command, out):
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(CONTRACT_BASE)
+    for (section, key), value in entries:
+        if not cp.has_section(section):
+            cp.add_section(section)
+        cp.set(section, key, value)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("blocker").write_text("")
+            with open("run.cfg", "w") as fh:
+                cp.write(fh)
+            argv = [command, "--config", "run.cfg"] + (["--out", out] if out else [])
+            err = io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+    if code != 0:
+        assert code == 2, err.getvalue()
+        typed = re.match(r"error \((\w+)\): ", err.getvalue())
+        assert typed and issubclass(getattr(errors, typed.group(1)), errors.ChoptError), err.getvalue()
