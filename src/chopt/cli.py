@@ -129,10 +129,11 @@ def run_verify(cfg: RunConfig, out: Path) -> int:
 
 
 def run_oracle_compare(cfg: RunConfig, out: Path) -> int:
-    pde = simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid,
-                   check_compatibility=False, with_diagnostics=False)
+    # the mode count is checked against the grid before the forward solve
     system = build_system(cfg.grid, cfg.oracle_modes)
     y0 = project_initial(cfg.phi0, cfg.oracle_modes)
+    pde = simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid,
+                   check_compatibility=False, with_diagnostics=False)
     oracle = integrate(system, y0, cfg.u0, cfg.spec, substeps=cfg.oracle_substeps)
     report = compare_to_pde(oracle, pde)
     ts = cfg.timegrid.times()

@@ -18,7 +18,8 @@ sections.  Recognized sections and keys (all optional unless noted):
 
 Field descriptors:
     zero | constant:V | band_limited:AMP:NMODES | smooth:LO:HI | file:PATH
-Control descriptors:
+    (NMODES in 1..nx*ny, default min(8, nx*ny); file: reads the first frame)
+Control descriptors (file: holds one frame per time level):
     zero | constant:V | random[:AMP] (smooth random slices) | file:PATH
 """
 
@@ -95,8 +96,8 @@ class RunConfig:
 
 
 def _band_limited_values(grid: Grid, nmodes: int, rng: np.random.Generator) -> np.ndarray:
-    """Random field supported on the nmodes lowest-eigenvalue cosine modes."""
-    j, k = lowest_modes(grid, max(nmodes, 1))
+    """Random field supported on the min(nmodes, nx*ny) lowest-eigenvalue cosine modes."""
+    j, k = lowest_modes(grid, nmodes)
     coeffs = np.zeros((grid.nx, grid.ny))
     coeffs[j, k] = rng.standard_normal(len(j))
     return from_spectral(SpectralField(grid, coeffs)).values
@@ -104,11 +105,21 @@ def _band_limited_values(grid: Grid, nmodes: int, rng: np.random.Generator) -> n
 
 def band_limited_field(grid: Grid, amp: float, nmodes: int, rng: np.random.Generator) -> Field:
     """The ``band_limited:AMP:NMODES`` field: random lowest modes, peak |amp|."""
+    if not 1 <= nmodes <= grid.size:
+        raise ValidationError(f"mode count {nmodes} outside 1..{grid.size}")
     v = _band_limited_values(grid, nmodes, rng)
     peak = np.max(np.abs(v))
     if peak > 0:
         v = v * (amp / peak)
     return Field(grid, v)
+
+
+def _read_frames(grid: Grid, path: str) -> np.ndarray:
+    """The frames of a snapshot file written on this grid."""
+    nx, ny, frames = read_snapshots(path)
+    if (nx, ny) != (grid.nx, grid.ny):
+        raise ValidationError(f"snapshot {path} is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
+    return frames
 
 
 def build_field(grid: Grid, descriptor: str, rng: np.random.Generator) -> Field:
@@ -121,7 +132,7 @@ def build_field(grid: Grid, descriptor: str, rng: np.random.Generator) -> Field:
         return Field(grid, np.full(grid.size, float(rest)))
     if kind == "band_limited":
         amp_s, _, n_s = rest.partition(":")
-        return band_limited_field(grid, float(amp_s), int(n_s) if n_s else 8, rng)
+        return band_limited_field(grid, float(amp_s), int(n_s) if n_s else min(8, grid.size), rng)
     if kind == "smooth":
         lo_s, _, hi_s = rest.partition(":")
         lo, hi = float(lo_s), float(hi_s)
@@ -133,10 +144,7 @@ def build_field(grid: Grid, descriptor: str, rng: np.random.Generator) -> Field:
             v = np.full_like(v, 0.5 * (lo + hi))
         return Field(grid, v)
     if kind == "file":
-        nx, ny, frames = read_snapshots(rest)
-        if (nx, ny) != (grid.nx, grid.ny):
-            raise ValidationError(f"snapshot {rest} is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
-        return Field(grid, frames[0])
+        return Field(grid, _read_frames(grid, rest)[0])
     raise ValidationError(f"unknown field descriptor {descriptor!r}")
 
 
@@ -167,14 +175,9 @@ def build_control(
         if peak > 0:
             slices *= amp / peak
     elif kind == "file":
-        nx, ny, frames = read_snapshots(rest)
-        if (nx, ny) != (grid.nx, grid.ny):
-            raise ValidationError(f"snapshot {rest} is {nx}x{ny}, grid is {grid.nx}x{grid.ny}")
-        if frames.shape[0] != nt1:
-            raise ValidationError(
-                f"control snapshot {rest} has {frames.shape[0]} frames, need {nt1}"
-            )
-        slices = frames
+        slices = _read_frames(grid, rest)
+        if slices.shape[0] != nt1:
+            raise ValidationError(f"control snapshot {rest} has {slices.shape[0]} frames, need {nt1}")
     else:
         raise ValidationError(f"unknown control descriptor {descriptor!r}")
     return ControlFunction(grid, timegrid, slices)
@@ -285,16 +288,20 @@ def parse_config(path, override_compatibility: bool = False, seed: int | None = 
         raise ValidationError(errors)
 
     rng = np.random.default_rng(seed_val)
-    try:
-        phi0 = build_field(grid, _get(cp, "initial", "phi0"), rng)
-        u0 = build_control(grid, timegrid, _get(cp, "control", "initial"), M, rng)
-        u_true = None
-        if target == "inverse_crime":
-            u_true = build_control(grid, timegrid, _get(cp, "cost", "u_true"), M, rng)
-    except ValidationError as exc:
-        raise
-    except Exception as exc:
-        raise ValidationError([str(exc)])
+
+    def built(section, key, build):
+        raw = _get(cp, section, key)
+        try:
+            return build(raw)
+        except Exception as exc:
+            messages = exc.messages if isinstance(exc, ValidationError) else [str(exc)]
+            raise ValidationError([f"[{section}] {key} = {raw!r}: {m}" for m in messages]) from exc
+
+    phi0 = built("initial", "phi0", lambda raw: build_field(grid, raw, rng))
+    u0 = built("control", "initial", lambda raw: build_control(grid, timegrid, raw, M, rng))
+    u_true = None
+    if target == "inverse_crime":
+        u_true = built("cost", "u_true", lambda raw: build_control(grid, timegrid, raw, M, rng))
 
     if spec.singular and not override_compatibility:
         # the admissible set and the initial control: phibar0 +/- M inside D(beta)

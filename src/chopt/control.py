@@ -3,10 +3,10 @@
 The admissible set couples a pointwise box |u| <= M with a bound M' on the
 L^2(Q) norm of the discrete time derivative; both bounds belong to the
 ``ControlProblem``.  Feasibility is enforced by Dykstra's alternating
-projection between the box and the derivative ball; the ball step rescales
-the forward differences and reintegrates them around the preserved
-time-mean slice.  ``project_Uad`` is the one producer that promises a
-feasible control, and it checks its own output.  The optimizer is
+projection between the box and the derivative ball; the ball step is the
+radial retraction toward the time-mean slice, not yet the metric
+projection.  ``project_Uad`` is the one producer that promises a feasible
+control, and it checks its own output.  The optimizer is
 projected-gradient descent with Barzilai–Borwein trial steps and Armijo
 backtracking on the reduced discrete cost.
 """
@@ -84,20 +84,13 @@ class ControlProblem:
 # ---------------------------------------------------------------------------
 # projection onto the admissible set
 
-def _diff_reintegrate(m: np.ndarray, d: np.ndarray) -> np.ndarray:
-    nt1 = d.shape[0] + 1
-    prefix = np.zeros((nt1, d.shape[1]))
-    prefix[1:] = np.cumsum(d, axis=0)
-    return prefix + (m - prefix.mean(axis=0))
-
-
 def _project_ball(grid: Grid, timegrid: TimeGrid, slices: np.ndarray, Mprime: float):
-    m, d = slices.mean(axis=0), np.diff(slices, axis=0)
-    norm = _dt_norm(grid, timegrid, d)
+    """m + (M'/||d_t u||)(u - m), m the time-mean slice; a copy when ||d_t u|| <= M'."""
+    norm = _dt_norm(grid, timegrid, np.diff(slices, axis=0))
     if norm <= Mprime:
         return slices.copy()
-    scale = Mprime / norm if norm > 0 else 0.0
-    return _diff_reintegrate(m, scale * d)
+    m = slices.mean(axis=0)
+    return m + (Mprime / norm) * (slices - m)
 
 
 def project_Uad(
@@ -110,10 +103,10 @@ def project_Uad(
     """Project a raw control onto the admissible set.
 
     Dykstra's algorithm alternates the box clamp with the derivative-ball
-    rescale; afterwards both constraints are re-enforced exactly.  The box
-    holds exactly and the derivative bound to within ``FEASIBILITY_TOL``;
-    an output that misses it raises ValueError.  Feasible inputs are
-    returned unchanged (up to roundoff).
+    retraction; one closing retraction and clip follow.  The box holds
+    exactly, and since a clip cannot raise ||d_t u||, the derivative bound
+    to within ``FEASIBILITY_TOL``; an output that misses it raises
+    ValueError.  Feasible inputs are returned unchanged (up to roundoff).
     """
     if not (M >= 0 and Mprime >= 0):
         raise ValueError("bounds must be nonnegative")
@@ -127,17 +120,11 @@ def project_Uad(
         p_inc = x + p_inc - y
         x_new = _project_ball(grid, timegrid, y + q_inc, Mprime)
         q_inc = y + q_inc - x_new
-        if np.max(np.abs(x_new - x)) <= DYKSTRA_TOL:
-            x = x_new
+        x, dx = x_new, np.max(np.abs(x_new - x))
+        if dx <= DYKSTRA_TOL:
             break
-        x = x_new
-    # exact feasibility polish; the clip comes last, so the box holds exactly
-    for _ in range(8):
-        x = _project_ball(grid, timegrid, x, Mprime)
-        x = np.clip(x, -M, M)
-        dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))
-        if dn <= Mprime * (1.0 + 1e-12) + 1e-15:
-            break
+    x = np.clip(_project_ball(grid, timegrid, x, Mprime), -M, M)
+    dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))
     if dn > Mprime + FEASIBILITY_TOL * (1.0 + Mprime):
         raise ValueError(f"control violates the derivative bound: {dn:g} > {Mprime:g}")
     return ControlFunction(grid, timegrid, x)

@@ -230,12 +230,15 @@ def _yosida_sandwich(seed):
 
 @_check("potentials.pi-derivative-constant")
 def _pi_constant(seed):
+    # f - betahat is the energy's quadratic pihat: its second difference is pi' exactly
     worst = 0.0
     for i, spec in enumerate(_reg_specs()):
         rs = _rng(seed, 80 + i).uniform(-2.0, 2.0, 10_000)
-        dev = potentials.f_d2_vec(spec, rs) - potentials.beta_reg_d1_vec(spec, rs)
-        worst = max(worst, float(np.max(np.abs(dev - potentials.pi_d1(spec)))))
-    return worst <= 1e-12, worst, "max deviation of f'' - beta' from the constant pi'"
+        r3 = np.stack([rs - 0.5, rs, rs + 0.5])
+        q = potentials.f_value_vec(spec, r3) - potentials._reg(spec, r3, (0,))[0]
+        d2 = (q[0] - 2.0 * q[1] + q[2]) / 0.25
+        worst = max(worst, float(np.max(np.abs(d2 - potentials.pi_d1(spec)))))
+    return worst <= 1e-12, worst, "max deviation of the second difference of f - betahat from pi'"
 
 
 def _exp_derivative_excess(spec, samples) -> float:

@@ -2,6 +2,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from chopt import control
 from chopt.cli import _build_cost
@@ -112,6 +115,19 @@ def test_project_Uad_checks_its_output(monkeypatch):
     slices = 5.0 * RNG.standard_normal((tg.nt + 1, g.size))
     with pytest.raises(ValueError, match="derivative bound"):
         project_Uad(g, tg, slices, M=0.7, Mprime=1.5)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(slices=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=6),
+                     elements=st.floats(-1e3, 1e3)),
+       M=st.floats(0.0, 1e3))
+def test_clip_never_raises_the_derivative_norm(slices, M):
+    # project_Uad closes with one clip after its last ball step; the clip is
+    # pointwise 1-Lipschitz, so it keeps the derivative bound that step met
+    g = Grid(slices.shape[1], 1, 1.0)
+    tg = TimeGrid(1.0, slices.shape[0] - 1)
+    clipped = ControlFunction(g, tg, np.clip(slices, -M, M))
+    assert clipped.dt_l2() <= ControlFunction(g, tg, slices).dt_l2()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chopt import config, errors, state, verify
+from chopt import cli, config, errors, potentials, state, verify
 from chopt.cli import main, run_simulate
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ShapeMismatch, ValidationError
@@ -226,6 +226,62 @@ def test_build_field_descriptors():
         build_field(g, "wavelet:3", rng)
 
 
+@pytest.mark.parametrize("section, key, value, reason", [
+    ("initial", "phi0", "band_limited:0.5:0", "mode count 0 outside 1..64"),
+    ("initial", "phi0", "band_limited:0.5:-1", "mode count -1 outside 1..64"),
+    ("initial", "phi0", "band_limited:0.5:65", "mode count 65 outside 1..64"),
+    ("initial", "phi0", "band_limited:abc", "could not convert string to float: 'abc'"),
+    ("cost", "u_true", "random:abc", "could not convert string to float: 'abc'"),
+    ("control", "initial", "random:nan", "control values must be finite"),
+])
+def test_parse_names_the_key_of_a_bad_descriptor(tmp_path, section, key, value, reason):
+    body = MINIMAL + f"\n[{section}]\n{key} = {value}\n"
+    if section == "cost":
+        body += "target = inverse_crime\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, body))
+    assert err.value.messages == [f"[{section}] {key} = {value!r}: {reason}"]
+
+
+def test_band_limited_mode_count_default_and_range(tmp_path):
+    # the default is min(8, nx*ny); every count in 1..nx*ny is taken as given
+    small = "[grid]\nnx = 2\nny = 1\n[initial]\nphi0 = band_limited:0.5{}\n"
+    default = parse_config(write_cfg(tmp_path, small.format(""))).phi0.values
+    explicit = parse_config(write_cfg(tmp_path, small.format(":2"))).phi0.values
+    assert np.array_equal(default, explicit)
+    full = parse_config(write_cfg(tmp_path, MINIMAL + "\n[initial]\nphi0 = band_limited:0.5:64\n"))
+    assert np.max(np.abs(full.phi0.values)) == 0.5
+
+
+def test_file_descriptors_read_snapshots_bit_for_bit(tmp_path):
+    g = Grid(8, 8, 1.0)
+    field, control = RNG.standard_normal((1, g.size)), 0.1 * RNG.standard_normal((11, g.size))
+    write_snapshots(tmp_path / "phi0.bin", g, field)
+    write_snapshots(tmp_path / "u.bin", g, control)
+    body = (MINIMAL + f"\n[initial]\nphi0 = file:{tmp_path / 'phi0.bin'}\n"
+            f"[control]\ninitial = file:{tmp_path / 'u.bin'}\n"
+            f"[cost]\ntarget = inverse_crime\nu_true = file:{tmp_path / 'u.bin'}\n")
+    cfg = parse_config(write_cfg(tmp_path, body))
+    assert np.array_equal(cfg.phi0.values, field[0])
+    assert np.array_equal(cfg.u0.slices, control)
+    assert np.array_equal(cfg.u_true.slices, control)
+
+
+@pytest.mark.parametrize("section, key, frames, grid, reason", [
+    ("initial", "phi0", 1, (4, 4), "is 4x4, grid is 8x8"),
+    ("control", "initial", 11, (4, 4), "is 4x4, grid is 8x8"),
+    ("control", "initial", 10, (8, 8), "has 10 frames, need 11"),
+])
+def test_file_descriptor_refuses_a_wrong_snapshot(tmp_path, section, key, frames, grid, reason):
+    path = tmp_path / "snap.bin"
+    write_snapshots(path, Grid(*grid, 1.0), np.zeros((frames, grid[0] * grid[1])))
+    body = MINIMAL + f"\n[{section}]\n{key} = file:{path}\n"
+    with pytest.raises(ValidationError) as err:
+        parse_config(write_cfg(tmp_path, body))
+    (message,) = err.value.messages
+    assert message.startswith(f"[{section}] {key} = 'file:{path}': ") and message.endswith(reason)
+
+
 # ---------------------------------------------------------------------------
 # snapshot files
 
@@ -431,6 +487,16 @@ def test_energy_balance_fails_on_a_slipped_residual(monkeypatch, slip):
     else:
         monkeypatch.setattr(verify, "energy_balance_residual", slipped)
     passed = [seed for seed in range(12) if run_checks(["state.energy-balance"], seed)[0].passed]
+    assert not passed
+
+
+@pytest.mark.parametrize("name", ["_pihat", "pi_d1"])
+def test_pi_derivative_constant_fails_on_a_slipped_pi(monkeypatch, name):
+    # a 1e-9 relative slip in the energy's pihat or in the step's pi'
+    original = getattr(potentials, name)
+    monkeypatch.setattr(potentials, name, lambda *a: original(*a) * (1.0 + 1e-9))
+    passed = [seed for seed in range(12)
+              if run_checks(["potentials.pi-derivative-constant"], seed)[0].passed]
     assert not passed
 
 
@@ -664,6 +730,17 @@ def test_cli_oracle_compare_mu_error_is_finite_on_stationary(tmp_path):
     mu_errors = [float(line.split(",")[3]) for line in lines]
     assert len(mu_errors) == 51
     assert all(np.isfinite(e) and e <= 1e-9 for e in mu_errors)
+
+
+def test_cli_oracle_compare_refuses_too_many_modes_before_the_forward_solve(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "simulate", lambda *a, **k: calls.append(a) or state.simulate(*a, **k))
+    cfg = write_cfg(tmp_path, "[grid]\nnx = 3\nny = 3\n[time]\nfinal = 0.03\nsteps = 3\n"
+                              "[oracle]\nmodes = 10\n")
+    out = tmp_path / "out"
+    assert main(["oracle-compare", "--config", str(cfg), "--out", str(out)]) == 2
+    assert json.loads((out / "failure.json").read_text())["error"] == "BadModeCount"
+    assert calls == []
 
 
 def test_cli_optimize_artifacts_match_a_fresh_forward_run(tmp_path):
