@@ -116,14 +116,14 @@ def run_optimize(cfg: RunConfig, out: Path) -> int:
 
 def run_verify(cfg: RunConfig, out: Path) -> int:
     results = run_checks(cfg.checks, cfg.seed)
-    rows = [
-        (r.name, r.module, r.passed, r.measured, r.details.replace(",", ";"))
-        for r in results
-    ]
-    write_csv(out / "verification.csv", ("name", "module", "passed", "measured", "details"), rows)
+    rows = ((r.name, r.module, r.passed, r.measured, r.sense, r.bound, r.details.replace(",", ";"))
+            for r in results)
+    write_csv(out / "verification.csv",
+              ("name", "module", "passed", "measured", "sense", "bound", "details"), rows)
     failed = [r for r in results if not r.passed]
     for r in results:
-        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.measured:.3e} ({r.details})")
+        print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}: {r.measured:.3e} {r.sense} {r.bound:.3g} "
+              f"({r.details})")
     print(f"verify: {len(results) - len(failed)}/{len(results)} checks passed")
     return 0 if not failed else 1
 

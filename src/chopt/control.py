@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cost import CostSpec, cost_J
-from .errors import ConfigurationError, ShapeMismatch
+from .errors import ConfigurationError, ConvergenceFailure, ShapeMismatch
 from .potentials import PotentialSpec
 from .sensitivity import reduced_gradient, solve_adjoint
 from .spectral import Field, Grid
@@ -106,7 +106,7 @@ def project_Uad(
     retraction; one closing retraction and clip follow.  The box holds
     exactly, and since a clip cannot raise ||d_t u||, the derivative bound
     to within ``FEASIBILITY_TOL``; an output that misses it raises
-    ValueError.  Feasible inputs are returned unchanged (up to roundoff).
+    ConvergenceFailure.  Feasible inputs are returned unchanged (up to roundoff).
     """
     if not (M >= 0 and Mprime >= 0):
         raise ValueError("bounds must be nonnegative")
@@ -126,7 +126,7 @@ def project_Uad(
     x = np.clip(_project_ball(grid, timegrid, x, Mprime), -M, M)
     dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))
     if dn > Mprime + FEASIBILITY_TOL * (1.0 + Mprime):
-        raise ValueError(f"control violates the derivative bound: {dn:g} > {Mprime:g}")
+        raise ConvergenceFailure(f"control violates the derivative bound: {dn:g} > {Mprime:g}")
     return ControlFunction(grid, timegrid, x)
 
 

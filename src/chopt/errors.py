@@ -10,7 +10,8 @@ class DomainViolation(ChoptError):
 
 
 class ConvergenceFailure(ChoptError):
-    """Raised for a non-finite resolvent argument, or resolvent sweeps that did not settle."""
+    """Raised for a non-finite resolvent argument, resolvent sweeps that did not settle, or a
+    projection whose output misses the derivative bound."""
 
 
 class WrongVariant(ChoptError):

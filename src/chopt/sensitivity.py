@@ -178,13 +178,18 @@ def adjoint_identity_residual(
     h: ControlFunction,
     cost: CostSpec,
 ) -> float:
-    """|<cost sources, tangent> - <costate, h sources>| for one direction.
+    """|<cost sources, tangent> - <costate, h sources>| / scale for one direction.
 
     Both sides equal the tracking part of the directional derivative of the
     cost, so the residual is pure roundoff when tangent and adjoint come from
-    the same base trajectory and cost.
+    the same base trajectory and cost.  The scale is the Cauchy-Schwarz bound
+    cell (||s_phi|| ||xi|| + ||s_mu|| ||eta||) of the tracking side, and so of
+    the costate side it equals.
     """
     s_phi, s_mu = _cost_sources(base, cost)
     lhs = np.sum(s_phi * tangent.xi) + np.sum(s_mu * tangent.eta)
     rhs = base.timegrid.tau * np.sum(_source_cotangent(base, adj) * h.slices[:-1])
-    return abs(float(base.grid.cell * (lhs - rhs)))
+    cell = base.grid.cell
+    scale = cell * (np.linalg.norm(s_phi) * np.linalg.norm(tangent.xi)
+                    + np.linalg.norm(s_mu) * np.linalg.norm(tangent.eta))
+    return abs(float(cell * (lhs - rhs))) / scale

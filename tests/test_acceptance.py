@@ -124,18 +124,15 @@ def test_criterion_8_regularization_sweeps():
     # the registry's potentials checks: 1e4-point sweeps of monotonicity and
     # beta_eps(0) = 0, the Yosida Lipschitz and sandwich bounds, the constant
     # pi', the exponential derivative bound and the Young inequality
-    names = [n for n in registered_checks() if n.startswith("potentials.")]
-    results = run_checks(names, SEED)
-    worst = max(r.measured for r in results)
-    ok = all(r.passed for r in results) and worst <= 1e-12
-    report(8, "regularization property sweeps", ok,
-           f"max violation over all 1e4-point sweeps = {worst:.3e}")
+    report_checks(8, "regularization property sweeps",
+                  [n for n in registered_checks() if n.startswith("potentials.")])
 
 
 def test_criterion_9_descent_and_optimality():
     report_checks(9, "projected-gradient descent and optimality",
-                  ["control.monotone-descent", "control.feasible-descent",
-                   "control.variational-inequality"])
+                  ["control.monotone-descent", "control.feasible-descent", "control.cost-decrease",
+                   "control.variational-inequality", "control.optimizer-converged",
+                   "control.final-stationarity"])
 
 
 def test_criterion_10_determinism(tmp_path):

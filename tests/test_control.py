@@ -17,7 +17,7 @@ from chopt.control import (
     project_Uad,
 )
 from chopt.cost import CostSpec, cost_J
-from chopt.errors import ConfigurationError
+from chopt.errors import ConfigurationError, ConvergenceFailure
 from chopt.potentials import PotentialSpec
 from chopt.sensitivity import reduced_gradient, solve_adjoint
 from chopt.spectral import Field, Grid
@@ -113,7 +113,7 @@ def test_project_Uad_checks_its_output(monkeypatch):
     g = Grid(8, 8, 1.0)
     tg = TimeGrid(0.5, 20)
     slices = 5.0 * RNG.standard_normal((tg.nt + 1, g.size))
-    with pytest.raises(ValueError, match="derivative bound"):
+    with pytest.raises(ConvergenceFailure, match="derivative bound"):
         project_Uad(g, tg, slices, M=0.7, Mprime=1.5)
 
 

@@ -1,8 +1,11 @@
+import collections
 import configparser
 import contextlib
+import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chopt import cli, config, errors, potentials, state, verify
+from chopt import cli, config, control, errors, potentials, sensitivity, state, verify
 from chopt.cli import main, run_simulate
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ShapeMismatch, ValidationError
@@ -428,15 +431,17 @@ EXPECTED_CHECKS = {
     "potentials": {"beta-monotone", "yosida-lipschitz", "yosida-sandwich",
                    "pi-derivative-constant", "log-derivative-exp-bound",
                    "young-exp-inequality"},
-    "state": {"mean-implicit-euler", "mean-closed-form-consistency",
+    "state": {"mean-implicit-euler", "mean-closed-form-consistency", "mean-drift-bound",
               "separation-log-2d", "xi-bound", "continuous-dependence",
-              "energy-balance"},
-    "galerkin": {"constant-mode-law", "refinement-convergence"},
+              "energy-balance", "energy-dissipation-nonnegative"},
+    "galerkin": {"constant-mode-law", "constant-mode-bounds", "refinement-convergence",
+                 "mode-refinement-convergence"},
     "sensitivity": {"adjoint-transpose-identity", "tangent-linearity",
                     "frechet-order", "tangent-continuity", "gradient-fd-match"},
-    "control": {"cost-nonnegative", "projection-idempotent",
+    "control": {"cost-nonnegative", "cost-perfect-tracking", "projection-idempotent",
                 "projection-nonexpansive", "monotone-descent",
-                "feasible-descent", "variational-inequality"},
+                "feasible-descent", "cost-decrease", "variational-inequality",
+                "optimizer-converged", "final-stationarity"},
 }
 
 
@@ -446,6 +451,7 @@ def test_registry_covers_expected_invariants():
             full = f"{module}.{short}"
             assert full in REGISTRY, full
             assert REGISTRY[full][0] == module
+    assert len(REGISTRY) == sum(len(names) for names in EXPECTED_CHECKS.values())
 
 
 def test_run_checks_unknown_name():
@@ -453,10 +459,30 @@ def test_run_checks_unknown_name():
         run_checks(["spectral.no-such-check"], seed=0)
 
 
+@pytest.fixture(scope="module")
+def run_at_seed_3():
+    """Every row from one run_checks call at seed 3, and the calls of the two shared scenarios."""
+    calls = collections.Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for helper in ("_inverse_crime_run", "_separation_run"):
+            def counted(seed, helper=helper, original=getattr(verify, helper)):
+                calls[helper] += 1
+                return original(seed)
+
+            mp.setattr(verify, helper, counted)
+        rows = {r.name: r for r in run_checks(["all"], seed=3)}
+    return rows, calls
+
+
 @pytest.mark.parametrize("name", registered_checks())
-def test_registered_check_passes(name):
-    (result,) = run_checks([name], seed=3)
-    assert result.passed, f"{name}: {result.measured} ({result.details})"
+def test_registered_check_passes(run_at_seed_3, name):
+    result = run_at_seed_3[0][name]
+    assert result.passed, f"{name}: {result.measured} {result.sense} {result.bound} ({result.details})"
+
+
+def test_shared_scenarios_run_once_per_run_checks(run_at_seed_3):
+    # six control.* rows read one optimize run, two state.* rows one 32^2 x 500 solve
+    assert run_at_seed_3[1] == {"_inverse_crime_run": 1, "_separation_run": 1}
 
 
 @pytest.mark.parametrize(
@@ -466,9 +492,18 @@ def test_registered_check_passes(name):
 )
 def test_roundoff_check_passes_at_twelve_seeds(name):
     # these bounds sit a few thousand ulps above roundoff and the scenarios
-    # draw from the seed, so one seed says little
-    failed = [r for seed in range(12) for r in run_checks([name], seed) if not r.passed]
-    assert not failed, [(r.measured, r.details) for r in failed]
+    # draw from the seed, so one seed says little; every row of the scenario
+    # is read from its one run (energy-balance also gates the least D)
+    rows = [n for n in registered_checks() if REGISTRY[n][1] is REGISTRY[name][1]]
+    failed = [r for seed in range(12) for r in run_checks(rows, seed) if not r.passed]
+    assert not failed, [(r.name, r.measured, r.details) for r in failed]
+
+
+def _passing_seeds(row):
+    """Seeds 0-11 at which `row` passes; each must have measured, not raised."""
+    results = [run_checks([row], seed)[0] for seed in range(12)]
+    assert all(math.isfinite(r.measured) for r in results), [r.details for r in results]
+    return [seed for seed, r in enumerate(results) if r.passed]
 
 
 @pytest.mark.parametrize("slip", ["mu^n in ||grad mu||^2", "no source term", "S = 0"])
@@ -486,8 +521,8 @@ def test_energy_balance_fails_on_a_slipped_residual(monkeypatch, slip):
                             dataclasses.replace(spec, stabilization=0.0))
     else:
         monkeypatch.setattr(verify, "energy_balance_residual", slipped)
-    passed = [seed for seed in range(12) if run_checks(["state.energy-balance"], seed)[0].passed]
-    assert not passed
+    row = "state.energy-dissipation-nonnegative" if slip == "S = 0" else "state.energy-balance"
+    assert not _passing_seeds(row)
 
 
 @pytest.mark.parametrize("name", ["_pihat", "pi_d1"])
@@ -495,9 +530,14 @@ def test_pi_derivative_constant_fails_on_a_slipped_pi(monkeypatch, name):
     # a 1e-9 relative slip in the energy's pihat or in the step's pi'
     original = getattr(potentials, name)
     monkeypatch.setattr(potentials, name, lambda *a: original(*a) * (1.0 + 1e-9))
-    passed = [seed for seed in range(12)
-              if run_checks(["potentials.pi-derivative-constant"], seed)[0].passed]
-    assert not passed
+    assert not _passing_seeds("potentials.pi-derivative-constant")
+
+
+def test_adjoint_transpose_identity_fails_on_a_slipped_source_cotangent(monkeypatch):
+    # a 1e-9 relative slip in the cotangent of the adjoint's control source
+    original = sensitivity._source_cotangent
+    monkeypatch.setattr(sensitivity, "_source_cotangent", lambda *a: original(*a) * (1.0 + 1e-9))
+    assert not _passing_seeds("sensitivity.adjoint-transpose-identity")
 
 
 # ---------------------------------------------------------------------------
@@ -709,8 +749,27 @@ def test_cli_verify_gradient_preset(tmp_path):
     code = main(["verify", "--config", "gradient-check", "--out", str(out)])
     assert code == 0
     lines = (out / "verification.csv").read_text().splitlines()
-    assert lines[0] == "name,module,passed,measured,details"
+    assert lines[0] == "name,module,passed,measured,sense,bound,details"
     assert len(lines) >= 4
+
+
+def test_cli_verify_reports_a_raising_scenario_as_failed_rows(tmp_path, monkeypatch):
+    def broken(seed):
+        raise KeyError("no run")
+
+    monkeypatch.setattr(verify, "_separation_run", broken)
+    cfg = write_cfg(tmp_path, MINIMAL + "[verify]\nchecks = state.separation-log-2d, "
+                    "spectral.parseval, state.xi-bound\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 1
+    with open(out / "verification.csv") as fh:
+        rows = {r["name"]: r for r in csv.DictReader(fh)}
+    assert list(rows) == ["state.separation-log-2d", "spectral.parseval", "state.xi-bound"]
+    for name in ("state.separation-log-2d", "state.xi-bound"):
+        assert (rows[name]["passed"], rows[name]["measured"]) == ("0", "nan")
+        assert rows[name]["details"] == "KeyError: 'no run'"
+    assert rows["spectral.parseval"]["passed"] == "1"
+    assert rows["spectral.parseval"]["details"] == "max relative Parseval defect over four grids"
 
 
 def test_cli_oracle_compare(tmp_path):
@@ -759,6 +818,20 @@ def test_cli_optimize_artifacts_match_a_fresh_forward_run(tmp_path):
     write_snapshots(fresh / "phi.bin", cfg.grid, traj.phi)
     for name in ("phi.bin", "diagnostics.csv"):
         assert (out / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_cli_optimize_reports_a_missed_derivative_bound(tmp_path, monkeypatch):
+    # the inverse-crime preset with an active M' = 0.05; without its ball step the
+    # projection cannot meet that bound
+    preset = resources.files("chopt").joinpath("presets").joinpath("inverse-crime.cfg").read_text()
+    assert "Mprime = 10.0\n" in preset
+    cfg = write_cfg(tmp_path, preset.replace("Mprime = 10.0\n", "Mprime = 0.05\n"))
+    monkeypatch.setattr(control, "_project_ball", lambda grid, tg, slices, Mprime: slices)
+    out = tmp_path / "out"
+    assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
+    record = json.loads((out / "failure.json").read_text())
+    assert record["error"] == "ConvergenceFailure"
+    assert record["message"].startswith("control violates the derivative bound")
 
 
 def test_cli_optimize_smoke(tmp_path):
