@@ -12,7 +12,6 @@ from .control import (
     ControlProblem,
     OptimizeResult,
     OptimizerConfig,
-    optimality_residual,
     optimize,
     project_Uad,
 )

@@ -1,20 +1,21 @@
-"""Admissible-set projection, projected-gradient optimizer, optimality check.
+"""Admissible-set projection and projected-gradient optimizer.
 
 The admissible set couples a pointwise box |u| <= M with a bound M' on the
 L^2(Q) norm of the discrete time derivative; both bounds belong to the
-``ControlProblem``.  Feasibility is enforced by Dykstra's alternating
-projection between the box and the derivative ball; the ball step is the
-radial retraction toward the time-mean slice, not yet the metric
-projection.  ``project_Uad`` is the one producer that promises a feasible
-control, and it checks its own output.  The optimizer is
-projected-gradient descent with Barzilai–Borwein trial steps and Armijo
-backtracking on the reduced discrete cost.
+``ControlProblem``.  ``project_Uad`` runs Dykstra's algorithm between the
+box clip and the projection onto the derivative ball, both projections in
+the ``control_inner`` metric, so its limit is the metric projection P onto
+the admissible set; it is the one producer that promises a feasible
+control, and it checks its own output.  The optimizer is projected-gradient
+descent with Barzilai–Borwein trial steps and Armijo backtracking on the
+reduced discrete cost; u = P(u - g) is the variational inequality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .state import (
     ControlFunction,
     TimeGrid,
     _dt_norm,
+    _trapezoid_weights,
     control_inner,
     simulate,
     validate_compatibility,
@@ -38,7 +40,6 @@ __all__ = [
     "OptimizeResult",
     "project_Uad",
     "optimize",
-    "optimality_residual",
 ]
 
 # Dykstra's iteration budget and its stopping increment (max-norm).
@@ -84,13 +85,44 @@ class ControlProblem:
 # ---------------------------------------------------------------------------
 # projection onto the admissible set
 
+@lru_cache(maxsize=8)
+def _ball_basis(nt: int):
+    """sqrt(w) and the eigenpairs of W^(-1/2) L W^(-1/2), read-only, W = diag(w) the trapezoid
+    weights and L = D^T D the path Laplacian in time; the null eigenvalue is exactly 0."""
+    sw = np.sqrt(_trapezoid_weights(nt))
+    d = np.diff(np.eye(nt + 1), axis=0)
+    lam, vecs = np.linalg.eigh(d.T @ d / np.outer(sw, sw))
+    lam[0] = 0.0
+    sw.flags.writeable = lam.flags.writeable = vecs.flags.writeable = False
+    return sw, lam, vecs
+
+
 def _project_ball(grid: Grid, timegrid: TimeGrid, slices: np.ndarray, Mprime: float):
-    """m + (M'/||d_t u||)(u - m), m the time-mean slice; a copy when ||d_t u|| <= M'."""
+    """The ``control_inner`` projection onto ||d_t u|| <= M'; a copy when ||d_t x|| <= M'.
+
+    u solves (W + m L) u = W x.  The multiplier m is the root of 1/||d_t u(m)|| = 1/M',
+    which Newton's method from m = 0 approaches from below (Moré & Sorensen 1983).
+    At M' = 0, u is the trapezoid-weighted time mean.
+    """
     norm = _dt_norm(grid, timegrid, np.diff(slices, axis=0))
     if norm <= Mprime:
         return slices.copy()
-    m = slices.mean(axis=0)
-    return m + (Mprime / norm) * (slices - m)
+    if Mprime == 0:
+        mean = np.average(slices, axis=0, weights=_trapezoid_weights(timegrid.nt))
+        return np.repeat(mean[None, :], len(slices), axis=0)
+    sw, lam, vecs = _ball_basis(timegrid.nt)
+    z = vecs.T @ (sw[:, None] * slices)
+    # ||d_t u(m)||^2 = sum_k lam_k zz_k / (1 + m lam_k)^2
+    zz = grid.cell / timegrid.tau * np.sum(z * z, axis=1)
+    m = 0.0
+    for _ in range(100):  # it stops within ten steps
+        r = 1.0 / (1.0 + m * lam)
+        dn2 = np.dot(lam * r * r, zz)
+        dm = dn2 * (math.sqrt(dn2) / Mprime - 1.0) / np.dot(lam * lam * r**3, zz)
+        m += dm
+        if dm <= 1e-14 * m:
+            break
+    return vecs @ (z / (1.0 + m * lam)[:, None]) / sw[:, None]
 
 
 def project_Uad(
@@ -102,10 +134,10 @@ def project_Uad(
 ) -> ControlFunction:
     """Project a raw control onto the admissible set.
 
-    Dykstra's algorithm alternates the box clamp with the derivative-ball
-    retraction; one closing retraction and clip follow.  The box holds
-    exactly, and since a clip cannot raise ||d_t u||, the derivative bound
-    to within ``FEASIBILITY_TOL``; an output that misses it raises
+    Dykstra's algorithm alternates the box clip with the derivative-ball
+    projection for at most ``DYKSTRA_ITERS`` rounds, then clips once more.  The
+    box holds exactly, and since a clip cannot raise ||d_t u||, the derivative
+    bound to within ``FEASIBILITY_TOL``; an output that misses it raises
     ConvergenceFailure.  Feasible inputs are returned unchanged (up to roundoff).
     """
     if not (M >= 0 and Mprime >= 0):
@@ -123,7 +155,7 @@ def project_Uad(
         x, dx = x_new, np.max(np.abs(x_new - x))
         if dx <= DYKSTRA_TOL:
             break
-    x = np.clip(_project_ball(grid, timegrid, x, Mprime), -M, M)
+    x = np.clip(x, -M, M)
     dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))
     if dn > Mprime + FEASIBILITY_TOL * (1.0 + Mprime):
         raise ConvergenceFailure(f"control violates the derivative bound: {dn:g} > {Mprime:g}")
@@ -235,32 +267,3 @@ def optimize(
             break
     return OptimizeResult(u, history, converged, stalled, J, it)
 
-
-def optimality_residual(
-    u_star: ControlFunction,
-    gradient: np.ndarray,
-    M: float,
-    Mprime: float,
-    samples: int = 100,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Most negative value of <g, u - u*>_{L2(Q)} over random feasible probes.
-
-    ``gradient`` is the reduced gradient density at u* (the costate part
-    plus the control-weight term).  At optimality the form is nonnegative for
-    every admissible u; the probe set is ``samples`` random feasible controls
-    plus the projected-gradient point P(u* - g).  The raw probes are drawn
-    from [-M, M], or from [-R, R] with R = 1 + ||u*||_inf when M is infinite.
-    """
-    rng = rng or np.random.default_rng(0)
-    grid, tg = u_star.grid, u_star.timegrid
-    radius = M if math.isfinite(M) else 1.0 + u_star.linf()
-    worst = 0.0
-    for _ in range(samples):
-        raw = rng.uniform(-radius, radius, size=u_star.slices.shape)
-        probe = project_Uad(grid, tg, raw, M, Mprime)
-        val = control_inner(tg, grid, gradient, probe.slices - u_star.slices)
-        worst = min(worst, val)
-    u_pg = project_Uad(grid, tg, u_star.slices - gradient, M, Mprime)
-    worst = min(worst, control_inner(tg, grid, gradient, u_pg.slices - u_star.slices))
-    return worst

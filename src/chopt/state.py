@@ -153,9 +153,8 @@ def control_inner(timegrid: TimeGrid, grid: Grid, a: np.ndarray, b: np.ndarray) 
     reduced gradient and the optimizer's metric (stationarity, Armijo
     prediction, Barzilai-Borwein step) all use it, and sqrt(control_inner(x,
     x)) is the L^2(Q) norm of a ControlFunction's slices.  ``project_Uad``
-    acts on the same slices, but its ball step is the radial retraction
-    toward the time-mean slice, so it is not yet the metric projection in
-    this pairing.
+    converges to the metric projection onto the admissible set in this
+    pairing: its box clip and its derivative-ball step are both projections in it.
     """
     w = _trapezoid_weights(timegrid.nt)
     return float(timegrid.tau * np.dot(w, grid.cell * np.sum(a * b, axis=1)))

@@ -20,12 +20,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import potentials
+from . import control, potentials
 from .config import band_limited_field
 from .control import (
     ControlProblem,
     OptimizerConfig,
-    optimality_residual,
     optimize,
     project_Uad,
 )
@@ -647,18 +646,32 @@ def _cost_nonneg(seed):
             (abs(cost_J(traj, perfect)), "|J| of a cost that tracks the run's own state"))
 
 
-@_check(("control.projection-idempotent", "<=", 1e-10))
+def _ball_kkt(grid, tg, x, Mprime) -> float:
+    """KKT residual of the ball step u = P(x) at an x outside the ball: P is the metric projection
+    iff r = W (x - u) = m L u, L = D^T D, for an m >= 0 and ||d_t u|| = M'.  m is fitted to r."""
+    u = control._project_ball(grid, tg, x, Mprime)
+    d = np.diff(u, axis=0)
+    Lu = -np.diff(d, axis=0, prepend=0.0, append=0.0)
+    r = np.r_[0.5, np.ones(tg.nt - 1), 0.5][:, None] * (x - u)
+    m = np.sum(r * Lu) / np.sum(Lu * Lu)
+    gap = math.sqrt(grid.cell * np.sum(d * d) / tg.tau) / Mprime - 1.0
+    return max(-m, float(np.linalg.norm(r - m * Lu) / np.linalg.norm(r)), abs(gap))
+
+
+@_check(("control.projection-idempotent", "<=", 1e-10), ("control.projection-kkt", "<=", 1e-12))
 def _proj_idempotent(seed):
     grid, tg = _grid8(), TimeGrid(0.3, 20)
     rng = _rng(seed, 230)
-    worst = 0.0
+    worst = kkt = 0.0
     for _ in range(3):
         raw = rng.standard_normal((tg.nt + 1, grid.size)) * 2.0
         for M, Mprime in ((1.0, 0.5), (0.5, 2.0)):
             p1 = project_Uad(grid, tg, raw, M, Mprime)
             p2 = project_Uad(grid, tg, p1.slices, M, Mprime)
             worst = max(worst, float(np.max(np.abs(p2.slices - p1.slices))))
-    return worst, "max |P(P(x)) - P(x)| at (M, M') = (1, 0.5) and (0.5, 2)"
+            kkt = max(kkt, _ball_kkt(grid, tg, raw, Mprime))
+    return ((worst, "max |P(P(x)) - P(x)| at (M, M') = (1, 0.5) and (0.5, 2)"),
+            (kkt, "max KKT residual of the derivative-ball step on the same x at M' = 0.5 and 2"))
 
 
 @_check(("control.projection-nonexpansive", "<=", 1.0 + 1e-8))
@@ -695,14 +708,14 @@ def _inverse_crime_run(seed):
                     phi_q=target.phi.copy(), phi_omega=target.phi[-1].copy())
     u0 = ControlFunction.constant(grid, tg, 0.0)
     result = optimize(u0, problem, cost, OptimizerConfig(max_iters=200, tol=1e-7))
-    return problem, cost, u0, result, rng
+    return problem, cost, u0, result
 
 
 @_check(("control.monotone-descent", "<=", 0.0), ("control.feasible-descent", "<=", 1e-9),
-        ("control.cost-decrease", "<=", 1e-12), ("control.variational-inequality", ">=", -1e-6),
-        ("control.optimizer-converged", ">=", 1.0), ("control.final-stationarity", "<=", 1e-5))
+        ("control.cost-decrease", "<=", 1e-12), ("control.optimizer-converged", ">=", 1.0),
+        ("control.final-stationarity", "<=", 1e-5))
 def _descent(seed):
-    problem, cost, u0, result, rng = _inverse_crime_run(seed)
+    problem, cost, u0, result = _inverse_crime_run(seed)
     grid, tg = problem.grid, problem.timegrid
     js = [row["J"] for row in result.history]
     increase = float(np.max(np.diff(js), initial=-math.inf)) if len(js) > 1 else 0.0
@@ -710,15 +723,10 @@ def _descent(seed):
     traj = simulate(problem.phi0, result.u, problem.spec, tg, with_diagnostics=False)
     u0_proj = project_Uad(grid, tg, u0.slices, problem.M, problem.Mprime)
     traj0 = simulate(problem.phi0, u0_proj, problem.spec, tg, with_diagnostics=False)
-    g = reduced_gradient(traj, solve_adjoint(traj, cost), cost)
-    gnorm = math.sqrt(control_inner(tg, grid, g, g))
-    # the probe's draws follow phi0's and u_true's on rng; nothing else may draw from it
-    res = optimality_residual(result.u, g, problem.M, problem.Mprime, samples=100, rng=rng)
     return (
         (increase, "max increase of J across accepted iterations"),
         (feas, "max excess of ||u*||_inf over M and of ||d_t u*|| over M'"),
         (cost_J(traj, cost) - cost_J(traj0, cost), "J(u*) - J(P(u0))"),
-        (res / (1.0 + gnorm), "most negative probe value of <g, u - u*> over 100 probes, / (1 + ||g||)"),
         (float(result.converged), f"{result.iterations} iterations"),
         (result.history[-1]["stationarity"], "stationarity of the last accepted iterate"),
     )

@@ -440,7 +440,7 @@ EXPECTED_CHECKS = {
                     "frechet-order", "tangent-continuity", "gradient-fd-match"},
     "control": {"cost-nonnegative", "cost-perfect-tracking", "projection-idempotent",
                 "projection-nonexpansive", "monotone-descent",
-                "feasible-descent", "cost-decrease", "variational-inequality",
+                "feasible-descent", "cost-decrease", "projection-kkt",
                 "optimizer-converged", "final-stationarity"},
 }
 
@@ -481,7 +481,7 @@ def test_registered_check_passes(run_at_seed_3, name):
 
 
 def test_shared_scenarios_run_once_per_run_checks(run_at_seed_3):
-    # six control.* rows read one optimize run, two state.* rows one 32^2 x 500 solve
+    # five control.* rows read one optimize run, two state.* rows one 32^2 x 500 solve
     assert run_at_seed_3[1] == {"_inverse_crime_run": 1, "_separation_run": 1}
 
 
@@ -531,6 +531,18 @@ def test_pi_derivative_constant_fails_on_a_slipped_pi(monkeypatch, name):
     original = getattr(potentials, name)
     monkeypatch.setattr(potentials, name, lambda *a: original(*a) * (1.0 + 1e-9))
     assert not _passing_seeds("potentials.pi-derivative-constant")
+
+
+@pytest.mark.parametrize("centre", ["time mean", "zero"])
+def test_projection_kkt_fails_on_a_radial_retraction(monkeypatch, centre):
+    # c + (M'/||d_t x||)(x - c) meets the derivative bound but is not the projection
+    def retract(grid, tg, slices, Mprime):
+        norm = state._dt_norm(grid, tg, np.diff(slices, axis=0))
+        c = slices.mean(axis=0) if centre == "time mean" else 0.0
+        return slices.copy() if norm <= Mprime else c + (Mprime / norm) * (slices - c)
+
+    monkeypatch.setattr(control, "_project_ball", retract)
+    assert not _passing_seeds("control.projection-kkt")
 
 
 def test_adjoint_transpose_identity_fails_on_a_slipped_source_cotangent(monkeypatch):
