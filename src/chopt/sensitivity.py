@@ -140,10 +140,12 @@ def solve_adjoint(base: StateTrajectory, cost: CostSpec) -> AdjointTrajectory:
     tau = stepper.tau
     s_phi, s_mu = _cost_sources(base, cost)
 
-    # the cost sources of every snapshot, transformed in three stacked calls
+    # the cost sources of every snapshot, transformed in three stacked calls;
+    # the mu sources vanish without mu tracking, as cost_J skips that term
     costate = _dct(grid, s_phi)
-    costate[1:] += stepper.lam_S * _dct(grid, s_mu[1:])
-    costate[:-1] += _dct(grid, W * s_mu[1:])
+    if cost.alpha[2] > 0:
+        costate[1:] += stepper.lam_S * _dct(grid, s_mu[1:])
+        costate[:-1] += _dct(grid, W * s_mu[1:])
     for n in range(nt - 1, -1, -1):
         a = costate[n + 1] / denom
         costate[n] += a - tau * _dct(grid, W[n] * _idct(lam * a))

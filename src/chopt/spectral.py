@@ -29,8 +29,10 @@ on the axis length alone.  One to_spectral + from_spectral round trip on a
     dense      17    23    54   129    325   2800
     folded     33    43    79   140    250   2430
 
-A 16x16 transform takes 2-4 us as a dense product against 11-12 us through
-scipy.fft.
+One field's forward / inverse dense product takes 1.9 / 1.7 us at 16x16, 3.4 /
+3.0 at 32x32 and 16 / 14 at 64x64 as two ndarray.dot calls, against 2.8 / 2.6,
+4.5 / 3.8 and 16 / 14 through matmul, with the same bits; a stack takes matmul.
+A 16x16 transform through scipy.fft takes 11-12 us.
 """
 
 from __future__ import annotations
@@ -228,9 +230,10 @@ def _dct(grid: Grid, values: np.ndarray) -> np.ndarray:
     linear updates that transform back skip the scaling, which cancels.
     """
     x = values.reshape(values.shape[:-1] + (grid.nx, grid.ny))
-    # small grids are dispatch-bound: skip the per-axis calls when both axes are short
+    # small grids are dispatch-bound: one dense product, by ndarray.dot for one field
     if grid.nx < _FOLD_MIN and grid.ny < _FOLD_MIN:
-        return _cos_matrix(grid.nx) @ x @ _cos_matrix(grid.ny).T
+        cx, cy = _cos_matrix(grid.nx), _cos_matrix(grid.ny)
+        return cx.dot(x).dot(cy.T) if x.ndim == 2 else cx @ x @ cy.T
     return _along_y(_along_x(x, False), False)
 
 
@@ -238,7 +241,8 @@ def _idct(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of :func:`_dct`, shape (..., nx, ny) to (..., size) in nodal order."""
     nx, ny = coeffs.shape[-2:]
     if nx < _FOLD_MIN and ny < _FOLD_MIN:
-        x = _cos_matrix(nx).T @ coeffs @ _cos_matrix(ny)
+        cx, cy = _cos_matrix(nx), _cos_matrix(ny)
+        x = cx.T.dot(coeffs).dot(cy) if coeffs.ndim == 2 else cx.T @ coeffs @ cy
     else:
         x = _along_y(_along_x(coeffs, True), True)
     return x.reshape(coeffs.shape[:-2] + (nx * ny,))

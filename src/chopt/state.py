@@ -20,9 +20,9 @@ d/dt phibar + phibar = ubar exactly.
 The step carries phi_hat^n from the previous step instead of transforming
 phi^n again, so it makes three transforms: g^n forward, phi_hat^{n+1} and
 (lam + S) phi_hat^{n+1} back.  The control adds its own: a constant control
-(one broadcast row) is transformed once per solve, any other control one
-row per step, four transforms a step in all.  The tangent solve runs on the
-same step.
+(one broadcast row) is transformed once per solve, any other control's rows
+in a few stacked calls, or one per step on a large grid: four fields a step
+in all.  The tangent solve runs on the same step.
 
 One generator runs the step sequence and yields each snapshot pair
 (phi^n, mu^n) with its diagnostics row as soon as the step after it has
@@ -42,7 +42,7 @@ import numpy as np
 from . import potentials
 from .errors import ConfigurationError, NonFinite, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Field, Grid, _dct, _idct, grad_sq
+from .spectral import _FOLD_MIN, Field, Grid, _dct, _idct, grad_sq
 
 __all__ = [
     "TimeGrid",
@@ -271,15 +271,19 @@ class _Stepper:
         """Cosine coefficients of the source rows s[0], ..., s[nt-1], one per step.
 
         A broadcast row (time stride 0, as ``ControlFunction.constant`` holds
-        it) is transformed once for all steps; any other series one row per
-        step, as the steps take them.  Nothing is transformed before the
-        first item is drawn, so ``advance`` draws each inside its errstate.
+        it) is transformed once for all steps; any other series in stacks of
+        at most one 128 x 128 field's values, one row per step on a grid of
+        more than half as many, where a stack's temporaries outweigh dispatch.
+        Nothing is transformed before the first item is drawn, so ``advance``
+        draws each inside its errstate.
         """
+        grid, rows = self.grid, s[:-1]
         if s.strides[0] == 0:
-            yield from itertools.repeat(_dct(self.grid, s[0]), len(s) - 1)
+            yield from itertools.repeat(_dct(grid, s[0]), len(rows))
         else:
-            for row in s[:-1]:
-                yield _dct(self.grid, row)
+            k = max(1, _FOLD_MIN**2 // grid.size)
+            for i in range(0, len(rows), k):
+                yield from _dct(grid, rows[i : i + k])
 
     def linear(self, xhat: np.ndarray, shat: np.ndarray, g: np.ndarray, grads=None):
         """The implicit update with explicit term g and source coefficients shat.
@@ -404,7 +408,7 @@ def _forward_rows(
     for n in range(timegrid.nt):
         grads_next = np.empty(2) if with_diagnostics else None
         phihat, phi_next, mu_next, potential = stepper.advance(phihat, phi, sources, grads_next)
-        if not (np.all(np.isfinite(phi_next)) and np.all(np.isfinite(mu_next))):
+        if not (np.isfinite(phi_next).all() and np.isfinite(mu_next).all()):
             raise NonFinite(f"blow-up at step {n + 1}", step=n + 1)
         yield phi, mu, diagnostics(n, phi, grads, potential)
         phi, mu, grads = phi_next, mu_next, grads_next

@@ -136,9 +136,12 @@ def test_cos_matrix_is_orthogonal(n):
     assert not c.flags.writeable
 
 
+# one field takes ndarray.dot, a stack matmul; (32, 32), (17, 17), (16, 3) and
+# (127, 3) are where a C-contiguous copy of the transposed matrix changes the bits
 @pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(17, 1, 2.0), Grid(6, 10, 1.5, 0.7),
                                   Grid(128, 3, 1.3, 0.4), Grid(5, 130, 1.0),
-                                  Grid(128, 128, 1.0)])
+                                  Grid(128, 128, 1.0), Grid(32, 32, 1.0), Grid(17, 17, 1.0),
+                                  Grid(16, 3, 1.0), Grid(127, 3, 1.0)])
 def test_stacked_transforms_equal_per_slice_calls(grid):
     x = RNG.standard_normal((5, grid.size))
     coeffs = _dct(grid, x)

@@ -6,6 +6,7 @@ import pytest
 
 from chopt import potentials, sensitivity, spectral, state
 from chopt.config import band_limited_field, build_control
+from chopt.cost import CostSpec
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
 from chopt.spectral import Field, Grid, basis_modes, grad_sq
@@ -426,6 +427,42 @@ def test_simulate_with_a_constant_control_holds_little_beyond_the_trajectory():
     assert peak < 1.2 * (traj.phi.nbytes + traj.mu.nbytes)
 
 
+def test_simulate_with_a_varying_control_holds_little_beyond_the_trajectory():
+    # the control's rows go in stacks of at most one 128 x 128 field's values;
+    # one stack of all 200 rows would double the peak (2.0 x the trajectory)
+    g = Grid(64, 64, 1.0)
+    tg = TimeGrid(0.2, 200)
+    rng = np.random.default_rng(5)
+    phi0 = band_limited_field(g, 0.6, 8, rng)
+    u = ControlFunction(g, tg, rng.uniform(-0.1, 0.1, (tg.nt + 1, g.size)))
+    tracemalloc.start()
+    try:
+        traj = simulate(phi0, u, diagnostic_spec("logarithmic"), tg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # row by row the peak is 1.05 x the trajectory's bytes
+    assert peak < 1.1 * (traj.phi.nbytes + traj.mu.nbytes)
+
+
+def test_forward_rows_with_a_varying_control_stream_in_a_few_fields():
+    # a 128 x 128 grid transforms the control one row per step: the stream holds
+    # about 20.6 fields of 128 x 128, where a stack of all rows would hold 66
+    g = Grid(128, 128, 1.0)
+    tg = TimeGrid(0.02, 20)
+    rng = np.random.default_rng(5)
+    phi0 = band_limited_field(g, 0.6, 8, rng)
+    u = ControlFunction(g, tg, rng.uniform(-0.1, 0.1, (tg.nt + 1, g.size)))
+    tracemalloc.start()
+    try:
+        for _ in state._forward_rows(phi0, u, diagnostic_spec("logarithmic"), tg):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 21.5 * g.size * 8
+
+
 def count_transforms(monkeypatch):
     """Count the fields transformed through the state, sensitivity and spectral bindings."""
     count = [0]
@@ -482,6 +519,20 @@ def test_solve_linearized_transforms_four_fields_per_step(monkeypatch):
     count = count_transforms(monkeypatch)
     sensitivity.solve_linearized(base, h)
     assert count[0] <= 4 * tg.nt + 2
+
+
+@pytest.mark.parametrize("alpha3", [0.0, 1.0])
+def test_solve_adjoint_transforms_the_mu_sources_only_with_mu_tracking(monkeypatch, alpha3):
+    # the phi sources (nt + 1 fields) and two per backward step; mu tracking
+    # adds the stacked mu sources, lam_S mu and W mu (2 nt)
+    g = Grid(16, 16, 1.0)
+    tg = TimeGrid(0.05, 50)
+    phi0 = band_limited_field(g, 0.5, 6, np.random.default_rng(3))
+    base = simulate(phi0, constant_control(g, tg, 0.1), regular_spec(), tg, with_diagnostics=False)
+    cost = CostSpec(g, tg, (1.0, 1.0, alpha3, 1e-2))
+    count = count_transforms(monkeypatch)
+    sensitivity.solve_adjoint(base, cost)
+    assert count[0] == (tg.nt + 1) + 2 * tg.nt + (2 * tg.nt if alpha3 > 0 else 0)
 
 
 @pytest.mark.parametrize("n, variant, nt", [(32, "logarithmic", 300), (16, "regular", 50)])
