@@ -135,9 +135,7 @@ def project_Uad(
     """Project a raw control onto the admissible set.
 
     Dykstra's algorithm alternates the box clip with the derivative-ball
-    projection for at most ``DYKSTRA_ITERS`` rounds, then clips once more.  It
-    leaves after round one when that round's ball step moved nothing: the box
-    clip is then the exact projection, and round two would repeat it.  The
+    projection for at most ``DYKSTRA_ITERS`` rounds, then clips once more.  The
     box holds exactly, and since a clip cannot raise ||d_t u||, the derivative
     bound to within ``FEASIBILITY_TOL``; an output that misses it raises
     ConvergenceFailure.  Feasible inputs are returned unchanged (up to roundoff).
@@ -149,13 +147,13 @@ def project_Uad(
         raise ShapeMismatch("control slices have the wrong shape")
     p_inc = np.zeros_like(x)
     q_inc = np.zeros_like(x)
-    for i in range(DYKSTRA_ITERS):
+    for _ in range(DYKSTRA_ITERS):
         y = np.clip(x + p_inc, -M, M)
         p_inc = x + p_inc - y
         x_new = _project_ball(grid, timegrid, y + q_inc, Mprime)
         q_inc = y + q_inc - x_new
         x, dx = x_new, np.max(np.abs(x_new - x))
-        if dx <= DYKSTRA_TOL or (i == 0 and not q_inc.any()):
+        if dx <= DYKSTRA_TOL:
             break
     x = np.clip(x, -M, M)
     dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))

@@ -42,7 +42,7 @@ import numpy as np
 from . import potentials
 from .errors import ConfigurationError, NonFinite, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import _FOLD_MIN, Field, Grid, _dct, _idct, grad_sq
+from .spectral import Field, Grid, _dct, _idct, grad_sq
 
 __all__ = [
     "TimeGrid",
@@ -281,7 +281,8 @@ class _Stepper:
         if s.strides[0] == 0:
             yield from itertools.repeat(_dct(grid, s[0]), len(rows))
         else:
-            k = max(1, _FOLD_MIN**2 // grid.size)
+            # rows per stack: one 128 x 128 field's values bound its temporaries
+            k = max(1, 128 * 128 // grid.size)
             for i in range(0, len(rows), k):
                 yield from _dct(grid, rows[i : i + k])
 

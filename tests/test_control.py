@@ -126,34 +126,6 @@ def test_project_Uad_checks_its_output(monkeypatch):
         project_Uad(g, tg, slices, M=0.7, Mprime=1.5)
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "broadcast"])
-def test_projection_leaves_after_one_round_when_the_clip_is_in_the_ball(monkeypatch, layout):
-    # a first ball step that moves nothing makes the box clip the exact
-    # projection: one ball step, and the C-ordered bytes of np.clip(x, -M, M)
-    calls = []
-    ball = control._project_ball
-
-    def counted_ball(*args):
-        calls.append(1)
-        return ball(*args)
-
-    monkeypatch.setattr(control, "_project_ball", counted_ball)
-    g = Grid(8, 8, 1.0)
-    tg = TimeGrid(0.5, 20)
-    M = 0.3
-    if layout == "broadcast":
-        x = ControlFunction.constant(g, tg, 0.9).slices
-    else:
-        x = np.asarray(0.2 * RNG.standard_normal((tg.nt + 1, g.size)), order=layout)
-    clipped = np.clip(x, -M, M)
-    assert np.max(np.abs(clipped - x)) > control.DYKSTRA_TOL
-    Mprime = 2.0 * ControlFunction(g, tg, clipped).dt_l2()
-    out = project_Uad(g, tg, x, M, Mprime)
-    assert len(calls) == 1
-    assert out.slices.flags.c_contiguous
-    assert out.slices.tobytes() == np.ascontiguousarray(clipped).tobytes()
-
-
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(slices=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=6),
                      elements=st.floats(-1e3, 1e3)),
