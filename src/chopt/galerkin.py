@@ -6,11 +6,11 @@ reduces to the ODE system
     y'(t) + y(t) + A z(t) = g(t),      z(t) = A y(t) + G(y(t)),
 
 where A = diag(lambda_1..lambda_n), g_j(t) = (u(t), e_j), and G projects the
-nodal nonlinearity beta_reg(phi) + pi(phi) back onto the modes.  The system is
-integrated with a fixed-step implicit midpoint rule (A-stable, second order)
-whose inner solve is a chord Newton iteration (one inverted Jacobian reused
-across substeps), and serves as an independent cross-check of the spectral
-PDE stepper.
+nodal nonlinearity beta_reg(phi) + pi(phi) back onto the modes through the
+spectral transforms, with no dense basis.  The system is integrated with a
+fixed-step implicit midpoint rule (A-stable, second order) whose inner solve
+is a chord Newton iteration (one inverted Jacobian reused across substeps),
+and serves as an independent cross-check of the spectral PDE stepper.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from . import potentials
 from .errors import BadModeCount, NewtonFailure, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Field, Grid, basis_modes, lowest_modes, to_spectral
+from .spectral import Field, Grid, _dct, _idct, lowest_modes, to_spectral
 from .state import ControlFunction, StateTrajectory, TimeGrid
 
 __all__ = [
@@ -44,21 +44,29 @@ _CHORD_RATE = 0.25  # a correction that shrinks the residual by less rebuilds th
 class GalerkinSystem:
     """First n eigenmodes of the grid, ordered by nondecreasing eigenvalue.
 
-    Ties are broken lexicographically by (j, k).  ``basis`` holds the sampled
-    orthonormal eigenfunctions, shape (n, nx*ny).
+    Ties are broken lexicographically by (j, k).  ``modes[i]`` = j*ny + k is
+    mode i's place in the flattened transform coefficients, which the maps
+    below pick and scatter: a system holds O(n) numbers, not the n x nx*ny
+    sampled basis.
     """
 
     grid: Grid
     n: int
     lam: np.ndarray = field(repr=False)
-    basis: np.ndarray = field(repr=False)
+    modes: np.ndarray = field(repr=False)
 
     def project(self, values: np.ndarray) -> np.ndarray:
-        """H-projection of nodal values onto the modes (discrete quadrature)."""
-        return self.grid.cell * (self.basis @ values)
+        """H-projection of nodal values, shape (..., size), onto the modes."""
+        coeffs = _dct(self.grid, values).reshape(values.shape).take(self.modes, axis=-1)
+        coeffs *= np.sqrt(self.grid.cell)
+        return coeffs
 
     def reconstruct(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs @ self.basis
+        """Nodal values, shape (..., size), of mode coefficients (..., n)."""
+        g = self.grid
+        full = np.zeros(coeffs.shape[:-1] + (g.size,))
+        full[..., self.modes] = coeffs / np.sqrt(g.cell)
+        return _idct(full.reshape(coeffs.shape[:-1] + (g.nx, g.ny)))
 
 
 def _modes(grid: Grid, n: int):
@@ -69,7 +77,7 @@ def _modes(grid: Grid, n: int):
 
 def build_system(grid: Grid, n: int) -> GalerkinSystem:
     j, k = _modes(grid, n)
-    return GalerkinSystem(grid, n, grid.eigenvalues()[j, k], basis_modes(grid, j, k))
+    return GalerkinSystem(grid, n, grid.eigenvalues()[j, k], j * grid.ny + k)
 
 
 def project_initial(phi0: Field, n: int) -> np.ndarray:
@@ -92,12 +100,12 @@ def _nonlinearity(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) ->
 
 
 def _nonlinearity_jac(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
-    phi = system.reconstruct(y)
-    w = system.grid.cell * potentials.f_d2_vec(spec, phi)
-    return (system.basis * w) @ system.basis.T
+    basis = system.reconstruct(np.eye(system.n))
+    basis *= potentials.f_d2_vec(spec, system.reconstruct(y))
+    return system.project(basis)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is a NewtonFailure
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing residual is a NewtonFailure
 def integrate(
     system: GalerkinSystem,
     y0: np.ndarray,
@@ -109,7 +117,8 @@ def integrate(
 
     ``substeps`` inner steps are taken per output step; the control is held at
     its left slab value, matching the PDE stepper.  Each step is solved by a
-    chord Newton iteration from an explicit predictor: one inverted Jacobian
+    chord Newton iteration, predicted by the previous substep's increment (by
+    an explicit Euler step on the run's first substep): one inverted Jacobian
     I + (h/2)(I + A^2 + A G'(mid)) serves every iteration of every step, and
     is rebuilt at the current midpoint only when an iteration shrinks the
     residual by less than the factor ``_CHORD_RATE`` (at worst this is full
@@ -144,14 +153,14 @@ def integrate(
         jac.flat[:: n + 1] += jac_diag
         return np.linalg.inv(jac)
 
-    inv_jac = None
+    inv_jac = increment = None
     iterations = jacobians = 0
     for step_idx in range(nt):
         g = system.project(u.slices[step_idx])
         yk = y[step_idx].copy()
         for _ in range(substeps):
-            # solve yn = yk + h * rhs((yk + yn)/2)
-            yn = yk + h * rhs(yk, g)  # explicit predictor
+            # solve yn = yk + h * rhs((yk + yn)/2) from the last substep's increment
+            yn = yk + (h * rhs(yk, g) if increment is None else increment)
             tol = _NEWTON_TOL * (1.0 + np.linalg.norm(yk))
             last = np.inf
             for _ in range(_NEWTON_MAXIT):
@@ -160,7 +169,7 @@ def integrate(
                 norm = np.linalg.norm(res)
                 if norm <= tol:
                     break
-                if not np.isfinite(norm):  # the explicit predictor overflowed
+                if not np.isfinite(norm):  # the prediction or a correction overflowed
                     raise NewtonFailure(f"implicit midpoint Newton overflowed at output step {step_idx}")
                 if inv_jac is None or norm > _CHORD_RATE * last:
                     inv_jac = inverse_jacobian(mid)
@@ -172,6 +181,7 @@ def integrate(
                 raise NewtonFailure(
                     f"implicit midpoint Newton stalled at output step {step_idx}"
                 )
+            increment = yn - yk
             yk = yn
         y[step_idx + 1] = yk
         z[step_idx + 1] = A * yk + _nonlinearity(system, spec, yk)

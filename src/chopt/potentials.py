@@ -189,7 +189,7 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     each forming h'(s) = 1 + 2*eps - tanh(s)^2 from its own tanh, and stop
     once no point moves.  |t| is kept below 1, where tanh would round.
     """
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ConvergenceFailure(f"resolvent of a non-finite argument, eps = {spec.eps:g}")
     if spec.variant == DOUBLE_OBSTACLE:
         return np.clip(r, -1.0, 1.0)
@@ -211,7 +211,7 @@ def _resolvent(spec: PotentialSpec, r: np.ndarray) -> np.ndarray:
     for _ in range(_SWEEPS):
         th = np.tanh(s)
         s_new = np.maximum(s, newton(s, th))
-        if np.array_equal(s_new, s):
+        if (s_new == s).all():
             return np.copysign(np.minimum(th, np.nextafter(1.0, 0.0)), r)
         s = s_new
     raise ConvergenceFailure(f"resolvent sweeps did not settle in {_SWEEPS}, eps = {eps:g}")

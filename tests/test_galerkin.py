@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -68,6 +69,7 @@ def test_build_system_mode_count():
     (Grid(8, 8, 1.0), 10),
     (Grid(16, 1, 2.0), 8),
     (Grid(6, 10, 1.5, 0.7), 30),
+    (Grid(17, 17, 1.0), 40),
 ])
 def test_build_system_equals_per_mode_reference(grid, n):
     # reference: sort (lambda, j, k) tuples, inverse-transform one unit
@@ -83,7 +85,7 @@ def test_build_system_equals_per_mode_reference(grid, n):
     modes = list(zip(*(m.tolist() for m in lowest_modes(grid, n))))
     assert modes == [(j, k) for _, j, k in order]
     assert np.array_equal(system.lam, [l for l, _, _ in order])
-    assert np.array_equal(system.basis, basis)
+    assert np.array_equal(system.reconstruct(np.eye(n)), basis)
     phi0 = Field(grid, np.random.default_rng(7).standard_normal(grid.size))
     coeffs = to_spectral(phi0).coeffs
     assert np.array_equal(project_initial(phi0, n), [coeffs[j, k] for _, j, k in order])
@@ -92,8 +94,46 @@ def test_build_system_equals_per_mode_reference(grid, n):
 def test_basis_rows_are_orthonormal():
     g = Grid(8, 8, 1.0)
     system = build_system(g, 6)
-    gram = g.cell * system.basis @ system.basis.T
+    basis = system.reconstruct(np.eye(6))
+    gram = g.cell * basis @ basis.T
     assert np.allclose(gram, np.eye(6), atol=1e-12)
+
+
+@pytest.mark.parametrize("grid, n", [
+    (Grid(16, 16, 1.0), 256),
+    (Grid(8, 8, 1.0), 10),
+    (Grid(17, 17, 1.0), 40),
+    (Grid(6, 10, 1.5, 0.7), 30),
+    (Grid(16, 1, 2.0), 8),
+])
+def test_mode_maps_match_the_dense_basis(grid, n):
+    # project and reconstruct go through the transforms; the sampled basis
+    # they replace gives the same maps as dense products
+    system = build_system(grid, n)
+    basis = basis_modes(grid, *lowest_modes(grid, n))
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((3, grid.size))
+    coeffs = rng.standard_normal((3, n))
+    projected = system.project(values)
+    dense = grid.cell * values @ basis.T
+    assert np.max(np.abs(projected - dense)) <= 1e-14 * np.max(np.abs(dense))
+    nodal = system.reconstruct(coeffs)
+    dense = coeffs @ basis
+    assert np.max(np.abs(nodal - dense)) <= 1e-14 * np.max(np.abs(dense))
+    for row in range(3):
+        assert np.array_equal(system.project(values[row]), projected[row])
+        assert np.array_equal(system.reconstruct(coeffs[row]), nodal[row])
+
+
+def test_build_system_holds_no_dense_basis():
+    # a complete 32x32 basis would be 1024 x 1024 doubles, 8 MB
+    tracemalloc.start()
+    try:
+        build_system(Grid(32, 32, 1.0), 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +399,20 @@ def test_chord_newton_rebuilds_a_stale_jacobian(tmp_path):
     traj = assert_matches_full_newton(system, y0, cfg, 1)
     assert traj.jacobians > 1
     assert np.all(np.isfinite(traj.y)) and np.all(np.isfinite(traj.z))
+
+
+def test_integrate_predicts_each_substep_from_the_last_increment(tmp_path, monkeypatch):
+    # one nonlinearity per residual, one per output state and z[0], and one
+    # explicit predictor on the first substep; every later substep is
+    # predicted from the previous increment, at no evaluation
+    system, y0, cfg = oracle_inputs(tmp_path, 3611022795, 2, "1e-2")
+    calls = []
+    f_d1_vec = galerkin.potentials.f_d1_vec
+    monkeypatch.setattr(galerkin.potentials, "f_d1_vec",
+                        lambda spec, values: calls.append(1) or f_d1_vec(spec, values))
+    traj = integrate(system, y0, cfg.u0, cfg.spec, substeps=2)
+    nt = cfg.timegrid.nt
+    assert len(calls) == traj.newton_iterations + nt * (2 + 1) + 2
 
 
 def test_integrate_raises_newton_failure_when_out_of_iterations(monkeypatch):
