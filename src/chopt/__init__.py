@@ -17,7 +17,7 @@ from .control import (
 )
 from .cost import CostSpec, cost_J
 from .errors import ChoptError
-from .galerkin import build_system, compare_to_pde, integrate, project_initial
+from .galerkin import build_system, compare_to_pde, integrate
 from .potentials import PotentialSpec
 from .sensitivity import (
     AdjointTrajectory,

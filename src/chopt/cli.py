@@ -26,7 +26,7 @@ from .config import RunConfig, parse_config
 from .control import ControlProblem, optimize
 from .cost import CostSpec
 from .errors import ChoptError, ConfigurationError, ValidationError
-from .galerkin import build_system, compare_to_pde, integrate, project_initial
+from .galerkin import build_system, compare_to_pde, integrate
 from .runio import SnapshotWriter, write_csv, write_snapshots
 from .state import _DIAG_COLUMNS, _forward_rows, simulate
 from .verify import run_checks
@@ -131,7 +131,7 @@ def run_verify(cfg: RunConfig, out: Path) -> int:
 def run_oracle_compare(cfg: RunConfig, out: Path) -> int:
     # the mode count is checked against the grid before the forward solve
     system = build_system(cfg.grid, cfg.oracle_modes)
-    y0 = project_initial(cfg.phi0, cfg.oracle_modes)
+    y0 = system.project(cfg.phi0.values)
     pde = simulate(cfg.phi0, cfg.u0, cfg.spec, cfg.timegrid,
                    check_compatibility=False, with_diagnostics=False)
     oracle = integrate(system, y0, cfg.u0, cfg.spec, substeps=cfg.oracle_substeps)

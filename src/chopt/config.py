@@ -21,6 +21,10 @@ Field descriptors:
     (NMODES in 1..nx*ny, default min(8, nx*ny); file: reads the first frame)
 Control descriptors (file: holds one frame per time level):
     zero | constant:V | random[:AMP] (smooth random slices) | file:PATH
+
+band_limited, smooth and random draw standard normal coefficients on the
+lowest modes of ``galerkin.build_system`` (NMODES, min(6, nx*ny) and
+min(4, nx*ny) of them) and scatter them through its ``reconstruct``.
 """
 
 from __future__ import annotations
@@ -34,9 +38,10 @@ import numpy as np
 
 from .control import OptimizerConfig
 from .errors import ParseError, ValidationError
+from .galerkin import build_system
 from .potentials import PotentialSpec
 from .runio import read_snapshots
-from .spectral import Field, Grid, SpectralField, from_spectral, lowest_modes
+from .spectral import Field, Grid
 from .state import ControlFunction, TimeGrid, default_stabilization, validate_compatibility
 
 __all__ = ["RunConfig", "parse_config", "build_field", "band_limited_field", "build_control"]
@@ -96,17 +101,12 @@ class RunConfig:
 
 
 def _band_limited_values(grid: Grid, nmodes: int, rng: np.random.Generator) -> np.ndarray:
-    """Random field supported on the min(nmodes, nx*ny) lowest-eigenvalue cosine modes."""
-    j, k = lowest_modes(grid, nmodes)
-    coeffs = np.zeros((grid.nx, grid.ny))
-    coeffs[j, k] = rng.standard_normal(len(j))
-    return from_spectral(SpectralField(grid, coeffs)).values
+    """Random field on the nmodes lowest-eigenvalue cosine modes (BadModeCount outside 1..nx*ny)."""
+    return build_system(grid, nmodes).reconstruct(rng.standard_normal(nmodes))
 
 
 def band_limited_field(grid: Grid, amp: float, nmodes: int, rng: np.random.Generator) -> Field:
     """The ``band_limited:AMP:NMODES`` field: random lowest modes, peak |amp|."""
-    if not 1 <= nmodes <= grid.size:
-        raise ValidationError(f"mode count {nmodes} outside 1..{grid.size}")
     v = _band_limited_values(grid, nmodes, rng)
     peak = np.max(np.abs(v))
     if peak > 0:
@@ -136,7 +136,7 @@ def build_field(grid: Grid, descriptor: str, rng: np.random.Generator) -> Field:
     if kind == "smooth":
         lo_s, _, hi_s = rest.partition(":")
         lo, hi = float(lo_s), float(hi_s)
-        v = _band_limited_values(grid, 6, rng)
+        v = _band_limited_values(grid, min(6, grid.size), rng)
         vmin, vmax = np.min(v), np.max(v)
         if vmax > vmin:
             v = lo + (hi - lo) * (v - vmin) / (vmax - vmin)
@@ -166,8 +166,8 @@ def build_control(
     if kind == "random":
         amp = float(rest) if rest else min(M, 1.0)
         slices = np.empty((nt1, grid.size))
-        base = _band_limited_values(grid, 4, rng)
-        drift = _band_limited_values(grid, 4, rng)
+        base = _band_limited_values(grid, min(4, grid.size), rng)
+        drift = _band_limited_values(grid, min(4, grid.size), rng)
         ts = timegrid.times() / max(timegrid.T, 1.0)
         for n in range(nt1):
             slices[n] = base + ts[n] * drift

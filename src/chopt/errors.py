@@ -27,7 +27,7 @@ class NonFinite(ChoptError):
 
 
 class BadModeCount(ChoptError):
-    """Raised when a Galerkin truncation exceeds the available modes."""
+    """Raised when a mode count lies outside 1..nx*ny, the modes a grid has."""
 
 
 class NewtonFailure(ChoptError):

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import potentials
-from .errors import BadModeCount, NewtonFailure, ShapeMismatch
+from .errors import NewtonFailure, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Field, Grid, _dct, _idct, lowest_modes, to_spectral
+from .spectral import Grid, _dct, _idct, lowest_modes
 from .state import ControlFunction, StateTrajectory, TimeGrid
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "GalerkinTrajectory",
     "ComparisonReport",
     "build_system",
-    "project_initial",
     "integrate",
     "compare_to_pde",
 ]
@@ -46,14 +45,17 @@ class GalerkinSystem:
 
     Ties are broken lexicographically by (j, k).  ``modes[i]`` = j*ny + k is
     mode i's place in the flattened transform coefficients, which the maps
-    below pick and scatter: a system holds O(n) numbers, not the n x nx*ny
+    below gather and scatter: a system holds O(n) numbers, not the n x nx*ny
     sampled basis.
     """
 
     grid: Grid
-    n: int
     lam: np.ndarray = field(repr=False)
     modes: np.ndarray = field(repr=False)
+
+    @property
+    def n(self) -> int:
+        return len(self.modes)
 
     def project(self, values: np.ndarray) -> np.ndarray:
         """H-projection of nodal values, shape (..., size), onto the modes."""
@@ -69,20 +71,10 @@ class GalerkinSystem:
         return _idct(full.reshape(coeffs.shape[:-1] + (g.nx, g.ny)))
 
 
-def _modes(grid: Grid, n: int):
-    if not (1 <= n <= grid.size):
-        raise BadModeCount(f"mode count {n} outside 1..{grid.size}")
-    return lowest_modes(grid, n)
-
-
 def build_system(grid: Grid, n: int) -> GalerkinSystem:
-    j, k = _modes(grid, n)
-    return GalerkinSystem(grid, n, grid.eigenvalues()[j, k], j * grid.ny + k)
-
-
-def project_initial(phi0: Field, n: int) -> np.ndarray:
-    """First n spectral coefficients of phi0 in eigenvalue order."""
-    return to_spectral(phi0).coeffs[_modes(phi0.grid, n)]
+    """The n lowest modes; raises BadModeCount unless 1 <= n <= nx*ny."""
+    modes = lowest_modes(grid, n)
+    return GalerkinSystem(grid, grid.eigenvalues().reshape(-1)[modes], modes)
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,10 @@ def _nonlinearity(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) ->
 
 
 def _nonlinearity_jac(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
-    basis = system.reconstruct(np.eye(system.n))
+    g, n = system.grid, system.n
+    basis = np.zeros((n, g.size))
+    basis[np.arange(n), system.modes] = 1.0 / np.sqrt(g.cell)
+    basis = _idct(basis.reshape(n, g.nx, g.ny))
     basis *= potentials.f_d2_vec(spec, system.reconstruct(y))
     return system.project(basis)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import BadModeCount, ShapeMismatch
 
 __all__ = [
     "Grid",
@@ -52,7 +52,6 @@ __all__ = [
     "to_spectral",
     "from_spectral",
     "grad_sq",
-    "basis_modes",
     "lowest_modes",
 ]
 
@@ -273,21 +272,11 @@ def grad_sq(grid: Grid, snapshots) -> np.ndarray:
     return np.array([np.sum(lam * (_dct(grid, v) * scale) ** 2) for v in rows])
 
 
-def basis_modes(grid: Grid, j, k) -> np.ndarray:
-    """The eigenfunctions e_{j[i] k[i]} sampled on the grid, one row each.
+def lowest_modes(grid: Grid, n: int) -> np.ndarray:
+    """Flat places j*ny + k of the n lowest modes, by eigenvalue and then by (j, k).
 
-    One stacked inverse transform of the unit coefficient arrays.
+    Raises BadModeCount unless 1 <= n <= nx*ny.
     """
-    n = len(j)
-    unit = np.zeros((n, grid.nx, grid.ny))
-    unit[np.arange(n), j, k] = 1.0
-    return _idct(unit / np.sqrt(grid.cell))
-
-
-def lowest_modes(grid: Grid, n: int):
-    """Index arrays (j, k) of the n lowest-eigenvalue modes.
-
-    Modes come in nondecreasing eigenvalue order, ties broken by (j, k).
-    """
-    order = np.argsort(grid.eigenvalues().reshape(-1), kind="stable")[:n]
-    return np.unravel_index(order, (grid.nx, grid.ny))
+    if not 1 <= n <= grid.size:
+        raise BadModeCount(f"mode count {n} outside 1..{grid.size}")
+    return np.argsort(grid.eigenvalues().reshape(-1), kind="stable")[:n].copy()  # a view would keep all nx*ny places

@@ -30,7 +30,7 @@ from .control import (
 )
 from .cost import CostSpec, cost_J
 from .errors import ValidationError
-from .galerkin import build_system, compare_to_pde, integrate, project_initial
+from .galerkin import build_system, compare_to_pde, integrate
 from .potentials import PotentialSpec
 from .sensitivity import (
     adjoint_identity_residual,
@@ -38,7 +38,7 @@ from .sensitivity import (
     solve_adjoint,
     solve_linearized,
 )
-from .spectral import Field, Grid, _dct, _idct, basis_modes, grad_sq, lowest_modes, to_spectral
+from .spectral import Field, Grid, _dct, _idct, grad_sq, to_spectral
 from .state import (
     ControlFunction,
     TimeGrid,
@@ -150,11 +150,11 @@ def _n_symmetry(seed):
 def _poincare_bound(seed):
     worst = 0.0
     for i, grid in enumerate(_grids()):
-        j, k = lowest_modes(grid, 2)
+        system = build_system(grid, 2)
         rows = np.vstack([_rng(seed, 30 + i).standard_normal((5, grid.size)),
-                          basis_modes(grid, j[1:], k[1:])])
+                          system.reconstruct(np.array([[0.0, 1.0]]))])
         rows -= rows.mean(axis=1, keepdims=True)
-        lam_min = grid.eigenvalues()[j[1], k[1]]
+        lam_min = system.lam[1]
         excess = lam_min * grid.cell * np.sum(rows * rows, axis=1) / grad_sq(grid, rows) - 1.0
         worst = max(worst, float(np.max(excess[:-1])), abs(float(excess[-1])))
     return worst, (
@@ -454,7 +454,7 @@ def _galerkin_mean(seed):
     u = ControlFunction(grid, tg, slices)
     system = build_system(grid, 1)
     phi0 = Field(grid, np.full(grid.size, 0.3))
-    y0 = project_initial(phi0, 1)
+    y0 = system.project(phi0.values)
     traj = integrate(system, y0, u, spec, substeps=40)
     sqrt_vol = math.sqrt(grid.volume)
     worst = 0.0
@@ -479,7 +479,7 @@ def _galerkin_refinement(seed):
         u = ControlFunction.constant(grid, tg, 0.0)
         pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
         system = build_system(grid, n_modes)
-        y0 = project_initial(phi0, n_modes)
+        y0 = system.project(phi0.values)
         oracle = integrate(system, y0, u, spec, substeps=5)
         return compare_to_pde(oracle, pde).max_phi_error
 

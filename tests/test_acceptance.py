@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from chopt.cli import main
-from chopt.galerkin import build_system, compare_to_pde, integrate, project_initial
+from chopt.galerkin import build_system, compare_to_pde, integrate
 from chopt.potentials import PotentialSpec
 from chopt.spectral import Field, Grid, SpectralField, from_spectral
 from chopt.state import ControlFunction, TimeGrid, default_stabilization, simulate
@@ -93,7 +93,7 @@ def test_criterion_2_galerkin_oracle_equivalence():
     u = ControlFunction.constant(grid, tg, 0.0)
     pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
     system = build_system(grid, 8)
-    oracle = integrate(system, project_initial(phi0, 8), u, spec, substeps=10)
+    oracle = integrate(system, system.project(phi0.values), u, spec, substeps=10)
     err = compare_to_pde(oracle, pde).max_phi_error
     report(2, "Galerkin-oracle equivalence", err <= 1e-3,
            f"max relative L2 phi difference = {err:.3e}")

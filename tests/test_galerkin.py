@@ -6,20 +6,18 @@ import pytest
 
 from chopt import galerkin
 from chopt.cli import run_oracle_compare
-from chopt.config import parse_config
+from chopt.config import band_limited_field, parse_config
 from chopt.errors import BadModeCount, NewtonFailure, ShapeMismatch
 from chopt.galerkin import (
     build_system,
     compare_to_pde,
     integrate,
-    project_initial,
 )
 from chopt.potentials import PotentialSpec
 from chopt.spectral import (
     Field,
     Grid,
     SpectralField,
-    basis_modes,
     from_spectral,
     lowest_modes,
     to_spectral,
@@ -40,6 +38,19 @@ def linear_spec():
                          stabilization=0.0)
 
 
+def reference_order(grid, n):
+    """The n lowest (lambda, j, k), sorted by eigenvalue and then by (j, k)."""
+    lam = grid.eigenvalues()
+    return sorted((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))[:n]
+
+
+def unit_mode(grid, j, k):
+    """The sampled eigenfunction e_jk: one unit coefficient array, transformed back."""
+    unit = np.zeros((grid.nx, grid.ny))
+    unit[j, k] = 1.0
+    return from_spectral(SpectralField(grid, unit)).values
+
+
 # ---------------------------------------------------------------------------
 # system construction
 
@@ -48,7 +59,7 @@ def test_build_system_ordering():
     system = build_system(g, 10)
     assert system.lam[0] == 0.0
     assert np.all(np.diff(system.lam) >= 0)
-    modes = list(zip(*(m.tolist() for m in lowest_modes(g, 10))))
+    modes = [divmod(place, g.ny) for place in lowest_modes(g, 10).tolist()]
     assert modes[0] == (0, 0)
     # lexicographic tie-break within equal eigenvalues
     assert modes[1] == (0, 1) and modes[2] == (1, 0)
@@ -60,8 +71,11 @@ def test_build_system_mode_count():
         build_system(g, 0)
     with pytest.raises(BadModeCount):
         build_system(g, 17)
-    with pytest.raises(BadModeCount):
-        project_initial(Field(g, np.zeros(g.size)), 17)
+    # the band-limited descriptors pick their modes through the same check
+    with pytest.raises(BadModeCount, match="mode count 17 outside 1..16"):
+        lowest_modes(g, 17)
+    with pytest.raises(BadModeCount, match="mode count 0 outside 1..16"):
+        band_limited_field(g, 0.5, 0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("grid, n", [
@@ -74,21 +88,16 @@ def test_build_system_mode_count():
 def test_build_system_equals_per_mode_reference(grid, n):
     # reference: sort (lambda, j, k) tuples, inverse-transform one unit
     # coefficient array per mode; the batched build must agree bit for bit
-    lam = grid.eigenvalues()
-    order = sorted((lam[j, k], j, k) for j in range(grid.nx) for k in range(grid.ny))[:n]
-    basis = []
-    for _, j, k in order:
-        unit = np.zeros((grid.nx, grid.ny))
-        unit[j, k] = 1.0
-        basis.append(from_spectral(SpectralField(grid, unit)).values)
+    order = reference_order(grid, n)
+    basis = [unit_mode(grid, j, k) for _, j, k in order]
     system = build_system(grid, n)
-    modes = list(zip(*(m.tolist() for m in lowest_modes(grid, n))))
-    assert modes == [(j, k) for _, j, k in order]
+    assert lowest_modes(grid, n).tolist() == [j * grid.ny + k for _, j, k in order]
+    assert system.n == n and np.array_equal(system.modes, lowest_modes(grid, n))
     assert np.array_equal(system.lam, [l for l, _, _ in order])
     assert np.array_equal(system.reconstruct(np.eye(n)), basis)
     phi0 = Field(grid, np.random.default_rng(7).standard_normal(grid.size))
     coeffs = to_spectral(phi0).coeffs
-    assert np.array_equal(project_initial(phi0, n), [coeffs[j, k] for _, j, k in order])
+    assert np.array_equal(system.project(phi0.values), [coeffs[j, k] for _, j, k in order])
 
 
 def test_basis_rows_are_orthonormal():
@@ -110,7 +119,7 @@ def test_mode_maps_match_the_dense_basis(grid, n):
     # project and reconstruct go through the transforms; the sampled basis
     # they replace gives the same maps as dense products
     system = build_system(grid, n)
-    basis = basis_modes(grid, *lowest_modes(grid, n))
+    basis = np.array([unit_mode(grid, j, k) for _, j, k in reference_order(grid, n)])
     rng = np.random.default_rng(11)
     values = rng.standard_normal((3, grid.size))
     coeffs = rng.standard_normal((3, n))
@@ -136,12 +145,31 @@ def test_build_system_holds_no_dense_basis():
     assert peak < 1_000_000
 
 
+def test_nonlinearity_jacobian_scatters_unit_rows():
+    # the Jacobian's sampled modes are unit coefficients scattered straight
+    # into one zero stack, with no n x n identity built first: at 32^2 with
+    # every mode its tracemalloc peak stays below 28 MB (33.6 MB with the identity)
+    g = Grid(32, 32, 1.0)
+    system = build_system(g, g.size)
+    y = 0.1 * np.random.default_rng(2).standard_normal(g.size)
+    spec = regular_spec()
+    tracemalloc.start()
+    try:
+        jac = galerkin._nonlinearity_jac(system, spec, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 28_000_000
+    curvature = galerkin.potentials.f_d2_vec(spec, system.reconstruct(y))
+    assert np.array_equal(jac, system.project(system.reconstruct(np.eye(g.size)) * curvature))
+
+
 # ---------------------------------------------------------------------------
 # initial projection
 
 def test_project_initial_eigenmode():
     g = Grid(8, 8, 1.0)
-    y0 = project_initial(Field(g, basis_modes(g, [1], [0])[0]), 4)
+    y0 = build_system(g, 4).project(unit_mode(g, 1, 0))
     expected = np.zeros(4)
     expected[2] = 1.0  # (1,0) comes after (0,0), (0,1) in the ordering
     assert np.allclose(y0, expected, atol=1e-12)
@@ -150,9 +178,9 @@ def test_project_initial_eigenmode():
 def test_project_initial_constant_n1():
     g = Grid(8, 8, 2.0, 0.5)
     phi0 = Field(g, np.full(g.size, 0.7))
-    y0 = project_initial(phi0, 1)
-    assert y0[0] == pytest.approx(0.7 * math.sqrt(g.volume), rel=1e-12)
     system = build_system(g, 1)
+    y0 = system.project(phi0.values)
+    assert y0[0] == pytest.approx(0.7 * math.sqrt(g.volume), rel=1e-12)
     assert np.allclose(system.reconstruct(y0), 0.7, atol=1e-12)
 
 
@@ -160,7 +188,7 @@ def test_project_initial_contracts_norm():
     g = Grid(8, 8, 1.0)
     phi0 = Field(g, RNG.standard_normal(g.size))
     for n in (1, 4, 16):
-        y0 = project_initial(phi0, n)
+        y0 = build_system(g, n).project(phi0.values)
         assert np.linalg.norm(y0) <= np.sqrt(g.cell) * np.linalg.norm(phi0.values) + 1e-12
 
 
@@ -174,7 +202,7 @@ def test_integrate_n1_matches_mean_closed_form():
     ubars = RNG.uniform(-0.5, 0.5, tg.nt + 1)
     u = ControlFunction(g, tg, np.repeat(ubars[:, None], g.size, axis=1))
     system = build_system(g, 1)
-    y0 = project_initial(Field(g, np.full(g.size, 0.3)), 1)
+    y0 = system.project(np.full(g.size, 0.3))
     traj = integrate(system, y0, u, spec, substeps=1000)
     sqrt_vol = math.sqrt(g.volume)
     for n in range(tg.nt + 1):
@@ -188,7 +216,7 @@ def test_integrate_n1_mean_bound():
     spec = regular_spec()
     u = ControlFunction.constant(g, tg, 0.4)
     system = build_system(g, 1)
-    y0 = project_initial(Field(g, np.full(g.size, 0.2)), 1)
+    y0 = system.project(np.full(g.size, 0.2))
     traj = integrate(system, y0, u, spec, substeps=10)
     means = traj.y[:, 0] / math.sqrt(g.volume)
     assert np.all(means >= 0.2 - 0.4 - 1e-10)
@@ -246,10 +274,10 @@ def test_compare_linear_band_limited():
     spec = linear_spec()
     tg = TimeGrid(0.002, 200)
     u = ControlFunction.constant(g, tg, 0.0)
-    phi0 = Field(g, 0.05 + 0.01 * basis_modes(g, [1], [0])[0])
+    phi0 = Field(g, 0.05 + 0.01 * unit_mode(g, 1, 0))
     pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
     system = build_system(g, 4)
-    y0 = project_initial(phi0, 4)
+    y0 = system.project(phi0.values)
     oracle = integrate(system, y0, u, spec, substeps=2)
     report = compare_to_pde(oracle, pde)
     assert report.max_phi_error <= 1e-6
@@ -263,7 +291,7 @@ def test_compare_stationary():
     u = ControlFunction.constant(g, tg, 1.0)
     pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
     system = build_system(g, 4)
-    oracle = integrate(system, project_initial(phi0, 4), u, spec, substeps=5)
+    oracle = integrate(system, system.project(phi0.values), u, spec, substeps=5)
     report = compare_to_pde(oracle, pde)
     # mu vanishes at this fixed point, so only the phi comparison is meaningful
     assert report.max_phi_error <= 1e-10
@@ -362,7 +390,7 @@ def oracle_inputs(tmp_path, seed, substeps, eps="1e-3", steps=50):
                     .replace("steps = 50", f"steps = {steps}"))
     cfg = parse_config(path)
     system = build_system(cfg.grid, cfg.oracle_modes)
-    return system, project_initial(cfg.phi0, cfg.oracle_modes), cfg
+    return system, system.project(cfg.phi0.values), cfg
 
 
 def assert_matches_full_newton(system, y0, cfg, substeps):
@@ -420,6 +448,6 @@ def test_integrate_raises_newton_failure_when_out_of_iterations(monkeypatch):
     g = Grid(8, 8, 1.0)
     tg = TimeGrid(0.1, 5)
     u = ControlFunction.constant(g, tg, 0.2)
-    phi0 = Field(g, 0.3 * basis_modes(g, [1], [1])[0])
+    system = build_system(g, 6)
     with pytest.raises(NewtonFailure, match="output step 0"):
-        integrate(build_system(g, 6), project_initial(phi0, 6), u, regular_spec())
+        integrate(system, system.project(0.3 * unit_mode(g, 1, 1)), u, regular_spec())

@@ -25,7 +25,7 @@ from chopt.cli import main, run_simulate
 from chopt.config import build_field, parse_config
 from chopt.errors import ParseError, ShapeMismatch, ValidationError
 from chopt.runio import SnapshotWriter, format_value, read_snapshots, write_csv, write_snapshots
-from chopt.spectral import Grid, grad_sq
+from chopt.spectral import Grid, SpectralField, from_spectral, grad_sq
 from chopt.verify import REGISTRY, registered_checks, run_checks
 
 RNG = np.random.default_rng(2024)
@@ -254,6 +254,37 @@ def test_band_limited_mode_count_default_and_range(tmp_path):
     assert np.array_equal(default, explicit)
     full = parse_config(write_cfg(tmp_path, MINIMAL + "\n[initial]\nphi0 = band_limited:0.5:64\n"))
     assert np.max(np.abs(full.phi0.values)) == 0.5
+
+
+def scattered_reference_values(grid, nmodes, rng):
+    """The descriptors' random lowest-mode field, built as an (nx, ny) scatter.
+
+    The stable eigenvalue order's first nmodes flat places go back to (j, k)
+    and the draws are scattered there before one ``from_spectral``.
+    """
+    places = np.argsort(grid.eigenvalues().reshape(-1), kind="stable")[:nmodes]
+    coeffs = np.zeros((grid.nx, grid.ny))
+    coeffs[np.unravel_index(places, (grid.nx, grid.ny))] = rng.standard_normal(len(places))
+    return from_spectral(SpectralField(grid, coeffs)).values
+
+
+# a square, an odd rectangle, a folded 128-point axis, and a grid with fewer
+# cells than smooth's 6 and random's 4 modes, which clamp to it
+@pytest.mark.parametrize("grid", [Grid(16, 16, 1.0), Grid(17, 9, 1.3, 0.7),
+                                  Grid(128, 3, 1.3, 0.4), Grid(2, 1, 1.0)])
+def test_descriptor_fields_match_the_scattered_reference(monkeypatch, grid):
+    tg = state.TimeGrid(0.5, 5)
+
+    def draw():
+        rng = np.random.default_rng(11)
+        fields = [build_field(grid, d, rng).values
+                  for d in ("band_limited:0.4", f"band_limited:0.4:{grid.size}", "smooth:-0.6:0.6")]
+        return fields + [config.build_control(grid, tg, "random:0.1", 0.2, rng).slices]
+
+    got = draw()
+    monkeypatch.setattr(config, "_band_limited_values", scattered_reference_values)
+    for value, reference in zip(got, draw(), strict=True):
+        assert np.array_equal(value, reference)
 
 
 def test_file_descriptors_read_snapshots_bit_for_bit(tmp_path):

@@ -12,11 +12,11 @@ from chopt.errors import ShapeMismatch
 from chopt.spectral import (
     Field,
     Grid,
+    SpectralField,
     _cos_matrix,
     _dct,
     _fold_halves,
     _idct,
-    basis_modes,
     from_spectral,
     grad_sq,
     to_spectral,
@@ -26,7 +26,9 @@ RNG = np.random.default_rng(1234)
 
 
 def mode(grid, j, k):
-    return Field(grid, basis_modes(grid, [j], [k])[0])
+    unit = np.zeros((grid.nx, grid.ny))
+    unit[j, k] = 1.0
+    return from_spectral(SpectralField(grid, unit))
 
 
 def random_field(grid):

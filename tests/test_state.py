@@ -9,7 +9,7 @@ from chopt.config import band_limited_field, build_control
 from chopt.cost import CostSpec
 from chopt.errors import NonFinite, ShapeMismatch
 from chopt.potentials import PotentialSpec
-from chopt.spectral import Field, Grid, basis_modes, grad_sq
+from chopt.spectral import Field, Grid, SpectralField, from_spectral, grad_sq
 from chopt.state import (
     ControlFunction,
     StateTrajectory,
@@ -33,6 +33,13 @@ def regular_spec():
 
 def constant_control(grid, tg, value):
     return ControlFunction.constant(grid, tg, value)
+
+
+def mode_values(grid, j, k):
+    """The sampled eigenfunction e_jk, from a unit coefficient array."""
+    unit = np.zeros((grid.nx, grid.ny))
+    unit[j, k] = 1.0
+    return from_spectral(SpectralField(grid, unit)).values
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +137,7 @@ def test_step_single_mode_recurrence():
     tau = 1e-3
     lam = g.eigenvalues()[1, 0]
     amp = 0.01
-    e10 = basis_modes(g, [1], [0])[0]
+    e10 = mode_values(g, 1, 0)
     phi1, mu1 = one_step(Field(g, amp * e10), 0.0, spec, tau)
     # g_n = pi(phi) = -2 c2 phi, so phihat' = (1 + 2 c2 tau lam) phihat / denom
     expected = amp * (1.0 + 2.0 * c2 * tau * lam) / (1.0 + tau + tau * lam**2)
@@ -147,7 +154,7 @@ def test_step_blowup_raises():
     # f'(phi0) is finite (|phi0|^3 <= 8e306), so mu^0 is too; the update
     # overflows and must end in a clean NonFinite, not an overflow warning
     g = Grid(8, 8, 1.0)
-    phi = Field(g, 1e102 * basis_modes(g, [2], [2])[0])
+    phi = Field(g, 1e102 * mode_values(g, 2, 2))
     with pytest.raises(NonFinite) as err:
         one_step(phi, 0.0, regular_spec(), tau=0.1)
     assert err.value.step == 1
@@ -157,7 +164,7 @@ def test_step_blowup_raises():
 def test_simulate_nonfinite_initial_chemical_potential():
     # f'(phi0) overflows: simulate reports step 0 instead of warning
     g = Grid(8, 8, 1.0)
-    phi = Field(g, 1e200 * basis_modes(g, [2], [2])[0])
+    phi = Field(g, 1e200 * mode_values(g, 2, 2))
     with pytest.raises(NonFinite) as err:
         one_step(phi, 0.0, regular_spec(), tau=0.1)
     assert err.value.step == 0
@@ -168,7 +175,7 @@ def test_simulate_nonfinite_diagnostics():
     # phi and mu stay finite, but the energy and ||grad mu|| overflow from
     # step 0 on: the diagnostics report that as NonFinite instead of storing inf
     g = Grid(8, 8, 1.0)
-    phi = Field(g, 5e101 * basis_modes(g, [2], [2])[0])
+    phi = Field(g, 5e101 * mode_values(g, 2, 2))
     tg = TimeGrid(0.1, 1)
     u = constant_control(g, tg, 0.0)
     simulate(phi, u, regular_spec(), tg, with_diagnostics=False)
