@@ -9,7 +9,7 @@ where A = diag(lambda_1..lambda_n), g_j(t) = (u(t), e_j), and G projects the
 nodal nonlinearity beta_reg(phi) + pi(phi) back onto the modes through the
 spectral transforms, with no dense basis.  The system is integrated with a
 fixed-step implicit midpoint rule (A-stable, second order) whose inner solve
-is a chord Newton iteration (one inverted Jacobian reused across substeps),
+is a chord Newton iteration (one diagonal chord matrix reused across steps),
 and serves as an independent cross-check of the spectral PDE stepper.
 """
 
@@ -22,7 +22,7 @@ import numpy as np
 from . import potentials
 from .errors import NewtonFailure, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Grid, _dct, _idct, lowest_modes
+from .spectral import Grid, _cos_matrix, _dct, _idct, lowest_modes
 from .state import ControlFunction, StateTrajectory, TimeGrid
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 
 _NEWTON_TOL = 1e-12
 _NEWTON_MAXIT = 50
-_CHORD_RATE = 0.25  # a correction that shrinks the residual by less rebuilds the Jacobian
+_CHORD_RATE = 0.25  # a correction that shrinks the residual by less rebuilds the chord matrix
 
 
 @dataclass(frozen=True)
@@ -84,20 +84,23 @@ class GalerkinTrajectory:
     y: np.ndarray = field(repr=False)  # state coefficients, (nt+1, n)
     z: np.ndarray = field(repr=False)  # chemical potential coefficients
     newton_iterations: int  # chord corrections over the whole run
-    jacobians: int  # Jacobians built and inverted over the whole run
+    jacobians: int  # chord matrices built over the whole run, one f'' evaluation each
 
 
 def _nonlinearity(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
     return system.project(potentials.f_d1_vec(spec, system.reconstruct(y)))
 
 
-def _nonlinearity_jac(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
-    g, n = system.grid, system.n
-    basis = np.zeros((n, g.size))
-    basis[np.arange(n), system.modes] = 1.0 / np.sqrt(g.cell)
-    basis = _idct(basis.reshape(n, g.nx, g.ny))
-    basis *= potentials.f_d2_vec(spec, system.reconstruct(y))
-    return system.project(basis)
+def _curvature_diagonal(system: GalerkinSystem, spec: PotentialSpec, y: np.ndarray) -> np.ndarray:
+    """Diagonal of the projected curvature P diag(f''(phi)) P^T at coefficients y.
+
+    Mode i = (j, k) samples Cx[j] (x) Cy[k] / sqrt(cell), so its entry is the
+    sum over nodes (p, q) of Cx[j, p]^2 f''[p, q] Cy[k, q]^2: two small products.
+    """
+    g = system.grid
+    curvature = potentials.f_d2_vec(spec, system.reconstruct(y)).reshape(g.nx, g.ny)
+    cx, cy = _cos_matrix(g.nx), _cos_matrix(g.ny)
+    return (cx**2 @ curvature @ (cy**2).T).take(system.modes)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflowing residual is a NewtonFailure
@@ -113,11 +116,12 @@ def integrate(
     ``substeps`` inner steps are taken per output step; the control is held at
     its left slab value, matching the PDE stepper.  Each step is solved by a
     chord Newton iteration, predicted by the previous substep's increment (by
-    an explicit Euler step on the run's first substep): one inverted Jacobian
-    I + (h/2)(I + A^2 + A G'(mid)) serves every iteration of every step, and
-    is rebuilt at the current midpoint only when an iteration shrinks the
-    residual by less than the factor ``_CHORD_RATE`` (at worst this is full
-    Newton).  The trajectory counts the corrections and the Jacobians.
+    an explicit Euler step on the run's first substep): one chord matrix, the
+    diagonal of the Jacobian I + (h/2)(I + A^2 + A G'(mid)), serves every
+    iteration of every step, and is rebuilt at the current midpoint only when
+    an iteration shrinks the residual by less than the factor ``_CHORD_RATE``.
+    The residual test alone sets the solution.  The trajectory counts the
+    corrections and the chord matrices.
     Raises NewtonFailure if the inner solve stalls or overflows (reduce the step).
     """
     if substeps < 1:
@@ -142,13 +146,7 @@ def integrate(
     def rhs(yv: np.ndarray, g: np.ndarray) -> np.ndarray:
         return -yv - A * (A * yv + _nonlinearity(system, spec, yv)) + g
 
-    def inverse_jacobian(mid: np.ndarray) -> np.ndarray:
-        jac = _nonlinearity_jac(system, spec, mid)
-        jac *= (0.5 * h) * A[:, None]
-        jac.flat[:: n + 1] += jac_diag
-        return np.linalg.inv(jac)
-
-    inv_jac = increment = None
+    chord = increment = None
     iterations = jacobians = 0
     for step_idx in range(nt):
         g = system.project(u.slices[step_idx])
@@ -166,11 +164,11 @@ def integrate(
                     break
                 if not np.isfinite(norm):  # the prediction or a correction overflowed
                     raise NewtonFailure(f"implicit midpoint Newton overflowed at output step {step_idx}")
-                if inv_jac is None or norm > _CHORD_RATE * last:
-                    inv_jac = inverse_jacobian(mid)
+                if chord is None or norm > _CHORD_RATE * last:
+                    chord = jac_diag + (0.5 * h) * A * _curvature_diagonal(system, spec, mid)
                     jacobians += 1
                 last = norm
-                yn = yn - inv_jac @ res
+                yn -= res / chord
                 iterations += 1
             else:
                 raise NewtonFailure(

@@ -32,6 +32,10 @@ def regular_spec():
     return PotentialSpec("regular", stabilization=default_stabilization(base))
 
 
+def log_yosida_spec():
+    return PotentialSpec("logarithmic", c1=2.0, eps=1e-2, reg_kind="yosida", stabilization=17.0)
+
+
 def linear_spec():
     # obstacle variant inside [-1, 1]: beta_eps = 0, so G(y) = -2 c2 y (linear)
     return PotentialSpec("double_obstacle", c2=0.5, eps=0.5, reg_kind="yosida",
@@ -145,23 +149,25 @@ def test_build_system_holds_no_dense_basis():
     assert peak < 1_000_000
 
 
-def test_nonlinearity_jacobian_scatters_unit_rows():
-    # the Jacobian's sampled modes are unit coefficients scattered straight
-    # into one zero stack, with no n x n identity built first: at 32^2 with
-    # every mode its tracemalloc peak stays below 28 MB (33.6 MB with the identity)
-    g = Grid(32, 32, 1.0)
-    system = build_system(g, g.size)
-    y = 0.1 * np.random.default_rng(2).standard_normal(g.size)
-    spec = regular_spec()
-    tracemalloc.start()
-    try:
-        jac = galerkin._nonlinearity_jac(system, spec, y)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 28_000_000
+def dense_curvature(system, spec, y):
+    """The projected curvature P diag(f''(phi)) P^T through the sampled basis."""
     curvature = galerkin.potentials.f_d2_vec(spec, system.reconstruct(y))
-    assert np.array_equal(jac, system.project(system.reconstruct(np.eye(g.size)) * curvature))
+    return system.project(system.reconstruct(np.eye(system.n)) * curvature)
+
+
+@pytest.mark.parametrize("grid, n", [
+    (Grid(16, 16, 1.0), 256),
+    (Grid(17, 9, 1.3, 0.7), 60),
+])
+def test_curvature_diagonal_is_the_dense_diagonal(grid, n):
+    # the chord matrix's curvature term is the exact Galerkin diagonal, read
+    # from two products with the squared cosine matrices
+    system = build_system(grid, n)
+    spec = log_yosida_spec()
+    y = system.project(0.9 * np.cos(np.linspace(0.0, 5.0, grid.size)))
+    diag = galerkin._curvature_diagonal(system, spec, y)
+    dense = np.diag(dense_curvature(system, spec, y))
+    assert np.max(np.abs(diag - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +379,7 @@ def full_newton(system, y0, u, spec, tg, substeps):
                 res = yn - yk - h * rhs(mid, g)
                 if np.linalg.norm(res) <= galerkin._NEWTON_TOL * (1.0 + np.linalg.norm(yk)):
                     break
-                jac_f = -eye - np.diag(A * A) - A[:, None] * galerkin._nonlinearity_jac(
-                    system, spec, mid)
+                jac_f = -eye - np.diag(A * A) - A[:, None] * dense_curvature(system, spec, mid)
                 yn = yn - np.linalg.solve(eye - 0.5 * h * jac_f, res)
             else:
                 raise NewtonFailure(f"reference Newton stalled at output step {step_idx}")
@@ -383,11 +388,12 @@ def full_newton(system, y0, u, spec, tg, substeps):
     return np.array(y)
 
 
-def oracle_inputs(tmp_path, seed, substeps, eps="1e-3", steps=50):
+def oracle_inputs(tmp_path, seed, substeps, eps="1e-3", steps=50, phi0="band_limited:0.4:4"):
     path = tmp_path / "run.cfg"
     path.write_text(ORACLE_YOSIDA.format(seed=seed, substeps=substeps)
                     .replace("eps = 1e-3", f"eps = {eps}")
-                    .replace("steps = 50", f"steps = {steps}"))
+                    .replace("steps = 50", f"steps = {steps}")
+                    .replace("band_limited:0.4:4", phi0))
     cfg = parse_config(path)
     system = build_system(cfg.grid, cfg.oracle_modes)
     return system, system.project(cfg.phi0.values), cfg
@@ -411,6 +417,33 @@ def assert_matches_full_newton(system, y0, cfg, substeps):
 def test_chord_newton_matches_full_newton(tmp_path, seed, substeps, eps):
     system, y0, cfg = oracle_inputs(tmp_path, seed, substeps, eps)
     assert_matches_full_newton(system, y0, cfg, substeps)
+
+
+@pytest.mark.parametrize("seed", [2, 6])
+def test_chord_newton_finishes_a_stiff_start(tmp_path, seed):
+    # |phi0| up to 0.95 at eps = 1e-3 with one substep: a chord matrix built
+    # from the mean of f'' stalls at these seeds and raises NewtonFailure,
+    # the Galerkin diagonal converges to the full-Newton trajectory
+    system, y0, cfg = oracle_inputs(tmp_path, seed, 1, phi0="smooth:-0.95:0.95")
+    assert_matches_full_newton(system, y0, cfg, 1)
+
+
+def test_integrate_holds_no_dense_jacobian():
+    # an n x n Jacobian at 32^2 with every mode is 8 MB, and the n-field
+    # basis stack that built it another 8 MB: the diagonal chord needs neither
+    g = Grid(32, 32, 1.0)
+    system = build_system(g, g.size)
+    spec = log_yosida_spec()
+    u = ControlFunction.constant(g, TimeGrid(0.05, 5), 0.1)
+    y0 = system.project(0.5 * np.cos(np.linspace(0.0, 7.0, g.size)))
+    tracemalloc.start()
+    try:
+        traj = integrate(system, y0, u, spec, substeps=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.newton_iterations > 0
+    assert peak < 2_000_000
 
 
 def test_chord_newton_builds_few_jacobians(tmp_path):
