@@ -2,20 +2,20 @@
 
 The admissible set couples a pointwise box |u| <= M with a bound M' on the
 L^2(Q) norm of the discrete time derivative; both bounds belong to the
-``ControlProblem``.  ``project_Uad`` runs Dykstra's algorithm between the
-box clip and the projection onto the derivative ball, both projections in
-the ``control_inner`` metric, so its limit is the metric projection P onto
-the admissible set; it is the one producer that promises a feasible
-control, and it checks its own output.  The optimizer is projected-gradient
-descent with Barzilai–Borwein trial steps and Armijo backtracking on the
-reduced discrete cost; u = P(u - g) is the variational inequality.
+``ControlProblem``.  ``project_Uad`` is the metric projection P onto it in the
+``control_inner`` pairing: the clip when the clip meets M', else the box QP
+with the multiplier m of the derivative bound, solved by primal-dual active
+sets for each m and a bracketed search for m.  It is the one producer that
+promises a feasible control, and it checks its own output.  The optimizer is
+projected-gradient descent with Barzilai–Borwein trial steps and Armijo
+backtracking on the reduced discrete cost; u = P(u - g) is the variational
+inequality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -34,17 +34,11 @@ from .state import (
     validate_compatibility,
 )
 
-__all__ = [
-    "OptimizerConfig",
-    "ControlProblem",
-    "OptimizeResult",
-    "project_Uad",
-    "optimize",
-]
+__all__ = ["OptimizerConfig", "ControlProblem", "OptimizeResult", "project_Uad", "optimize"]
 
-# Dykstra's iteration budget and its stopping increment (max-norm).
-DYKSTRA_ITERS = 50
-DYKSTRA_TOL = 1e-10
+# Active-set rounds per box QP and box QPs per projection, each budget raising
+# ConvergenceFailure when spent, and the gap M'/||d_t u|| - 1 that ends the multiplier search.
+_MAX_ROUNDS, _MAX_QPS, _MULTIPLIER_RTOL = 100, 200, 1e-14
 # Relative slack of the derivative bound that project_Uad guarantees.
 FEASIBILITY_TOL = 1e-9
 # The line search: largest trial step, Armijo constant, backtracking factor
@@ -85,81 +79,91 @@ class ControlProblem:
 # ---------------------------------------------------------------------------
 # projection onto the admissible set
 
-@lru_cache(maxsize=8)
-def _ball_basis(nt: int):
-    """sqrt(w) and the eigenpairs of W^(-1/2) L W^(-1/2), read-only, W = diag(w) the trapezoid
-    weights and L = D^T D the path Laplacian in time; the null eigenvalue is exactly 0."""
-    sw = np.sqrt(_trapezoid_weights(nt))
-    d = np.diff(np.eye(nt + 1), axis=0)
-    lam, vecs = np.linalg.eigh(d.T @ d / np.outer(sw, sw))
-    lam[0] = 0.0
-    sw.flags.writeable = lam.flags.writeable = vecs.flags.writeable = False
-    return sw, lam, vecs
+def _box_qp(wx: np.ndarray, w: np.ndarray, m: float, M: float, u: np.ndarray, lam: np.ndarray):
+    """u(m) and its box multipliers lam: each column of u minimizes 1/2 ||u - x||_W^2 +
+    (m/2) ||Du||^2 over |u| <= M, with ``wx`` = W x, W = diag(w) and D the time difference.
 
-
-def _project_ball(grid: Grid, timegrid: TimeGrid, slices: np.ndarray, Mprime: float):
-    """The ``control_inner`` projection onto ||d_t u|| <= M'; a copy when ||d_t x|| <= M'.
-
-    u solves (W + m L) u = W x.  The multiplier m is the root of 1/||d_t u(m)|| = 1/M',
-    which Newton's method from m = 0 approaches from below (Moré & Sorensen 1983).
-    At M' = 0, u is the trapezoid-weighted time mean.
+    Primal-dual active sets (Hintermüller, Ito & Kunisch 2002) on the Stieltjes matrix
+    A = W + m D^T D, from the sets of a solution (u, lam) at another m and with c = diag A:
+    rows where lam + c (u -+ M) lies beyond 0 are held at +-M, one batched Thomas sweep solves
+    the others, and lam = W x - A u on the held rows.  Sets that repeat have solved the QP.
     """
-    norm = _dt_norm(grid, timegrid, np.diff(slices, axis=0))
-    if norm <= Mprime:
-        return slices.copy()
-    if Mprime == 0:
-        mean = np.average(slices, axis=0, weights=_trapezoid_weights(timegrid.nt))
-        return np.repeat(mean[None, :], len(slices), axis=0)
-    sw, lam, vecs = _ball_basis(timegrid.nt)
-    z = vecs.T @ (sw[:, None] * slices)
-    # ||d_t u(m)||^2 = sum_k lam_k zz_k / (1 + m lam_k)^2
-    zz = grid.cell / timegrid.tau * np.sum(z * z, axis=1)
-    m = 0.0
-    for _ in range(100):  # it stops within ten steps
-        r = 1.0 / (1.0 + m * lam)
-        dn2 = np.dot(lam * r * r, zz)
-        dm = dn2 * (math.sqrt(dn2) / Mprime - 1.0) / np.dot(lam * lam * r**3, zz)
-        m += dm
-        if dm <= 1e-14 * m:
-            break
-    return vecs @ (z / (1.0 + m * lam)[:, None]) / sw[:, None]
+    c = w + m * np.r_[1.0, np.full(len(wx) - 2, 2.0), 1.0][:, None]
+    sets = None
+    for _ in range(_MAX_ROUNDS):
+        s = (lam + c * (u - M) > 0).astype(int) - (lam + c * (u + M) < 0)
+        if np.array_equal(s, sets):
+            return u, lam
+        sets, held = s, s != 0
+        off, piv = np.where(held, 0.0, -m), np.where(held, 1.0, c)
+        u = np.where(held, np.copysign(M, s), wx)
+        for k in range(1, len(u)):  # the pivots stay >= w: A is diagonally dominant
+            piv[k] -= off[k] / piv[k - 1] * off[k - 1]
+            u[k] -= off[k] / piv[k - 1] * u[k - 1]
+        u[-1] /= piv[-1]
+        for k in range(len(u) - 2, -1, -1):
+            u[k] = (u[k] - off[k] * u[k + 1]) / piv[k]
+        d2u = np.diff(np.diff(u, axis=0), axis=0, prepend=0.0, append=0.0)
+        lam = np.where(held, wx - w * u + m * d2u, 0.0)
+    raise ConvergenceFailure(f"projection: the active sets did not settle in {_MAX_ROUNDS} rounds")
 
 
-def project_Uad(
-    grid: Grid,
-    timegrid: TimeGrid,
-    slices: np.ndarray,
-    M: float,
-    Mprime: float,
-) -> ControlFunction:
-    """Project a raw control onto the admissible set.
+def project_Uad(grid: Grid, timegrid: TimeGrid, slices: np.ndarray, M: float,
+                Mprime: float) -> ControlFunction:
+    """The metric projection P onto the admissible set in the ``control_inner`` pairing.
 
-    Dykstra's algorithm alternates the box clip with the derivative-ball
-    projection for at most ``DYKSTRA_ITERS`` rounds, then clips once more.  The
-    box holds exactly, and since a clip cannot raise ||d_t u||, the derivative
-    bound to within ``FEASIBILITY_TOL``; an output that misses it raises
-    ConvergenceFailure.  Feasible inputs are returned unchanged (up to roundoff).
+    The clip of x is P(x) when it meets M' (a projection onto a superset that lands in the
+    set), and at M' = 0 P(x) is the clipped trapezoid-weighted time mean.  Otherwise P(x) is
+    the ``_box_qp`` solution u(m*) at the root m* > 0 of ||d_t u(m)|| = M', a norm that falls
+    as m grows from u(0) = clip.  m* is bracketed by growing m, then narrowed by Illinois
+    regula falsi (Dowell & Jarratt 1971) on M'/||d_t u(m)|| - 1, close to linear in m, each
+    QP starting from the bracket's low end; P(x) is u at the feasible end once its norm is
+    within ``_MULTIPLIER_RTOL`` of M' or the bracket has closed.  The box holds exactly; an
+    output missing M' by more than ``FEASIBILITY_TOL`` raises ConvergenceFailure, as does an
+    iteration that does not converge.
     """
     if not (M >= 0 and Mprime >= 0):
         raise ValueError("bounds must be nonnegative")
     x = np.asarray(slices, dtype=float)
     if x.shape != (timegrid.nt + 1, grid.size):
         raise ShapeMismatch("control slices have the wrong shape")
-    p_inc = np.zeros_like(x)
-    q_inc = np.zeros_like(x)
-    for _ in range(DYKSTRA_ITERS):
-        y = np.clip(x + p_inc, -M, M)
-        p_inc = x + p_inc - y
-        x_new = _project_ball(grid, timegrid, y + q_inc, Mprime)
-        q_inc = y + q_inc - x_new
-        x, dx = x_new, np.max(np.abs(x_new - x))
-        if dx <= DYKSTRA_TOL:
-            break
-    x = np.clip(x, -M, M)
-    dn = _dt_norm(grid, timegrid, np.diff(x, axis=0))
+    u, w = np.clip(x, -M, M), _trapezoid_weights(timegrid.nt)[:, None]
+    norm = _dt_norm(grid, timegrid, np.diff(u, axis=0))
+    if norm > Mprime and Mprime == 0:
+        u = np.repeat(np.clip(np.average(x, axis=0, weights=w[:, 0]), -M, M)[None], len(x), axis=0)
+    elif norm > Mprime:
+        wx = w * x
+        # the bracket's ends [m, u(m), M'/||d_t u(m)|| - 1] and the box multipliers of the low end
+        lo, lam_lo, hi, m, side = [0.0, u, Mprime / norm - 1.0], wx - w * u, None, 1.0, None
+        for _ in range(_MAX_QPS):
+            u, lam = _box_qp(wx, w, m, M, lo[1], lam_lo)
+            norm = _dt_norm(grid, timegrid, np.diff(u, axis=0))
+            f = Mprime / norm - 1.0 if norm > 0 else math.inf
+            if 0 <= f <= _MULTIPLIER_RTOL:
+                break
+            if f < 0:
+                lo, lam_lo = [m, u, f], lam
+            else:
+                hi = [m, u, f]
+            if hi is None:
+                m *= max(2.0, norm / Mprime)
+                continue
+            if side == (f < 0):  # Illinois: the end kept twice running has its residual halved
+                (hi if f < 0 else lo)[2] *= 0.5
+            side = f < 0
+            m = (lo[0] * hi[2] - hi[0] * lo[2]) / (hi[2] - lo[2])
+            if not lo[0] < m < hi[0]:  # also a nan from f = inf
+                m = 0.5 * (lo[0] + hi[0])
+                if not lo[0] < m < hi[0]:
+                    u = hi[1]
+                    break
+        else:
+            raise ConvergenceFailure(f"projection: the multiplier did not converge in {_MAX_QPS} box QPs")
+    out = ControlFunction(grid, timegrid, u)
+    dn = out.dt_l2()
     if dn > Mprime + FEASIBILITY_TOL * (1.0 + Mprime):
         raise ConvergenceFailure(f"control violates the derivative bound: {dn:g} > {Mprime:g}")
-    return ControlFunction(grid, timegrid, x)
+    return out
 
 
 # ---------------------------------------------------------------------------

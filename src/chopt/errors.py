@@ -11,7 +11,7 @@ class DomainViolation(ChoptError):
 
 class ConvergenceFailure(ChoptError):
     """Raised for a non-finite resolvent argument, resolvent sweeps that did not settle, or a
-    projection whose output misses the derivative bound."""
+    projection that did not converge or whose output misses the derivative bound."""
 
 
 class WrongVariant(ChoptError):

@@ -130,7 +130,7 @@ def test_criterion_8_regularization_sweeps():
 
 def test_criterion_9_descent_and_optimality():
     # final-stationarity certifies first-order optimality because P is the metric
-    # projection, which projection-kkt checks for the derivative-ball step
+    # projection, which projection-kkt checks against the KKT conditions of the box and ball
     report_checks(9, "projected-gradient descent and optimality",
                   ["control.monotone-descent", "control.feasible-descent", "control.cost-decrease",
                    "control.projection-kkt", "control.optimizer-converged",

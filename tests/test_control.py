@@ -2,11 +2,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import array_shapes, arrays
 
-from chopt import control
+from chopt import control, verify
 from chopt.cli import _build_cost
 from chopt.config import build_control, parse_config
 from chopt.control import (
@@ -20,7 +17,7 @@ from chopt.errors import ConfigurationError, ConvergenceFailure
 from chopt.potentials import PotentialSpec
 from chopt.spectral import Field, Grid
 from chopt.state import ControlFunction, TimeGrid, default_stabilization, simulate
-from chopt.verify import _opt_setup
+from chopt.verify import _opt_setup, run_checks
 
 RNG = np.random.default_rng(55)
 
@@ -117,8 +114,9 @@ def test_projection_stays_on_a_tiny_derivative_ball():
 
 
 def test_project_Uad_checks_its_output(monkeypatch):
-    # without the ball step the derivative bound cannot be met
-    monkeypatch.setattr(control, "_project_ball", lambda grid, tg, slices, Mprime: slices)
+    # a projection that misjudges the derivative norm returns the clip, which misses
+    # the bound; the output check measures it through ControlFunction.dt_l2
+    monkeypatch.setattr(control, "_dt_norm", lambda grid, tg, d: 0.0)
     g = Grid(8, 8, 1.0)
     tg = TimeGrid(0.5, 20)
     slices = 5.0 * RNG.standard_normal((tg.nt + 1, g.size))
@@ -126,17 +124,61 @@ def test_project_Uad_checks_its_output(monkeypatch):
         project_Uad(g, tg, slices, M=0.7, Mprime=1.5)
 
 
-@settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(slices=arrays(np.float64, array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=6),
-                     elements=st.floats(-1e3, 1e3)),
-       M=st.floats(0.0, 1e3))
-def test_clip_never_raises_the_derivative_norm(slices, M):
-    # project_Uad closes with one clip after its last ball step; the clip is
-    # pointwise 1-Lipschitz, so it keeps the derivative bound that step met
-    g = Grid(slices.shape[1], 1, 1.0)
-    tg = TimeGrid(1.0, slices.shape[0] - 1)
-    clipped = ControlFunction(g, tg, np.clip(slices, -M, M))
-    assert clipped.dt_l2() <= ControlFunction(g, tg, slices).dt_l2()
+def _ball_step(g, tg, y, Mprime):
+    """The control_inner projection onto ||d_t u|| <= M', from a dense eigendecomposition of
+    W^(-1/2) L W^(-1/2) and Newton's method on the secular equation (Moré & Sorensen 1983)."""
+    sw = np.sqrt(np.r_[0.5, np.ones(tg.nt - 1), 0.5])
+    d = np.diff(np.eye(tg.nt + 1), axis=0)
+    lam, vecs = np.linalg.eigh(d.T @ d / np.outer(sw, sw))
+    lam[0] = 0.0
+    z = vecs.T @ (sw[:, None] * y)
+    zz = g.cell / tg.tau * np.sum(z * z, axis=1)
+    if np.dot(lam, zz) <= Mprime**2:
+        return y.copy()
+    m = 0.0
+    for _ in range(100):  # from m = 0 Newton rises monotonically to the root
+        r = 1.0 / (1.0 + m * lam)
+        dn2 = np.dot(lam * r * r, zz)
+        dm = dn2 * (np.sqrt(dn2) / Mprime - 1.0) / np.dot(lam * lam * r**3, zz)
+        m += dm
+        if dm <= 1e-16 * m:
+            break
+    return vecs @ (z / (1.0 + m * lam)[:, None]) / sw[:, None]
+
+
+def _dykstra(g, tg, x, M, Mprime, rounds, tol=0.0):
+    """Dykstra's alternation of the box clip and the ball step (Boyle & Dykstra 1986), stopped
+    after ``rounds`` rounds or at a max-norm increment <= tol, then clipped."""
+    p, q = np.zeros_like(x), np.zeros_like(x)
+    for _ in range(rounds):
+        y = np.clip(x + p, -M, M)
+        p = x + p - y
+        x_new = _ball_step(g, tg, y + q, Mprime)
+        q = y + q - x_new
+        x, dx = x_new, np.max(np.abs(x_new - x))
+        if dx <= tol:
+            break
+    return np.clip(x, -M, M)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("M, Mprime", [(1.0, 0.5), (0.5, 2.0)])
+def test_projection_matches_a_converged_dykstra(seed, M, Mprime):
+    # both bounds bind; Dykstra converges to P, slowly (hundreds to thousands of rounds)
+    g, tg = Grid(3, 2, 1.0), TimeGrid(0.3, 8)
+    x = 2.0 * np.random.default_rng(seed).standard_normal((tg.nt + 1, g.size))
+    reference = _dykstra(g, tg, x, M, Mprime, 100_000, tol=1e-14)
+    u = project_Uad(g, tg, x, M, Mprime).slices
+    assert np.max(np.abs(np.clip(x, -M, M) - u)) > 0.1
+    assert np.max(np.abs(u - reference)) <= 1e-11
+
+
+@pytest.mark.parametrize("rounds", [1, 50])
+def test_projection_kkt_fails_on_a_truncated_dykstra(monkeypatch, rounds):
+    monkeypatch.setattr(verify, "project_Uad", lambda g, tg, x, M, Mprime: ControlFunction(
+        g, tg, _dykstra(g, tg, x, M, Mprime, rounds)))
+    results = [run_checks(["control.projection-kkt"], seed)[0] for seed in range(12)]
+    assert all(np.isfinite(r.measured) and not r.passed for r in results), results
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +281,9 @@ def test_settings_must_be_finite(make):
 
 
 def test_optimize_reports_stall(monkeypatch):
-    g, tg, spec, problem = small_problem()
+    # with no derivative bound the first trial's projection is its clip; at M' = 10 the
+    # clip's ||d_t u|| is 35, and the projection of that trial fails the Armijo test
+    g, tg, spec, problem = small_problem(Mprime=np.inf)
     rng = np.random.default_rng(3)
     target = 0.2 * rng.standard_normal((tg.nt + 1, g.size))
     cost = CostSpec(g, tg, (1.0, 0.0, 0.0, 1e-6), phi_q=target)
@@ -266,29 +310,14 @@ def test_optimize_inverse_crime_preset_budget():
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_optimize_active_derivative_bound_ends_before_the_budget(monkeypatch, seed):
-    # with M' = 0.1 the derivative ball binds; the run must converge within
-    # its iteration budget, and each of its projections within Dykstra's
-    ball_steps = []  # one count per projection
-    ball, project = control._project_ball, control.project_Uad
-
-    def counted_project(*args):
-        ball_steps.append(0)
-        return project(*args)
-
-    def counted_ball(*args):
-        ball_steps[-1] += 1
-        return ball(*args)
-
-    monkeypatch.setattr(control, "project_Uad", counted_project)
-    monkeypatch.setattr(control, "_project_ball", counted_ball)
+def test_optimize_active_derivative_bound_ends_before_the_budget(seed):
+    # with M' = 0.1 the derivative ball binds; the run must converge within its budget
     grid, tg, spec, phi0, problem, cost, u0, rng = _opt_setup(seed, 260)
     problem = ControlProblem(phi0, spec, tg, problem.M, 0.1)
     config = OptimizerConfig(max_iters=300, tol=1e-8)
     result = optimize(u0, problem, cost, config)
     assert result.converged
     assert result.iterations < config.max_iters
-    assert 0 < max(ball_steps) < control.DYKSTRA_ITERS
 
 
 def test_optimize_keeps_last_step_without_curvature(monkeypatch):

@@ -469,7 +469,7 @@ EXPECTED_CHECKS = {
                  "mode-refinement-convergence"},
     "sensitivity": {"adjoint-transpose-identity", "tangent-linearity",
                     "frechet-order", "tangent-continuity", "gradient-fd-match"},
-    "control": {"cost-nonnegative", "cost-perfect-tracking", "projection-idempotent",
+    "control": {"cost-nonnegative", "cost-perfect-tracking",
                 "projection-nonexpansive", "monotone-descent",
                 "feasible-descent", "cost-decrease", "projection-kkt",
                 "optimizer-converged", "final-stationarity"},
@@ -519,7 +519,7 @@ def test_shared_scenarios_run_once_per_run_checks(run_at_seed_3):
 @pytest.mark.parametrize(
     "name", [n for n in registered_checks() if n.split(".")[0] in ("spectral", "potentials")]
     + ["state.mean-implicit-euler", "state.energy-balance", "sensitivity.tangent-linearity",
-       "sensitivity.adjoint-transpose-identity", "control.projection-idempotent"]
+       "sensitivity.adjoint-transpose-identity", "control.projection-kkt"]
 )
 def test_roundoff_check_passes_at_twelve_seeds(name):
     # these bounds sit a few thousand ulps above roundoff and the scenarios
@@ -566,13 +566,14 @@ def test_pi_derivative_constant_fails_on_a_slipped_pi(monkeypatch, name):
 
 @pytest.mark.parametrize("centre", ["time mean", "zero"])
 def test_projection_kkt_fails_on_a_radial_retraction(monkeypatch, centre):
-    # c + (M'/||d_t x||)(x - c) meets the derivative bound but is not the projection
-    def retract(grid, tg, slices, Mprime):
-        norm = state._dt_norm(grid, tg, np.diff(slices, axis=0))
-        c = slices.mean(axis=0) if centre == "time mean" else 0.0
-        return slices.copy() if norm <= Mprime else c + (Mprime / norm) * (slices - c)
+    # the clip x, then c + (M'/||d_t x||)(x - c), is admissible but not the projection
+    def retract(grid, tg, slices, M, Mprime):
+        x = np.clip(slices, -M, M)
+        norm = state._dt_norm(grid, tg, np.diff(x, axis=0))
+        c = x.mean(axis=0) if centre == "time mean" else 0.0
+        return state.ControlFunction(grid, tg, x if norm <= Mprime else c + (Mprime / norm) * (x - c))
 
-    monkeypatch.setattr(control, "_project_ball", retract)
+    monkeypatch.setattr(verify, "project_Uad", retract)
     assert not _passing_seeds("control.projection-kkt")
 
 
@@ -864,12 +865,12 @@ def test_cli_optimize_artifacts_match_a_fresh_forward_run(tmp_path):
 
 
 def test_cli_optimize_reports_a_missed_derivative_bound(tmp_path, monkeypatch):
-    # the inverse-crime preset with an active M' = 0.05; without its ball step the
-    # projection cannot meet that bound
+    # the inverse-crime preset with an active M' = 0.05; a projection that misjudges the
+    # derivative norm returns the clip, which misses that bound
     preset = resources.files("chopt").joinpath("presets").joinpath("inverse-crime.cfg").read_text()
     assert "Mprime = 10.0\n" in preset
     cfg = write_cfg(tmp_path, preset.replace("Mprime = 10.0\n", "Mprime = 0.05\n"))
-    monkeypatch.setattr(control, "_project_ball", lambda grid, tg, slices, Mprime: slices)
+    monkeypatch.setattr(control, "_dt_norm", lambda grid, tg, d: 0.0)
     out = tmp_path / "out"
     assert main(["optimize", "--config", str(cfg), "--out", str(out)]) == 2
     record = json.loads((out / "failure.json").read_text())
