@@ -95,14 +95,21 @@ def _box_qp(wx: np.ndarray, w: np.ndarray, m: float, M: float, u: np.ndarray, la
         if np.array_equal(s, sets):
             return u, lam
         sets, held = s, s != 0
-        off, piv = np.where(held, 0.0, -m), np.where(held, 1.0, c)
-        u = np.where(held, np.copysign(M, s), wx)
-        for k in range(1, len(u)):  # the pivots stay >= w: A is diagonally dominant
-            piv[k] -= off[k] / piv[k - 1] * off[k - 1]
-            u[k] -= off[k] / piv[k - 1] * u[k - 1]
-        u[-1] /= piv[-1]
+        # held rows move m times their value to their free neighbours' right-hand sides, and
+        # m couples consecutive free rows.  e_k, pivot k less the m of its link to row k + 1,
+        # is w_k + m e_(k-1) / (m + e_(k-1)) (m at a held row's e = inf): a sum of positive
+        # terms, where the pivot w + 2m - m^2 / pivot_(k-1) cancels w against m
+        h = np.where(held, np.copysign(M, s), 0.0)
+        p = np.pad(h, ((1, 1), (0, 0)))
+        u, off = np.where(held, 0.0, wx + m * (p[:-2] + p[2:])), m * ~(held[1:] | held[:-1])
+        e = np.where(held, np.inf, w)
+        for k in range(1, len(u)):
+            e[k] += m / (1.0 + m / e[k - 1])
+            u[k] += off[k - 1] * u[k - 1] / (e[k - 1] + m)
+        u[-1] /= e[-1]
         for k in range(len(u) - 2, -1, -1):
-            u[k] = (u[k] - off[k] * u[k + 1]) / piv[k]
+            u[k] = (u[k] + off[k] * u[k + 1]) / (e[k] + m)
+        u = np.where(held, h, u)
         d2u = np.diff(np.diff(u, axis=0), axis=0, prepend=0.0, append=0.0)
         lam = np.where(held, wx - w * u + m * d2u, 0.0)
     raise ConvergenceFailure(f"projection: the active sets did not settle in {_MAX_ROUNDS} rounds")

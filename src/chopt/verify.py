@@ -30,7 +30,7 @@ from .control import (
 )
 from .cost import CostSpec, cost_J
 from .errors import ValidationError
-from .galerkin import build_system, compare_to_pde, integrate
+from .galerkin import build_system, integrate
 from .potentials import PotentialSpec
 from .sensitivity import (
     adjoint_identity_residual,
@@ -263,32 +263,6 @@ def _log_exp_bound(seed):
     return worst, "max of beta_eps' - 2 exp(|beta_eps|) over sweeps"
 
 
-def _young_exp_constants(p: float) -> tuple[float, float]:
-    """Constants (kappa, kappa') with r*s*e^{ps} <= s^2 e^{ps}/2 + e^{kappa r} + kappa' for p >= 1.
-
-    Built from the delta > 0 solving delta*(1 + p + delta) = 1/2, with
-    kappa = 1/delta and kappa' = (p + delta)^2 / (4 delta).
-    """
-    if p < 1.0:
-        raise ValueError("p must be >= 1")
-    delta = 0.5 * (-(1.0 + p) + math.sqrt((1.0 + p) ** 2 + 2.0))
-    return 1.0 / delta, (p + delta) ** 2 / (4.0 * delta)
-
-
-@_check(("potentials.young-exp-inequality", "<=", 1e-12))
-def _young(seed):
-    worst = -math.inf
-    for i, p in enumerate((1.0, 3.0, 2.0)):  # p = 2 last, so p = 1 and 3 keep their draws
-        kappa, kappa_prime = _young_exp_constants(p)
-        rng = _rng(seed, 100 + i)
-        r = rng.uniform(0.0, 6.0, 10_000)
-        s = rng.uniform(0.0, 6.0, 10_000)
-        lhs = r * s * np.exp(p * s)
-        rhs = 0.5 * s * s * np.exp(p * s) + np.exp(kappa * r) + kappa_prime
-        worst = max(worst, float(np.max(lhs - rhs)))
-    return worst, "max violation of the exponential Young inequality"
-
-
 # ---------------------------------------------------------------------------
 # state
 
@@ -466,30 +440,6 @@ def _galerkin_mean(seed):
             (excursion, "max |mean - 0.3| - max |ubar| of the n=1 oracle"))
 
 
-@_check(("galerkin.refinement-convergence", "<=", 1.05),
-        ("galerkin.mode-refinement-convergence", "<=", 1.05))
-def _galerkin_refinement(seed):
-    grid = Grid(16, 16, 1.0, 1.0)
-    spec = _regular_spec()
-    rng = _rng(seed, 160)
-    phi0 = band_limited_field(grid, 0.4, 4, rng)
-
-    def error(nt, n_modes):
-        tg = TimeGrid(0.25, nt)
-        u = ControlFunction.constant(grid, tg, 0.0)
-        pde = simulate(phi0, u, spec, tg, with_diagnostics=False)
-        system = build_system(grid, n_modes)
-        y0 = system.project(phi0.values)
-        oracle = integrate(system, y0, u, spec, substeps=5)
-        return compare_to_pde(oracle, pde).max_phi_error
-
-    e_coarse = error(50, 8)
-    e_fine_t = error(100, 8)
-    e_few_modes = error(50, 4)
-    return ((e_fine_t / e_coarse, f"oracle/PDE error ratio under tau halving; {e_coarse:.3e} at nt = 50"),
-            (e_coarse / e_few_modes, f"oracle/PDE error ratio from 4 to 8 modes; {e_few_modes:.3e} at 4"))
-
-
 # ---------------------------------------------------------------------------
 # sensitivity
 
@@ -648,9 +598,10 @@ def _cost_nonneg(seed):
 
 @_check(("control.projection-kkt", "<=", 1e-12))
 def _proj_kkt(seed):
-    """u = P(x) for the box |u| <= M and the ball ||d_t u|| <= M' iff, with r = W (x - u) and
-    L = D^T D, r = m L u + b for an m >= 0 with m (||d_t u|| - M') = 0 and box multipliers b
-    that vanish where |u| < M and point outward at +-M.  m is fitted to r where |u| < M."""
+    """u = P(x) for the box |u| <= M and the ball ||d_t u|| <= M' iff u is feasible and, with
+    r = W (x - u) and L = D^T D, r = m L u + b for an m >= 0 with m (||d_t u|| - M') = 0 and box
+    multipliers b that vanish where |u| < M and point outward at +-M.  m is fitted to r where
+    |u| < M."""
     grid, tg = _grid8(), TimeGrid(0.3, 20)
     rng = _rng(seed, 230)
     worst = 0.0
@@ -665,29 +616,11 @@ def _proj_kkt(seed):
             m = np.dot(r[free], Lu[free]) / np.dot(Lu[free], Lu[free])
             b = r - m * Lu
             wrong = (np.minimum(b[u >= M], 0.0), np.maximum(b[u <= -M], 0.0))
-            gap = math.sqrt(grid.cell * np.sum(d * d) / tg.tau) / Mprime - 1.0 if m > 0 else 0.0
+            gap = math.sqrt(grid.cell * np.sum(d * d) / tg.tau) / Mprime - 1.0
+            excess = max(float(np.max(np.abs(u))) - M, 0.0) / M
             rel = [np.linalg.norm(v) / np.linalg.norm(r) for v in (b[free], *wrong)]
-            worst = max(worst, -m, abs(gap), *rel)
-    return worst, "max KKT residual of P(x) at (M, M') = (1, 0.5) and (0.5, 2)"
-
-
-@_check(("control.projection-nonexpansive", "<=", 1.0 + 1e-8))
-def _proj_nonexpansive(seed):
-    grid, tg = _grid8(), TimeGrid(0.3, 20)
-    rng = _rng(seed, 240)
-    shape = (tg.nt + 1, grid.size)
-    # close pairs at (M, M') = (1, 0.5), then independent pairs at (0.5, 2)
-    pairs = []
-    for _ in range(5):
-        a = rng.standard_normal(shape) * 2.0
-        pairs.append((a, a + rng.standard_normal(shape) * 0.5, 1.0, 0.5))
-    pairs += [(*rng.standard_normal((2, *shape)) * 2.0, 0.5, 2.0) for _ in range(3)]
-    worst = 0.0
-    for a, b, M, Mprime in pairs:
-        d = project_Uad(grid, tg, a, M, Mprime).slices - project_Uad(grid, tg, b, M, Mprime).slices
-        ratio = control_inner(tg, grid, d, d) / control_inner(tg, grid, a - b, a - b)
-        worst = max(worst, math.sqrt(ratio))
-    return worst, "max contraction ratio of the projection in the control_inner norm"
+            worst = max(worst, -m, abs(gap) if m > 0 else gap, excess, *rel)
+    return worst, "max KKT and feasibility residual of P(x) at (M, M') = (1, 0.5) and (0.5, 2)"
 
 
 def _inverse_crime_run(seed):

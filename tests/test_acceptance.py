@@ -123,7 +123,7 @@ def test_criterion_7_continuous_dependence():
 def test_criterion_8_regularization_sweeps():
     # the registry's potentials checks: 1e4-point sweeps of monotonicity and
     # beta_eps(0) = 0, the Yosida Lipschitz and sandwich bounds, the constant
-    # pi', the exponential derivative bound and the Young inequality
+    # pi' and the exponential derivative bound
     report_checks(8, "regularization property sweeps",
                   [n for n in registered_checks() if n.startswith("potentials.")])
 

@@ -104,13 +104,18 @@ def test_projection_output_is_feasible():
 
 
 def test_projection_stays_on_a_tiny_derivative_ball():
-    # at M' = 1e-6 the multiplier is about 1e10, where a null eigenvalue of
-    # roundoff size instead of 0 would shrink the time mean
+    # at M' = 1e-6 the multiplier is about 1e10.  P keeps the trapezoid time mean
+    # (1^T D^T D = 0), which pivots w + 2m - m^2 / pivot, cancelling w against m,
+    # moved by about 1e-8 relative
     g = Grid(16, 16, 1.0)
     tg = TimeGrid(1.0, 500)
     slices = 3.0 + RNG.standard_normal((tg.nt + 1, g.size))
     out = project_Uad(g, tg, slices, M=np.inf, Mprime=1e-6)
     assert abs(out.dt_l2() / 1e-6 - 1.0) <= 1e-6
+    w = np.r_[0.5, np.ones(tg.nt - 1), 0.5]
+    mean = np.average(slices, axis=0, weights=w)
+    drift = np.average(out.slices, axis=0, weights=w) - mean
+    assert np.max(np.abs(drift)) <= 1e-12 * np.max(np.abs(mean))
 
 
 def test_project_Uad_checks_its_output(monkeypatch):

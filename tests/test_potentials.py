@@ -22,7 +22,7 @@ from chopt.potentials import (
     f_d2_vec,
     f_value_vec,
 )
-from chopt.verify import _reg_specs, _young_exp_constants
+from chopt.verify import _reg_specs
 
 RNG = np.random.default_rng(77)
 
@@ -276,26 +276,6 @@ def test_exp_bound_equality_at_zero():
     lhs = beta_reg_d1_vec(spec, 0.0)
     rhs = 2.0 * math.exp(abs(beta_reg_vec(spec, 0.0)))
     assert lhs == pytest.approx(rhs, abs=1e-14)  # 2 <= 2 e^0, equality
-
-
-def test_young_constants_p3():
-    kappa, kappa_prime = _young_exp_constants(3.0)
-    delta = 1.0 / kappa
-    assert delta == pytest.approx(0.121320, abs=1e-6)
-    assert delta * (1.0 + 3.0 + delta) == pytest.approx(0.5, rel=1e-12)
-    assert kappa == pytest.approx(8.242641, abs=1e-6)
-    assert kappa_prime == pytest.approx(20.0763, abs=1e-3)
-
-
-def test_young_constants_p1():
-    kappa, _ = _young_exp_constants(1.0)
-    assert 1.0 / kappa == pytest.approx(0.224745, abs=1e-6)
-    assert kappa == pytest.approx(4.449490, abs=1e-6)
-
-
-def test_young_rejects_small_p():
-    with pytest.raises(ValueError):
-        _young_exp_constants(0.5)
 
 
 # ---------------------------------------------------------------------------
