@@ -31,11 +31,10 @@ import numpy as np
 from . import potentials
 from .cost import CostSpec
 from .errors import NonFinite, ShapeMismatch
-from .spectral import _dct, _idct
+from .spectral import _dct, _finite, _idct
 from .state import (
     ControlFunction,
     StateTrajectory,
-    _finite,
     _Stepper,
     _trapezoid_weights,
 )

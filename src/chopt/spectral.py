@@ -104,11 +104,20 @@ class Grid:
         return lj[:, None] + lk[None, :]
 
 
+def _finite(*arrays: np.ndarray) -> bool:
+    """Whether every entry of the arrays is finite, read from their extrema.
+
+    np.min and np.max propagate NaN and an infinity is always an extremum, so
+    this is np.all(np.isfinite(a)) without a boolean mask of a's size.
+    """
+    return all(np.isfinite(np.min(a)) and np.isfinite(np.max(a)) for a in arrays)
+
+
 def _as_values(grid: Grid, values) -> np.ndarray:
     v = np.asarray(values, dtype=float).reshape(-1)
     if v.size != grid.size:
         raise ShapeMismatch(f"expected {grid.size} values, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not _finite(v):
         raise ValueError("field values must be finite")
     return v
 
@@ -135,7 +144,7 @@ class SpectralField:
         c = np.asarray(self.coeffs, dtype=float)
         if c.shape != (self.grid.nx, self.grid.ny):
             c = c.reshape(self.grid.nx, self.grid.ny)
-        if not np.all(np.isfinite(c)):
+        if not _finite(c):
             raise ValueError("spectral coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 

@@ -33,6 +33,8 @@ few snapshots instead of the whole (nt+1) x nx*ny history of phi and mu.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -42,7 +44,7 @@ import numpy as np
 from . import potentials
 from .errors import ConfigurationError, NonFinite, ShapeMismatch
 from .potentials import PotentialSpec
-from .spectral import Field, Grid, _dct, _idct, grad_sq
+from .spectral import Field, Grid, _dct, _finite, _idct, grad_sq
 
 __all__ = [
     "TimeGrid",
@@ -88,8 +90,9 @@ class ControlFunction:
 
     ``slices`` has shape (nt+1, nx*ny); slice n is u(., t_n).  It may be a
     read-only broadcast view (``constant`` holds one row that way), so no
-    reader may write into it: readers take it row by row or reduce it.  The
-    time derivative is measured by forward differences:
+    reader may write into it: readers take it row by row or reduce it, and
+    none expands a broadcast: the finiteness check, ``linf``, ``means`` and
+    ``dt_l2`` read its one row (time stride 0).  The time derivative is measured by forward differences:
     ||d_t u||^2 = sum_n cell * |u^{n+1} - u^n|^2 / tau.  The bounds M and M'
     of the admissible set belong to the control problem, not to a control.
     """
@@ -104,19 +107,26 @@ class ControlFunction:
             raise ShapeMismatch(
                 f"control slices must have shape {(self.timegrid.nt + 1, self.grid.size)}"
             )
-        if not np.all(np.isfinite(s)):
-            raise ValueError("control values must be finite")
         object.__setattr__(self, "slices", s)
+        if not _finite(self._rows()):
+            raise ValueError("control values must be finite")
+
+    def _rows(self) -> np.ndarray:
+        """The distinct rows of ``slices``: its one row if it is a broadcast in time."""
+        s = self.slices
+        return s[:1] if s.strides[0] == 0 else s
 
     def linf(self) -> float:
-        s = self.slices
-        return float(max(np.max(s), -np.min(s))) if s.size else 0.0
+        s = self._rows()
+        return float(max(np.max(s), -np.min(s)))
 
     def dt_l2(self) -> float:
-        return _dt_norm(self.grid, self.timegrid, np.diff(self.slices, axis=0))
+        s = self._rows()
+        return 0.0 if len(s) == 1 else _dt_norm(self.grid, self.timegrid, np.diff(s, axis=0))
 
     def means(self) -> np.ndarray:
-        return self.slices.mean(axis=1)
+        # a broadcast's one mean, repeated over the nt + 1 times
+        return np.resize(self._rows().mean(axis=1), len(self.slices))
 
     @staticmethod
     def constant(grid: Grid, timegrid: TimeGrid, value: float):
@@ -128,15 +138,6 @@ class ControlFunction:
 def _dt_norm(grid: Grid, timegrid: TimeGrid, d: np.ndarray) -> float:
     """||d_t u|| = sqrt(cell * sum |u^{n+1} - u^n|^2 / tau) from the differences d."""
     return float(np.sqrt(grid.cell * np.sum(d * d) / timegrid.tau))
-
-
-def _finite(*arrays: np.ndarray) -> bool:
-    """Whether every entry of the arrays is finite, read from their extrema.
-
-    np.min and np.max propagate NaN and an infinity is always an extremum, so
-    this is np.all(np.isfinite(a)) without a boolean mask of a's size.
-    """
-    return all(np.isfinite(np.min(a)) and np.isfinite(np.max(a)) for a in arrays)
 
 
 def _trapezoid_weights(nt: int) -> np.ndarray:
@@ -240,6 +241,26 @@ def default_stabilization(spec: PotentialSpec, interval: tuple[float, float] | N
 # ---------------------------------------------------------------------------
 # time stepping
 
+# glibc's mallopt parameter M_TRIM_THRESHOLD, the value pinned, and the grid
+# size from which a solve pins it: one float64 field of 128 KiB, the default.
+_M_TRIM_THRESHOLD, _TRIM_THRESHOLD, _PIN_MIN_SIZE = -1, 32 << 20, 128 * 1024 // 8
+
+
+@functools.cache
+def _pin_trim_threshold() -> None:
+    """Keep glibc's heap top, once per process; a no-op without glibc's mallopt.
+
+    At the default threshold each free of a 128 x 128 step temporary returns
+    the top of the heap to the kernel, and the next step faults it in again:
+    about 55 minor faults a step, unless an earlier large free happened to
+    raise glibc's dynamic thresholds.  Results do not depend on the pin.
+    """
+    try:
+        ctypes.CDLL(None).mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
 class _Stepper:
     """The semi-implicit update: eigenvalues, splitting constant S, denominator.
 
@@ -249,6 +270,8 @@ class _Stepper:
     def __init__(self, grid: Grid, spec: PotentialSpec, tau: float):
         if not tau > 0:
             raise ValueError("tau must be positive")
+        if grid.size >= _PIN_MIN_SIZE:
+            _pin_trim_threshold()
         self.grid = grid
         self.spec = spec
         self.tau = tau
@@ -398,7 +421,7 @@ def _forward_rows(
     phi = phi0.values
     phihat = _dct(grid, phi)
     mu = stepper.mu_of(phihat, phi)
-    if not np.all(np.isfinite(mu)):
+    if not _finite(mu):
         raise NonFinite("initial chemical potential is not finite", step=0)
     grads = None
     if with_diagnostics:

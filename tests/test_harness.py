@@ -129,6 +129,25 @@ def test_parse_computes_no_derivative_norm(tmp_path, monkeypatch):
     assert parse_config(p).Mprime == np.inf
 
 
+def test_parse_of_a_large_constant_control_holds_no_field_sized_temporary(tmp_path):
+    # a 128 x 128 x 500 constant control is one 131 KB row; its expansion
+    # would be 65.7 MB and a finiteness mask of that 8.2 MB
+    p = write_cfg(tmp_path, (
+        "[grid]\nnx = 128\nny = 128\n[time]\nfinal = 0.5\nsteps = 500\n"
+        "[potential]\nvariant = logarithmic\nc1 = 2.0\neps = 1e-4\nreg_kind = piecewise_log\n"
+        "stabilization = 17.0\n[control]\nM = 0.2\nMprime = inf\ninitial = constant:0.1\n"
+        "[initial]\nphi0 = smooth:-0.6:0.6\n"
+    ))
+    tracemalloc.start()
+    try:
+        cfg = parse_config(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cfg.u0.slices.strides[0] == 0
+    assert peak < 1_000_000
+
+
 def test_parse_rejects_negative_seed(tmp_path):
     p = write_cfg_with(tmp_path, "run", "seed", "-1")
     with pytest.raises(ValidationError) as err:

@@ -398,11 +398,14 @@ def test_constant_control_is_one_read_only_row():
     try:
         u = build_control(g, tg, "constant:0.1", 0.2, np.random.default_rng(0))
         assert u.linf() == 0.1
+        assert u.dt_l2() == 0.0
+        means = u.means()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a full stack would be 65.7 MB
-    assert peak < 16_000_000
+    # a full stack would be 65.7 MB, a finiteness mask of it 8.2 MB
+    assert peak < 1_000_000
+    assert np.array_equal(means, u.slices.mean(axis=1))
     assert not u.slices.flags.writeable
     assert not ControlFunction.constant(g, tg, 0.0).slices.flags.writeable
     assert u.slices.shape == (tg.nt + 1, g.size)
@@ -417,6 +420,33 @@ def test_linf_matches_the_largest_magnitude(value):
     u = ControlFunction(g, tg, slices)
     assert u.linf() == float(np.max(np.abs(slices)))
     assert constant_control(g, tg, value).linf() == abs(value)
+
+
+@pytest.mark.parametrize("value", [-0.4, 0.0, 0.3])
+def test_a_broadcast_control_reads_as_its_expansion(value):
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 6)
+    row = value + np.random.default_rng(8).uniform(-0.05, 0.05, g.size)
+    u = ControlFunction(g, tg, np.broadcast_to(row, (tg.nt + 1, g.size)))
+    full = ControlFunction(g, tg, np.repeat(row[None], tg.nt + 1, axis=0))
+    assert u.slices.strides[0] == 0 and full.slices.flags.c_contiguous
+    assert u.linf() == full.linf()
+    assert np.array_equal(u.means(), full.means())
+    assert u.dt_l2() == full.dt_l2() == 0.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("layout", ["full", "broadcast"])
+def test_control_refuses_one_non_finite_entry(bad, where, layout):
+    g = Grid(8, 8, 1.0)
+    tg = TimeGrid(0.1, 4)
+    shape = (tg.nt + 1, g.size)
+    values = np.zeros(shape if layout == "full" else g.size)
+    flat = values.reshape(-1)
+    flat[{"first": 0, "middle": flat.size // 2, "last": -1}[where]] = bad
+    with pytest.raises(ValueError, match="control values must be finite"):
+        ControlFunction(g, tg, values if layout == "full" else np.broadcast_to(values, shape))
 
 
 def test_simulate_with_a_constant_control_holds_little_beyond_the_trajectory():
